@@ -21,6 +21,8 @@ from pathlib import Path
 from . import optimizer, outputs
 from .config import (ConfigError, build_problem, parse_problem,
                      serialize_problem_config, with_overrides)
+from .fem import SingularSystemError, SolveError
+from .mesh import TopologyError
 from .problems import BUILTIN_NAMES, builtin_config
 
 
@@ -106,7 +108,7 @@ def _cmd_verify() -> int:
     tip = int(np.argmin((mesh.nodes[:, 0] - 1.0) ** 2 + (mesh.nodes[:, 1] - 0.25) ** 2))
     boundary.point_loads.append(PointLoad(1, tip, (0.0, -1.0), 1.0))
     analysis = fem.analyze(mesh, boundary, fem.Material(), TopologyState.full(mesh))
-    lam = sensitivity.solve_adjoint(analysis.system, -analysis.loads[0])
+    lam = fem.solve(analysis.system, -analysis.loads[0])
     u = analysis.displacements[0]
     err = np.max(np.abs(lam + u)) / np.max(np.abs(u))
     check("compliance adjoint lambda = -u", err <= 1e-9, f"rel err {err:.2e}")
@@ -164,7 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_verify()
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError,
+            SingularSystemError, SolveError, TopologyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .mesh import Mesh, TopologyState
 from .sensitivity import SensitivityField
@@ -107,14 +106,6 @@ def smooth_filter(field: SensitivityField, mesh: Mesh, radius: float) -> Sensiti
         raise ValueError(f"filter radius must be non-negative, got {radius}")
     if radius == 0.0:
         return field
-    tree = cKDTree(mesh.centroids)
-    neighbors = tree.query_ball_point(mesh.centroids, radius)
-    values = field.values
-    out = np.empty_like(values)
-    for e, nbrs in enumerate(neighbors):
-        idx = np.asarray(nbrs)
-        d = np.linalg.norm(mesh.centroids[idx] - mesh.centroids[e], axis=1)
-        w = np.maximum(0.0, 1.0 - d / radius)
-        out[e] = np.dot(w, values[idx]) / w.sum()
-    return SensitivityField(values=out, protected=field.protected,
+    H, Hs = mesh.cone_filter(radius)
+    return SensitivityField(values=(H @ field.values) / Hs, protected=field.protected,
                             normalized=False, degenerate=field.degenerate)

@@ -14,9 +14,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage, sparse
+from scipy.spatial import cKDTree
 
 X, Y = 0, 1
 
@@ -154,26 +157,43 @@ class Mesh:
         self.edofs = ed
         self.centroids = self.nodes[self.elements].mean(axis=1)
         self._node_elements = self._build_incidence()
-        for a in (self.nodes, self.elements, self.element_grid, self.edofs, self.centroids):
+        self._cone_filters: dict[float, tuple[sparse.csr_matrix, np.ndarray]] = {}
+        for a in (self.nodes, self.elements, self.element_grid, self.edofs, self.centroids,
+                  *self._node_elements):
             a.flags.writeable = False
 
     def _build_incidence(self):
-        counts = np.zeros(self.n_nodes, dtype=np.int64)
-        np.add.at(counts, self.elements.ravel(), 1)
+        counts = np.bincount(self.elements.ravel(), minlength=self.n_nodes)
         indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for e in range(self.n_elements):
-            for n in self.elements[e]:
-                indices[cursor[n]] = e
-                cursor[n] += 1
+        # stable sort groups each node's slots in ascending element order
+        indices = np.argsort(self.elements.ravel(), kind="stable") // 4
         return indptr, indices
 
     def node_elements(self, node: int) -> np.ndarray:
         """Elements incident to a node (sorted by element index)."""
         indptr, indices = self._node_elements
-        return np.sort(indices[indptr[node]:indptr[node + 1]])
+        return indices[indptr[node]:indptr[node + 1]]
+
+    def cone_filter(self, radius: float) -> tuple[sparse.csr_matrix, np.ndarray]:
+        """Cone weights ``H[e, f] = max(0, 1 - |c_e - c_f| / radius)`` over
+        element centroids and their row sums ``Hs``, built once per radius."""
+        if radius not in self._cone_filters:
+            n = self.n_elements
+            pairs = cKDTree(self.centroids).query_pairs(radius, output_type="ndarray")
+            i, j = pairs[:, 0], pairs[:, 1]
+            d = np.linalg.norm(self.centroids[i] - self.centroids[j], axis=1)
+            w = np.maximum(0.0, 1.0 - d / radius)
+            diag = np.arange(n)
+            H = sparse.csr_matrix(
+                (np.concatenate([w, w, np.ones(n)]),
+                 (np.concatenate([i, j, diag]), np.concatenate([j, i, diag]))),
+                shape=(n, n))
+            Hs = np.asarray(H.sum(axis=1)).ravel()
+            for a in (H.data, H.indices, H.indptr, Hs):
+                a.flags.writeable = False
+            self._cone_filters[radius] = (H, Hs)
+        return self._cone_filters[radius]
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         return (self.nodes[:, 0].min(), self.nodes[:, 1].min(),
@@ -277,33 +297,14 @@ class ActiveMesh:
 
 def _support_connected(mesh: Mesh, solid: np.ndarray, fixed_nodes: np.ndarray) -> np.ndarray:
     """Mask of solid elements edge-connected to a component holding a fixed node."""
-    nx, ny = mesh.grid_shape
-    grid = np.full((nx, ny), -1, dtype=np.int64)
     gi, gj = mesh.element_grid[:, 0], mesh.element_grid[:, 1]
-    grid[gi, gj] = np.arange(mesh.n_elements)
-    solid_ids = np.flatnonzero(solid)
-
-    seeds = set()
-    for n in fixed_nodes:
-        for e in mesh.node_elements(int(n)):
-            if solid[e]:
-                seeds.add(int(e))
-    reach = np.zeros(mesh.n_elements, dtype=bool)
-    stack = sorted(seeds)
-    reach[stack] = True
-    while stack:
-        e = stack.pop()
-        i, j = gi[e], gj[e]
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ni, nj = i + di, j + dj
-            if 0 <= ni < nx and 0 <= nj < ny:
-                ne = grid[ni, nj]
-                if ne >= 0 and solid[ne] and not reach[ne]:
-                    reach[ne] = True
-                    stack.append(ne)
-    out = np.zeros(mesh.n_elements, dtype=bool)
-    out[solid_ids] = reach[solid_ids]
-    return out
+    grid = np.zeros(mesh.grid_shape, dtype=bool)
+    grid[gi, gj] = solid
+    labels = ndimage.label(grid)[0][gi, gj]  # default cross = shared edges
+    at_support = np.zeros(mesh.n_nodes, dtype=bool)
+    at_support[np.asarray(fixed_nodes, dtype=np.int64)] = True
+    seeds = solid & at_support[mesh.elements].any(axis=1)
+    return np.isin(labels, labels[seeds])  # void is label 0, never a seed
 
 
 def repair_connectivity(mesh: Mesh, topo: TopologyState, previous: TopologyState,
@@ -336,10 +337,10 @@ def repair_connectivity(mesh: Mesh, topo: TopologyState, previous: TopologyState
         seeds = [int(e) for e in mesh.node_elements(node) if previous.solid[e]]
         # breadth-first over the previous solid set toward the connected part
         parent = {e: -1 for e in seeds}
-        queue = list(seeds)
+        queue = deque(seeds)
         goal = -1
         while queue:
-            e = queue.pop(0)
+            e = queue.popleft()
             if connected[e]:
                 goal = e
                 break

@@ -196,11 +196,6 @@ def adjoint_rhs_pnorm(active, tensors: fem.TensorField, material: fem.Material,
     return rhs, False
 
 
-def solve_adjoint(system: fem.SystemMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Adjoint solves share the primal factorization and contracts."""
-    return fem.solve(system, rhs)
-
-
 def _self_adjoint_case(rhs: np.ndarray, analysis: fem.Analysis) -> tuple[int, float] | None:
     """If the adjoint right-hand side is a multiple of one load case's force
     vector, return (case index, factor) with lambda = factor * u_case."""
@@ -267,7 +262,7 @@ def constraint_fields(analysis: fem.Analysis, constraints: list[ConstraintSpec],
                     adjoint_cache[key] = fem.TensorField(stress=scale * t.stress,
                                                          strain=scale * t.strain)
                 else:
-                    lam = solve_adjoint(analysis.system, rhs)
+                    lam = fem.solve(analysis.system, rhs)
                     adjoint_cache[key] = fem.recover(analysis.active, lam, material)
                     solves += 1
             adj = adjoint_cache[key]
@@ -278,7 +273,7 @@ def constraint_fields(analysis: fem.Analysis, constraints: list[ConstraintSpec],
                 fields.append(SensitivityField(values=np.zeros(mesh.n_elements),
                                                degenerate=True))
                 continue
-            lam = solve_adjoint(analysis.system, rhs)
+            lam = fem.solve(analysis.system, rhs)
             adj = fem.recover(analysis.active, lam, material)
             solves += 1
         else:  # compliance: lambda = -u, no extra solve

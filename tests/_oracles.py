@@ -3,8 +3,9 @@
 Each oracle takes a route disjoint from the production code: the element
 stiffness comes from the published closed-form coefficient vector, the
 topological sensitivity is checked against literal hole drilling with
-re-solves, gradients against central differences, and eigenvalues against
-dense decompositions.
+re-solves, gradients against central differences, eigenvalues against
+dense decompositions, and the array-based grid operations against the
+per-element loops they replaced.
 """
 
 import numpy as np
@@ -81,3 +82,51 @@ def pnorm_fd_gradient(analysis, material, include, p, dofs, step) -> np.ndarray:
         sm = pnorm_of_state(analysis.active, um, material, include, p)
         out[idx] = (sp - sm) / (2.0 * step)
     return out
+
+
+def flood_fill_support_connected(mesh, solid, fixed_nodes) -> np.ndarray:
+    """Mask of solid elements edge-connected to a component holding a fixed
+    node, by a depth-first flood fill over the element grid."""
+    nx, ny = mesh.grid_shape
+    grid = np.full((nx, ny), -1, dtype=np.int64)
+    gi, gj = mesh.element_grid[:, 0], mesh.element_grid[:, 1]
+    grid[gi, gj] = np.arange(mesh.n_elements)
+    solid_ids = np.flatnonzero(solid)
+
+    seeds = set()
+    for n in fixed_nodes:
+        for e in mesh.node_elements(int(n)):
+            if solid[e]:
+                seeds.add(int(e))
+    reach = np.zeros(mesh.n_elements, dtype=bool)
+    stack = sorted(seeds)
+    reach[stack] = True
+    while stack:
+        e = stack.pop()
+        i, j = gi[e], gj[e]
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            ni, nj = i + di, j + dj
+            if 0 <= ni < nx and 0 <= nj < ny:
+                ne = grid[ni, nj]
+                if ne >= 0 and solid[ne] and not reach[ne]:
+                    reach[ne] = True
+                    stack.append(ne)
+    out = np.zeros(mesh.n_elements, dtype=bool)
+    out[solid_ids] = reach[solid_ids]
+    return out
+
+
+def incidence_by_loop(mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Node-to-element incidence in CSR form (indptr, indices), filled one
+    element at a time."""
+    counts = np.zeros(mesh.n_nodes, dtype=np.int64)
+    np.add.at(counts, mesh.elements.ravel(), 1)
+    indptr = np.zeros(mesh.n_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for e in range(mesh.n_elements):
+        for n in mesh.elements[e]:
+            indices[cursor[n]] = e
+            cursor[n] += 1
+    return indptr, indices

@@ -53,6 +53,15 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_rigid_body_mode_exit_one(self, tmp_path, capsys):
+        # three x-fixed DOFs on one vertical line leave y translation free
+        cfg = write_config(tmp_path, CONFIG.replace("0.0 0.0 0.0 1.0 xy", "0.0 0.0 0.0 0.5 x"))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_mesh_scale_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from topt import levelset
-from topt.mesh import DomainSpec, build_mesh
+from topt.mesh import DomainSpec, Rect, build_mesh
 from topt.sensitivity import SensitivityField
 
 
@@ -105,23 +105,36 @@ class TestSmoothFilter:
         assert np.allclose(out.values, 3.3)
 
     def test_spike_against_direct_convolution(self):
-        mesh = self._mesh()
-        vals = np.zeros(25)
-        spike = 12  # center element of the 5x5 grid
-        vals[spike] = 1.0
-        r = 1.5 * mesh.h
-        out = levelset.smooth_filter(field(vals), mesh, r)
-        # direct weighted-sum oracle
-        expected = np.zeros(25)
-        for e in range(25):
-            d = np.linalg.norm(mesh.centroids - mesh.centroids[e], axis=1)
-            w = np.maximum(0.0, 1.0 - d / r)
-            expected[e] = np.dot(w, vals) / w.sum()
-        assert np.allclose(out.values, expected, rtol=1e-12)
-        # spike mass spreads over the immediate ring: face neighbors at h and
-        # diagonal neighbors at sqrt(2) h both sit inside r = 1.5 h
+        square = self._mesh()
+        l_shape = build_mesh(DomainSpec(1.0, 1.0, 10, 10,
+                                        masked_regions=(Rect(0.4, 0.4, 1.0, 1.0),)))[0]
+        # center of the 5x5 grid; the L's element at the re-entrant corner
+        corner = int(np.flatnonzero((l_shape.element_grid == (3, 3)).all(axis=1))[0])
+        rng = np.random.default_rng(5)
+        for mesh, spike in ((square, 12), (l_shape, corner)):
+            n = mesh.n_elements
+            for factor in (1.5, 2.5):
+                r = factor * mesh.h
+                spiked = np.zeros(n)
+                spiked[spike] = 1.0
+                for vals in (spiked, rng.normal(size=n)):
+                    out = levelset.smooth_filter(field(vals), mesh, r)
+                    # direct weighted-sum oracle
+                    expected = np.zeros(n)
+                    for e in range(n):
+                        d = np.linalg.norm(mesh.centroids - mesh.centroids[e], axis=1)
+                        w = np.maximum(0.0, 1.0 - d / r)
+                        expected[e] = np.dot(w, vals) / w.sum()
+                    assert np.allclose(out.values, expected, rtol=1e-12, atol=0.0)
+                out = levelset.smooth_filter(field(spiked), mesh, r)
+                assert out.values[spike] == out.values.max()
+                # the spike reaches every element whose centroid lies within r
+                d = np.linalg.norm(mesh.centroids - mesh.centroids[spike], axis=1)
+                assert np.count_nonzero(out.values) == np.count_nonzero(d < r)
+        # on the square at r = 1.5 h the spike spreads over the immediate
+        # ring: face neighbors at h and diagonal neighbors at sqrt(2) h
+        out = levelset.smooth_filter(field(np.eye(25)[12]), square, 1.5 * square.h)
         assert np.count_nonzero(out.values) == 9
-        assert out.values[spike] == out.values.max()
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,10 @@ import pytest
 from topt.mesh import (BoundarySpec, DomainSpec, MeshError, Point2, PointLoad,
                        Rect, TopologyError, TopologyState, active_submesh,
                        build_mesh, locate_node, repair_connectivity)
+from topt.mesh import _support_connected
+from topt.problems import builtin_problem
 
+from _oracles import flood_fill_support_connected, incidence_by_loop
 from conftest import make_cantilever
 
 
@@ -61,6 +64,15 @@ class TestBuildMesh:
         spec = DomainSpec(1.0, 1.0, 10, 10, masked_regions=(Rect(0.4, 0.4, 1.0, 1.0),))
         mesh, _ = build_mesh(spec)
         assert np.all(np.unique(mesh.elements) == np.arange(mesh.n_nodes))
+
+    def test_incidence_matches_element_loop(self):
+        spec = DomainSpec(1.0, 1.0, 10, 10, masked_regions=(Rect(0.4, 0.4, 1.0, 1.0),))
+        mesh, _ = build_mesh(spec)
+        indptr, indices = incidence_by_loop(mesh)
+        assert np.array_equal(mesh._node_elements[0], indptr)
+        assert np.array_equal(mesh._node_elements[1], indices)
+        for n in range(mesh.n_nodes):
+            assert np.all(np.diff(mesh.node_elements(n)) > 0)
 
 
 class TestLocateNode:
@@ -136,6 +148,21 @@ class TestActiveSubmesh:
         with pytest.raises(TopologyError):
             # the tip load sits on the detached island
             active_submesh(mesh, TopologyState(solid, solid.mean()), boundary)
+
+
+class TestSupportConnected:
+    @pytest.mark.parametrize("name", ["l-bracket-single", "cantilever-single"])
+    def test_matches_flood_fill(self, name):
+        problem = builtin_problem(name)
+        mesh = problem.mesh
+        supports = np.unique([n for n, _ in problem.boundary.fixed_dofs])
+        rng = np.random.default_rng(2024)
+        for k in range(200):
+            # densities around the percolation threshold give many components
+            solid = rng.random(mesh.n_elements) < rng.uniform(0.3, 0.9)
+            fixed = supports if k % 2 == 0 else rng.choice(mesh.n_nodes, size=3)
+            expected = flood_fill_support_connected(mesh, solid, fixed)
+            assert np.array_equal(_support_connected(mesh, solid, fixed), expected)
 
 
 class TestRepairConnectivity:
