@@ -16,23 +16,15 @@ from .sensitivity import SensitivityField, normalize_and_protect
 MULTIPLIER_RULES = ("paper", "standard")
 
 
-@dataclass(frozen=True)
-class ConstraintEval:
+def evaluate_constraint(raw: float, reference: float, bound: float) -> float:
     """Dimensionless constraint value g = raw/reference - bound (g <= 0 feasible)."""
-
-    raw: float
-    reference: float
-    g: float
-
-
-def evaluate_constraint(raw: float, reference: float, bound: float) -> ConstraintEval:
     if reference <= 0:
         raise ValueError(f"degenerate constraint reference {reference}; the initial "
                          "full-domain value must be positive")
     g = raw / reference - bound
     if not np.isfinite(g):
         raise ValueError(f"non-finite constraint value (raw={raw}, reference={reference})")
-    return ConstraintEval(raw=raw, reference=reference, g=g)
+    return g
 
 
 @dataclass(frozen=True)

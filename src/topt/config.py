@@ -284,8 +284,6 @@ def _optimizer_config(overrides: tuple[tuple[str, str], ...]) -> OptimizerConfig
             kwargs[key] = int(value)
         elif key in _STR_KEYS:
             kwargs[key] = value.strip()
-        elif key == "target_vf":
-            kwargs[key] = float(value)
         else:
             kwargs[key] = float(value)
     try:

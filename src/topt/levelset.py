@@ -45,7 +45,7 @@ def extract_domain(field: SensitivityField, tau: float) -> TopologyState:
     solid = field.values > tau
     solid |= field.protected_mask()
     n = len(solid)
-    return TopologyState(solid=solid, volume_fraction=float(solid.sum()) / n, tau=tau)
+    return TopologyState(solid=solid, volume_fraction=float(solid.sum()) / n)
 
 
 def extend_into_skin(field: SensitivityField, mesh: Mesh,
@@ -87,7 +87,7 @@ def extend_into_skin(field: SensitivityField, mesh: Mesh,
     out = field.values.copy()
     out[:] = out_grid[gi, gj]
     return SensitivityField(values=out, protected=field.protected,
-                            normalized=False, degenerate=field.degenerate)
+                            degenerate=field.degenerate)
 
 
 def _rolled_ok(mask: np.ndarray, axis: int, shift: int) -> np.ndarray:
@@ -108,4 +108,4 @@ def smooth_filter(field: SensitivityField, mesh: Mesh, radius: float) -> Sensiti
         return field
     H, Hs = mesh.cone_filter(radius)
     return SensitivityField(values=(H @ field.values) / Hs, protected=field.protected,
-                            normalized=False, degenerate=field.degenerate)
+                            degenerate=field.degenerate)

@@ -51,9 +51,6 @@ class Rect:
     xmax: float
     ymax: float
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
-
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -206,7 +203,6 @@ class TopologyState:
 
     solid: np.ndarray  # (n_elements,) bool
     volume_fraction: float
-    tau: float = -np.inf
 
     @classmethod
     def full(cls, mesh: Mesh) -> "TopologyState":
@@ -279,13 +275,10 @@ class ActiveMesh:
     are reported in ``detached_elements``.
     """
 
-    def __init__(self, mesh: Mesh, element_ids, free_dofs, fixed_active, dangling_dofs,
-                 detached_elements):
+    def __init__(self, mesh: Mesh, element_ids, free_dofs, detached_elements):
         self.mesh = mesh
         self.element_ids = element_ids          # active (analyzed) elements
         self.free_dofs = free_dofs              # mesh DOF ids, sorted
-        self.fixed_active = fixed_active        # fixed mesh DOFs on active nodes
-        self.dangling_dofs = dangling_dofs      # mesh DOFs on untouched nodes
         self.detached_elements = detached_elements
         self.n_free = len(free_dofs)
         # mesh DOF -> reduced index (-1 when eliminated)
@@ -371,9 +364,7 @@ def repair_connectivity(mesh: Mesh, topo: TopologyState, previous: TopologyState
             e = parent[e]
     if not changed:
         return topo
-    return TopologyState(solid=solid,
-                         volume_fraction=float(solid.sum()) / mesh.n_elements,
-                         tau=topo.tau)
+    return TopologyState(solid=solid, volume_fraction=float(solid.sum()) / mesh.n_elements)
 
 
 def active_submesh(mesh: Mesh, topo: TopologyState, boundary: BoundarySpec) -> ActiveMesh:
@@ -408,6 +399,4 @@ def active_submesh(mesh: Mesh, topo: TopologyState, boundary: BoundarySpec) -> A
         fixed_mask[2 * node + d] = True
 
     free_dofs = np.flatnonzero(active_dof & ~fixed_mask)
-    fixed_active = np.flatnonzero(active_dof & fixed_mask)
-    dangling = np.flatnonzero(~active_dof)
-    return ActiveMesh(mesh, element_ids, free_dofs, fixed_active, dangling, detached)
+    return ActiveMesh(mesh, element_ids, free_dofs, detached)

@@ -99,7 +99,6 @@ class _Run:
     """Mutable state of one optimization run."""
 
     def __init__(self, problem: "ProblemSpec", config: OptimizerConfig):
-        self.problem = problem
         self.config = config
         self.mesh = problem.mesh
         self.boundary = problem.boundary
@@ -117,27 +116,8 @@ class _Run:
         self.relaxed: np.ndarray | None = None
         self.skin_weight = 1.0
         self.reuse_field = False
-        self.structural = [self._is_structural(c) for c in self.constraints]
-
-    def _is_structural(self, spec: sensitivity.ConstraintSpec) -> bool:
-        """Compliance constraints and displacement constraints at a point of
-        force application have load-path energy densities as sensitivity
-        fields; they stabilize the combination and stay in it permanently.
-        Remote-point and aggregated-stress fields join only near activation
-        (see build_field)."""
-        if spec.kind == sensitivity.KIND_COMPLIANCE:
-            return True
-        if spec.kind != sensitivity.KIND_DISPLACEMENT:
-            return False
-        rhs = sensitivity.adjoint_rhs_point_displacement(
-            self.mesh, self.boundary, spec.node, spec.direction)
-        f = fem.load_vector(self.mesh, self.boundary, spec.case)
-        nz = np.flatnonzero(rhs)
-        fnz = np.flatnonzero(f)
-        if len(nz) != len(fnz) or not np.array_equal(nz, fnz):
-            return False
-        ratio = rhs[nz] / f[nz]
-        return bool(np.all(ratio == ratio[0]))
+        self.structural = [sensitivity.is_structural(c, self.mesh, self.boundary)
+                           for c in self.constraints]
 
     def analyze(self, topo: TopologyState) -> fem.Analysis:
         analysis = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases)
@@ -149,9 +129,9 @@ class _Run:
                 for c in self.constraints]
 
     def evaluate(self, analysis: fem.Analysis) -> np.ndarray:
-        evals = [auglag.evaluate_constraint(raw, ref, c.bound)
-                 for raw, ref, c in zip(self.raws(analysis), self.references, self.constraints)]
-        return np.array([e.g for e in evals])
+        return np.array([auglag.evaluate_constraint(raw, ref, c.bound)
+                         for raw, ref, c in zip(self.raws(analysis), self.references,
+                                                self.constraints)])
 
     def rel_compliance(self, analysis: fem.Analysis) -> tuple[float, ...]:
         return tuple(j / j0 for j, j0 in zip(analysis.compliances, self.j0))
@@ -196,8 +176,7 @@ class _Run:
                        g[i], al.mu[i], al.gamma[i])
                       for i, f in zip(engaged, cf.fields)]
             t_obj = sensitivity.sensitivity_volume(self.mesh.n_elements)
-            combined = auglag.combine_level_sets(
-                t_obj, combos, protected=np.zeros(self.mesh.n_elements, dtype=bool))
+            combined = auglag.combine_level_sets(t_obj, combos)
         if self.config.filter_enabled and self.config.filter_radius > 0:
             combined = levelset.smooth_filter(
                 combined, self.mesh, self.config.filter_radius * self.mesh.h)
@@ -208,8 +187,7 @@ class _Run:
             # exponential field memory: keeps successive cuts from relocating
             # large regions at once, which would sever load paths mid-flight
             out = sensitivity.SensitivityField(
-                values=0.5 * (out.values + self.relaxed),
-                protected=out.protected, normalized=False)
+                values=0.5 * (out.values + self.relaxed), protected=out.protected)
         self.relaxed = out.values
         self.last_field = out
         return out

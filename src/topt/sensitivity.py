@@ -71,7 +71,6 @@ class SensitivityField:
 
     values: np.ndarray
     protected: np.ndarray | None = None  # bool mask
-    normalized: bool = False
     degenerate: bool = False
 
     def protected_mask(self) -> np.ndarray:
@@ -99,8 +98,7 @@ def normalize_and_protect(field: SensitivityField,
     if not degenerate:
         values = values / peak
     values[protected] = PROTECTED_VALUE
-    return SensitivityField(values=values, protected=protected,
-                            normalized=not degenerate, degenerate=degenerate)
+    return SensitivityField(values=values, protected=protected, degenerate=degenerate)
 
 
 def protected_elements(mesh: Mesh, boundary: BoundarySpec) -> np.ndarray:
@@ -196,18 +194,41 @@ def adjoint_rhs_pnorm(active, tensors: fem.TensorField, material: fem.Material,
     return rhs, False
 
 
+def _load_multiple(rhs: np.ndarray, f: np.ndarray) -> float | None:
+    """Factor c with rhs == c * f exactly (same nonzero pattern, one ratio),
+    or None when rhs is not an exact multiple of the force vector f."""
+    nz = np.flatnonzero(rhs)
+    fnz = np.flatnonzero(f)
+    if len(fnz) != len(nz) or not np.array_equal(fnz, nz):
+        return None
+    ratio = rhs[nz] / f[nz]
+    if np.all(ratio == ratio[0]):
+        return float(ratio[0])
+    return None
+
+
 def _self_adjoint_case(rhs: np.ndarray, analysis: fem.Analysis) -> tuple[int, float] | None:
     """If the adjoint right-hand side is a multiple of one load case's force
     vector, return (case index, factor) with lambda = factor * u_case."""
-    nz = np.flatnonzero(rhs)
     for j, f in enumerate(analysis.loads):
-        fnz = np.flatnonzero(f)
-        if len(fnz) != len(nz) or not np.array_equal(fnz, nz):
-            continue
-        ratio = rhs[nz] / f[nz]
-        if np.all(ratio == ratio[0]):
-            return j, float(ratio[0])
+        factor = _load_multiple(rhs, f)
+        if factor is not None:
+            return j, factor
     return None
+
+
+def is_structural(spec: ConstraintSpec, mesh: Mesh, boundary: BoundarySpec) -> bool:
+    """Compliance constraints and displacement constraints at a point of
+    force application (of the constraint's own load case) have load-path
+    energy densities as sensitivity fields; they stabilize the combination
+    and stay in it permanently. Remote-point and aggregated-stress fields
+    join only near activation."""
+    if spec.kind == KIND_COMPLIANCE:
+        return True
+    if spec.kind != KIND_DISPLACEMENT:
+        return False
+    rhs = adjoint_rhs_point_displacement(mesh, boundary, spec.node, spec.direction)
+    return _load_multiple(rhs, fem.load_vector(mesh, boundary, spec.case)) is not None
 
 
 @dataclass

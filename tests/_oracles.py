@@ -3,9 +3,8 @@
 Each oracle takes a route disjoint from the production code: the element
 stiffness comes from the published closed-form coefficient vector, the
 topological sensitivity is checked against literal hole drilling with
-re-solves, gradients against central differences, eigenvalues against
-dense decompositions, and the array-based grid operations against the
-per-element loops they replaced.
+re-solves, eigenvalues against dense decompositions, and the array-based
+grid operations against the per-element loops they replaced.
 """
 
 import numpy as np
@@ -62,26 +61,6 @@ def interior_elements(mesh) -> np.ndarray:
 def spearman(a: np.ndarray, b: np.ndarray) -> float:
     from scipy.stats import spearmanr
     return float(spearmanr(a, b).statistic)
-
-
-def pnorm_of_state(active, u, material, include, p) -> float:
-    from topt.sensitivity import pnorm_stress
-    tensors = fem.recover(active, u, material)
-    return pnorm_stress(fem.von_mises(tensors.stress), include, p)
-
-
-def pnorm_fd_gradient(analysis, material, include, p, dofs, step) -> np.ndarray:
-    """Central finite differences of the p-norm stress w.r.t. selected DOFs."""
-    u0 = analysis.displacements[0]
-    out = np.empty(len(dofs))
-    for idx, dof in enumerate(dofs):
-        up, um = u0.copy(), u0.copy()
-        up[dof] += step
-        um[dof] -= step
-        sp = pnorm_of_state(analysis.active, up, material, include, p)
-        sm = pnorm_of_state(analysis.active, um, material, include, p)
-        out[idx] = (sp - sm) / (2.0 * step)
-    return out
 
 
 def flood_fill_support_connected(mesh, solid, fixed_nodes) -> np.ndarray:

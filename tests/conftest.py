@@ -32,15 +32,6 @@ def cantilever_analysis(cantilever_small):
     return mesh, boundary, tip, analysis
 
 
-@pytest.fixture(scope="session")
-def patch_2x2():
-    """2x2-element patch, clamped left edge, tip load; used by gradient checks."""
-    mesh, boundary, tip = make_cantilever(nx=2, ny=2, width=1.0, height=1.0)
-    analysis = fem.analyze(mesh, boundary, fem.Material(),
-                           TopologyState.full(mesh))
-    return mesh, boundary, tip, analysis
-
-
 def uniaxial_element(material=None, h=1.0, sigma=1.0):
     """Single square element under uniform x-traction with BCs that permit
     the exact uniaxial plane-stress solution."""

@@ -94,13 +94,21 @@ class TestLocateNode:
             locate_node(mesh, Point2(2.0, 0.5))
 
 
+def free_and_fixed_active(mesh, boundary, active):
+    """Active nodes, and the free DOFs merged with the fixed DOFs on active
+    nodes (sorted, duplicates kept)."""
+    nodes = np.unique(mesh.elements[active.element_ids])
+    fixed = [2 * n + d for n, d in boundary.fixed_dofs if n in nodes]
+    return nodes, np.sort(np.concatenate([active.free_dofs, fixed]))
+
+
 class TestActiveSubmesh:
     def test_all_solid_roundtrip(self):
         mesh, boundary, _ = make_cantilever(4, 2)
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         assert len(active.element_ids) == mesh.n_elements
-        assert len(active.dangling_dofs) == 0
-        assert len(active.free_dofs) + len(active.fixed_active) == mesh.n_dofs
+        _, dofs = free_and_fixed_active(mesh, boundary, active)
+        assert np.array_equal(dofs, np.arange(mesh.n_dofs))
 
     def test_single_element_counts(self):
         mesh, boundary = build_mesh(DomainSpec(1.0, 1.0, 3, 3))
@@ -112,9 +120,9 @@ class TestActiveSubmesh:
         solid[0] = True
         active = active_submesh(mesh, TopologyState(solid, 1 / 9), boundary)
         assert len(active.element_ids) == 1
-        active_nodes = np.unique(mesh.elements[active.element_ids])
-        assert len(active_nodes) == 4
-        assert len(active.free_dofs) + len(active.fixed_active) == 8
+        nodes, dofs = free_and_fixed_active(mesh, boundary, active)
+        assert len(nodes) == 4
+        assert np.array_equal(dofs, np.sort(np.concatenate([2 * nodes, 2 * nodes + 1])))
 
     def test_loaded_node_in_void_raises(self):
         mesh, boundary, tip = make_cantilever(4, 2)

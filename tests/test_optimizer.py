@@ -88,7 +88,6 @@ class TestInnerLoop:
         res = optimizer.run(p)
         # rerun one fixed-point step at the final volume: nothing to remove
         run = optimizer._Run(p, p.config)
-        run.references = []
         analysis = run.analyze(res.topology)
         run.j0 = list(analysis.compliances)
         run.relaxed = None if res.field is None else res.field.values.copy()
@@ -123,7 +122,6 @@ class TestInnerLoop:
         p = small_problem(constrained=False,
                           config=OptimizerConfig(target_vf=0.8, track_condition=False))
         res = optimizer.run(p)
-        tops = [r for r in res.history if r.cond_estimate is not None or True]
         vfs = []
         for r in res.history:
             if not vfs or r.achieved_vf < vfs[-1]:
