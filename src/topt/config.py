@@ -280,12 +280,13 @@ def _optimizer_config(overrides: tuple[tuple[str, str], ...]) -> OptimizerConfig
             if v not in {"on", "off", "true", "false", "1", "0"}:
                 raise ConfigError(f"[optimizer] {key}: expected on/off, got {value!r}")
             kwargs[key] = v in {"on", "true", "1"}
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
         elif key in _STR_KEYS:
             kwargs[key] = value.strip()
         else:
-            kwargs[key] = float(value)
+            try:
+                kwargs[key] = int(value) if key in _INT_KEYS else float(value)
+            except ValueError as exc:
+                raise ConfigError(f"[optimizer] {key}: {exc}") from exc
     try:
         return OptimizerConfig(**kwargs)
     except (TypeError, ValueError) as exc:

@@ -50,10 +50,21 @@ class OptimizerConfig:
         return self.mu0 / self.gamma0
 
     def __post_init__(self):
+        for name in ("delta_v", "min_delta_v", "mu0", "gamma0", "sigma_constant", "eta",
+                     "compliance_tol", "filter_radius"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.min_delta_v <= self.delta_v < 1:
             raise ValueError("need 0 < min_delta_v <= delta_v < 1")
-        if self.compliance_tol <= 0:
-            raise ValueError("compliance tolerance must be positive")
+        for name in ("mu0", "gamma0", "eta", "compliance_tol"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 < self.sigma_constant < 1:
+            raise ValueError(f"sigma_constant must lie in (0, 1), got {self.sigma_constant}")
+        if self.filter_radius < 0:
+            raise ValueError(f"filter_radius must be non-negative, got {self.filter_radius}")
+        if self.max_inner_iters < 1:
+            raise ValueError(f"max_inner_iters must be at least 1, got {self.max_inner_iters}")
         if self.multiplier_rule not in auglag.MULTIPLIER_RULES:
             raise ValueError(f"multiplier rule must be one of {auglag.MULTIPLIER_RULES}")
         if self.target_vf is not None and not 0 < self.target_vf <= 1:

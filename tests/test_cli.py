@@ -1,3 +1,4 @@
+from topt import checks
 from topt.cli import main
 
 CONFIG = """
@@ -62,6 +63,14 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_bad_optimizer_setting_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, CONFIG + "gamma0 = 0\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "gamma0" in err and "Traceback" not in err
+
     def test_mesh_scale_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -90,3 +99,11 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+    def test_failed_check_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(checks, "tau_gap", lambda rng, trials, max_n: 2.0)
+        code = main(["verify"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.count("FAIL") == 1 and out.count("PASS") == 2
+        assert "FAIL  tau cut volume exactness" in out

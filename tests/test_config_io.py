@@ -58,6 +58,10 @@ class TestParse:
         assert p.config.filter_enabled
         assert p.config.multiplier_rule == "standard"
 
+    def test_bad_optimizer_number_names_key(self):
+        with pytest.raises(ConfigError, match=r"\[optimizer\] max_inner_iters: "):
+            parse_problem(MINIMAL + "\n[optimizer]\nmax_inner_iters = 1.5\n")
+
     def test_mesh_scale(self):
         p = parse_problem(MINIMAL, mesh_scale=2)
         assert p.mesh.n_elements == 128

@@ -5,6 +5,7 @@ from topt import fem, optimizer
 from topt.config import finalize_problem
 from topt.mesh import DomainSpec, Point2, PointLoad
 from topt.optimizer import OptimizerConfig
+from topt.problems import builtin_problem
 from topt.sensitivity import KIND_DISPLACEMENT, ConstraintSpec
 
 from conftest import make_cantilever
@@ -41,6 +42,32 @@ class TestConfigValidation:
     def test_target_range(self):
         with pytest.raises(ValueError):
             OptimizerConfig(target_vf=1.5)
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma0", 0.0), ("gamma0", -1.0), ("gamma0", np.inf),
+        ("mu0", np.nan), ("mu0", -1.0), ("mu0", 0.0),
+        ("compliance_tol", np.nan), ("compliance_tol", 0.0),
+        ("filter_radius", -1.0), ("filter_radius", np.nan),
+        ("eta", 0.0), ("eta", -1.0),
+        ("sigma_constant", 0.0), ("sigma_constant", 1.0), ("sigma_constant", np.nan),
+        ("delta_v", np.nan), ("max_inner_iters", 0),
+    ])
+    def test_bad_setting_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            OptimizerConfig(**{key: value})
+
+
+class TestStructuralFields:
+    @pytest.mark.parametrize("name, expected", [
+        ("l-bracket-single", [True, False]),
+        ("l-bracket-multi", [True, True, False, False]),
+        ("cantilever-single", [True, False]),
+        ("cantilever-multi", [True, True]),
+        ("mitchell-multi", [True, True, False, False]),
+    ])
+    def test_builtin_flags(self, name, expected):
+        problem = builtin_problem(name)
+        assert optimizer._Run(problem, problem.config).structural == expected
 
 
 class TestRunBasics:
