@@ -99,6 +99,7 @@ class SystemMatrix:
         self.active = active
         self.n = matrix.shape[0]
         self._lu = None
+        self._condition = None
 
     @property
     def lu(self):
@@ -108,6 +109,13 @@ class SystemMatrix:
             except RuntimeError as exc:  # factorization hit an exact zero pivot
                 raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc
         return self._lu
+
+    @property
+    def condition(self) -> tuple[float, bool]:
+        """``condition_estimate(self)`` with default settings, computed once."""
+        if self._condition is None:
+            self._condition = condition_estimate(self)
+        return self._condition
 
 
 def assemble(active: ActiveMesh, material: Material) -> SystemMatrix:
@@ -202,6 +210,10 @@ def condition_estimate(system: SystemMatrix, tol: float = 1e-4,
                        max_iters: int = 500) -> tuple[float, bool]:
     """Estimate lambda_max/lambda_min by power and inverse power iteration.
 
+    Each step applies the operator once: the product that gives the
+    Rayleigh quotient of the current vector is the next step's iterate, so
+    a run of k steps costs k + 1 applications per operator.
+
     Returns (estimate, converged). When the iteration cap is hit the value
     is a lower bound and converged is False.
     """
@@ -212,14 +224,15 @@ def condition_estimate(system: SystemMatrix, tol: float = 1e-4,
     def dominant(apply):
         v = 1.0 + np.arange(n) / n
         v /= np.linalg.norm(v)
+        w = apply(v)
         lam = 0.0
         for _ in range(max_iters):
-            w = apply(v)
             nw = np.linalg.norm(w)
             if nw == 0.0:
                 return 0.0, True
             v = w / nw
-            lam_new = float(v @ apply(v))
+            w = apply(v)
+            lam_new = float(v @ w)
             if abs(lam_new - lam) <= tol * abs(lam_new):
                 return lam_new, True
             lam = lam_new

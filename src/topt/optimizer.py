@@ -318,7 +318,7 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
         al = auglag.update_penalties(al, g, config.sigma_constant, config.eta)
         cond = None
         if config.track_condition:
-            cond = fem.condition_estimate(analysis.system)[0]
+            cond = analysis.system.condition[0]
         state.record(step, topo.volume_fraction, analysis, g, al, cond)
 
         if np.all(g <= 0.0):

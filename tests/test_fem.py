@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from topt import fem
 from topt.mesh import DomainSpec, PointLoad, TopologyState, active_submesh, build_mesh
 
-from _oracles import closed_form_ke
+from _oracles import closed_form_ke, condition_estimate_two_apply
 from conftest import make_cantilever, uniaxial_element
 
 
@@ -226,6 +226,84 @@ class TestConditionEstimate:
         true = eig.max() / eig.min()
         cond, _ = fem.condition_estimate(self._system(spd))
         assert true / 2 <= cond <= true * 2
+
+
+def _seeded_spd(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    A = rng.normal(size=(n, n))
+    return A @ A.T + 10.0 ** rng.uniform(-3, 1) * np.eye(n)
+
+
+class _Counting:
+    """Delegates one operator to the wrapped object and counts applications."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __matmul__(self, v):
+        self.calls += 1
+        return self.inner @ v
+
+    def solve(self, v):
+        self.calls += 1
+        return self.inner.solve(v)
+
+
+def _counted_system(matrix):
+    """A SystemMatrix whose K products and LU solves are counted."""
+    system = fem.SystemMatrix(sp.csr_matrix(matrix), active=None)
+    system._lu = _Counting(system.lu)
+    system.matrix = _Counting(system.matrix)
+    return system
+
+
+class TestConditionEstimateExactness:
+    """One application per step gives the iterates of the two-apply loop
+    it replaced, bit for bit, at k + 1 applications per operator."""
+
+    _SYSTEMS = ([("identity", np.eye(6)), ("diagonal", np.diag([1.0, 4.0, 10.0])),
+                 ("n1", np.array([[3.0]]))]
+                + [(f"spd{seed}", _seeded_spd(seed)) for seed in range(20)])
+
+    @pytest.mark.parametrize("name,matrix", _SYSTEMS, ids=[n for n, _ in _SYSTEMS])
+    def test_equals_two_apply(self, name, matrix):
+        system = fem.SystemMatrix(sp.csr_matrix(matrix), active=None)
+        assert fem.condition_estimate(system) == condition_estimate_two_apply(system)
+
+    def test_capped_equals_two_apply(self):
+        system = fem.SystemMatrix(sp.csr_matrix(np.diag([1.0, 4.0, 10.0])), active=None)
+        out = fem.condition_estimate(system, max_iters=3)
+        assert out == condition_estimate_two_apply(system, max_iters=3)
+        assert out[1] is False
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_steps_plus_one_applications(self, seed):
+        matrix = _seeded_spd(seed)
+        old = _counted_system(matrix)
+        assert condition_estimate_two_apply(old)[1]
+        new = _counted_system(matrix)
+        assert fem.condition_estimate(new)[1]
+        # the two-apply loop makes two applications per step
+        for op in ("matrix", "_lu"):
+            steps = getattr(old, op).calls // 2
+            assert getattr(new, op).calls == steps + 1
+
+    def test_condition_computed_once(self, monkeypatch):
+        system = _counted_system(_seeded_spd(0))
+        calls = []
+        estimate = fem.condition_estimate
+        # the property resolves condition_estimate through the module, so a
+        # wrapper installed there (as the benchmark's tracer does) sees it
+        monkeypatch.setattr(fem, "condition_estimate",
+                            lambda s: calls.append(s) or estimate(s))
+        first = system.condition
+        counts = (system.matrix.calls, system._lu.calls)
+        assert system.condition is first
+        assert (system.matrix.calls, system._lu.calls) == counts
+        assert calls == [system]
+        assert first == condition_estimate_two_apply(system)
 
 
 class TestErrorContracts:
