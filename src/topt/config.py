@@ -106,7 +106,6 @@ class ProblemSpec:
     """Everything the optimizer needs: mesh, material, loads, constraints."""
 
     name: str
-    domain: DomainSpec
     mesh: Mesh
     boundary: BoundarySpec
     material: Material
@@ -125,7 +124,7 @@ class ProblemSpec:
         self.boundary.validate(self.mesh.n_nodes)
 
 
-def finalize_problem(name: str, domain: DomainSpec, mesh: Mesh, boundary: BoundarySpec,
+def finalize_problem(name: str, mesh: Mesh, boundary: BoundarySpec,
                      material: Material, constraints: list[ConstraintSpec],
                      config: OptimizerConfig,
                      source: ProblemConfig | None = None) -> ProblemSpec:
@@ -134,9 +133,8 @@ def finalize_problem(name: str, domain: DomainSpec, mesh: Mesh, boundary: Bounda
     for c in resolved:
         if c.kind == KIND_DISPLACEMENT:
             boundary.monitor_nodes.add(c.node)
-    return ProblemSpec(name=name, domain=domain, mesh=mesh, boundary=boundary,
-                       material=material, constraints=resolved, config=config,
-                       source=source)
+    return ProblemSpec(name=name, mesh=mesh, boundary=boundary, material=material,
+                       constraints=resolved, config=config, source=source)
 
 
 _OPTIMIZER_KEYS = {f.name for f in dc_fields(OptimizerConfig)} | {"filter"}
@@ -337,8 +335,8 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
     material = Material(E=cfg.e_modulus, nu=cfg.nu)
     opt = _optimizer_config(cfg.optimizer)
     try:
-        return finalize_problem(cfg.name, domain, mesh, boundary, material,
-                                constraints, opt, source=cfg)
+        return finalize_problem(cfg.name, mesh, boundary, material, constraints, opt,
+                                source=cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

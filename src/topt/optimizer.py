@@ -154,9 +154,9 @@ class _Run:
             target_vf=target,
             achieved_vf=analysis.topology.volume_fraction,
             rel_compliance=self.rel_compliance(analysis),
-            g=tuple(g),
-            mu=tuple(al.mu),
-            gamma=tuple(al.gamma),
+            g=tuple(float(x) for x in g),
+            mu=tuple(float(x) for x in al.mu),
+            gamma=tuple(float(x) for x in al.gamma),
             fea_count=self.fea_count,
             cond_estimate=cond,
         ))

@@ -42,7 +42,7 @@ def write_vtk(problem: ProblemSpec, result: OptimizationResult, path: Path) -> N
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_nodes} double",
     ]
-    lines += [f"{x!r} {y!r} 0.0" for x, y in mesh.nodes]
+    lines += [f"{float(x)!r} {float(y)!r} 0.0" for x, y in mesh.nodes]
     lines.append(f"CELLS {mesh.n_elements} {5 * mesh.n_elements}")
     lines += ["4 " + " ".join(str(n) for n in quad) for quad in mesh.elements]
     lines.append(f"CELL_TYPES {mesh.n_elements}")

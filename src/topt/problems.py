@@ -120,7 +120,7 @@ def scale_loads(problem: ProblemSpec, factor: float) -> ProblemSpec:
                      for p in problem.boundary.point_loads],
         monitor_nodes=set(problem.boundary.monitor_nodes),
     )
-    return ProblemSpec(name=problem.name, domain=problem.domain, mesh=problem.mesh,
+    return ProblemSpec(name=problem.name, mesh=problem.mesh,
                        boundary=boundary, material=problem.material,
                        constraints=list(problem.constraints), config=problem.config,
                        source=problem.source)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from topt import optimizer, outputs
@@ -94,7 +95,9 @@ class TestRoundTrip:
         p = parse_problem(MINIMAL)
         text = serialize_problem(p)
         q = parse_problem(text)
-        assert q.domain == p.domain
+        assert np.array_equal(q.mesh.nodes, p.mesh.nodes)
+        assert np.array_equal(q.mesh.elements, p.mesh.elements)
+        assert np.array_equal(q.mesh.element_grid, p.mesh.element_grid)
         assert q.material == p.material
         assert q.boundary.fixed_dofs == p.boundary.fixed_dofs
         assert q.boundary.point_loads == p.boundary.point_loads
@@ -176,6 +179,17 @@ class TestOutputs:
         assert lines[0].startswith("step,target_vf,achieved_vf,rel_compliance,g_1")
         assert len(lines) == 1 + len(res.history)
 
+    def test_history_cells_are_plain_numbers(self, small_result, tmp_path):
+        p, res = small_result
+        outputs.write_outputs(p, res, tmp_path)
+        header, *rows = (tmp_path / "history.csv").read_text().splitlines()
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == len(header.split(","))
+            for cell in cells:
+                if cell:
+                    float(cell)
+
     def test_vtk_structure(self, small_result, tmp_path):
         p, res = small_result
         outputs.write_outputs(p, res, tmp_path)
@@ -186,6 +200,17 @@ class TestOutputs:
         assert f"CELL_DATA {p.mesh.n_elements}" in text
         for name in ("density", "von_mises", "T_L"):
             assert f"SCALARS {name} double 1" in text
+
+    def test_vtk_points_are_plain_numbers(self, small_result, tmp_path):
+        p, res = small_result
+        outputs.write_outputs(p, res, tmp_path)
+        lines = (tmp_path / "result.vtk").read_text().splitlines()
+        start = lines.index(f"POINTS {p.mesh.n_nodes} double") + 1
+        points = lines[start:start + p.mesh.n_nodes]
+        assert lines[start + p.mesh.n_nodes].startswith("CELLS ")
+        parsed = [[float(tok) for tok in line.split()] for line in points]
+        assert all(len(xyz) == 3 for xyz in parsed)
+        assert [xyz[:2] for xyz in parsed] == p.mesh.nodes.tolist()
 
     def test_summary_mentions_bounds(self, small_result, tmp_path):
         p, res = small_result

@@ -263,12 +263,12 @@ class TestConditionEstimateExactness:
     """One application per step gives the iterates of the two-apply loop
     it replaced, bit for bit, at k + 1 applications per operator."""
 
-    _SYSTEMS = ([("identity", np.eye(6)), ("diagonal", np.diag([1.0, 4.0, 10.0])),
-                 ("n1", np.array([[3.0]]))]
-                + [(f"spd{seed}", _seeded_spd(seed)) for seed in range(20)])
+    _SYSTEMS = {"identity": np.eye(6), "diagonal": np.diag([1.0, 4.0, 10.0]),
+                "n1": np.array([[3.0]]),
+                **{f"spd{seed}": _seeded_spd(seed) for seed in range(20)}}
 
-    @pytest.mark.parametrize("name,matrix", _SYSTEMS, ids=[n for n, _ in _SYSTEMS])
-    def test_equals_two_apply(self, name, matrix):
+    @pytest.mark.parametrize("matrix", _SYSTEMS.values(), ids=_SYSTEMS.keys())
+    def test_equals_two_apply(self, matrix):
         system = fem.SystemMatrix(sp.csr_matrix(matrix), active=None)
         assert fem.condition_estimate(system) == condition_estimate_two_apply(system)
 

@@ -3,7 +3,7 @@ import pytest
 
 from topt import fem, optimizer
 from topt.config import finalize_problem
-from topt.mesh import DomainSpec, Point2, PointLoad
+from topt.mesh import Point2, PointLoad
 from topt.optimizer import OptimizerConfig
 from topt.problems import builtin_problem
 from topt.sensitivity import KIND_DISPLACEMENT, ConstraintSpec
@@ -24,8 +24,7 @@ def small_problem(nx=20, ny=10, bound=1.5, constrained=True, config=None,
         constraints.append(ConstraintSpec(
             kind=KIND_DISPLACEMENT, case=1, bound=bound,
             point=Point2(1.0, 1.0), direction=(0.0, -1.0)))
-    domain = DomainSpec(2.0, 1.0, nx, ny)
-    return finalize_problem("test-cantilever", domain, mesh, boundary,
+    return finalize_problem("test-cantilever", mesh, boundary,
                             fem.Material(), constraints,
                             config or OptimizerConfig())
 
