@@ -58,8 +58,8 @@ def coefficient(g: float, mu: float, gamma: float) -> float:
 
 
 def combine_level_sets(t_obj: SensitivityField,
-                       constraints: list[tuple[SensitivityField, float, float, float]],
-                       protected: np.ndarray | None = None) -> SensitivityField:
+                       constraints: list[tuple[SensitivityField, float, float, float]]
+                       ) -> SensitivityField:
     """T_L = T_obj - sum_i c_i * T_gi, then normalized and protected.
 
     ``constraints`` holds (field, g, mu, gamma) tuples; a constraint whose
@@ -73,9 +73,7 @@ def combine_level_sets(t_obj: SensitivityField,
         c = coefficient(g, mu, gamma)
         if c > 0.0:
             values = values - c * field_i.values
-    if protected is None:
-        protected = t_obj.protected_mask()
-    return normalize_and_protect(SensitivityField(values=values), protected)
+    return normalize_and_protect(SensitivityField(values=values), t_obj.protected_mask())
 
 
 def update_multipliers(state: ALState, g: np.ndarray, rule: str = "paper") -> ALState:

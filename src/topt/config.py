@@ -40,6 +40,8 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
 
+import numpy as np
+
 from .fem import Material
 from .mesh import (BoundarySpec, DomainSpec, Mesh, Point2, PointLoad, Rect,
                    build_mesh, locate_node)
@@ -304,15 +306,14 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
         raise ConfigError(str(exc)) from exc
 
     tol = 1e-9 * max(cfg.width, cfg.height)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     for box in cfg.supports:
-        hit = False
-        for n in range(mesh.n_nodes):
-            x, y = mesh.nodes[n]
-            if box.xmin - tol <= x <= box.xmax + tol and box.ymin - tol <= y <= box.ymax + tol:
-                boundary.fix_node(n, box.directions)
-                hit = True
-        if not hit:
+        hits = np.flatnonzero((box.xmin - tol <= x) & (x <= box.xmax + tol)
+                              & (box.ymin - tol <= y) & (y <= box.ymax + tol))
+        if len(hits) == 0:
             raise ConfigError(f"support box {box} matches no node")
+        for n in hits.tolist():
+            boundary.fix_node(n, box.directions)
 
     for entry in cfg.loads:
         node = locate_node(mesh, Point2(entry.x, entry.y))

@@ -63,40 +63,20 @@ def extend_into_skin(field: SensitivityField, mesh: Mesh,
     1 = full); the optimizer shrinks it with the volume decrement so that
     fine backtracking steps trim instead of relocating.
     """
-    nx, ny = mesh.grid_shape
-    gi, gj = mesh.element_grid[:, 0], mesh.element_grid[:, 1]
-    vals = np.zeros((nx, ny))
-    present = np.zeros((nx, ny), dtype=bool)
-    solid_grid = np.zeros((nx, ny), dtype=bool)
-    vals[gi, gj] = field.values
-    present[gi, gj] = True
-    solid_grid[gi, gj] = solid
-
-    nbr_sum = np.zeros((nx, ny))
-    nbr_cnt = np.zeros((nx, ny))
-    src = np.where(solid_grid, vals, 0.0)
-    for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-        ok = _rolled_ok(solid_grid, axis, shift)
-        nbr_sum += np.roll(src, shift, axis=axis) * ok
+    values = field.values
+    nbr_sum = np.zeros(len(values))
+    nbr_cnt = np.zeros(len(values))
+    for col in (1, 0, 3, 2):  # fixed summation order keeps results bit-stable
+        nbr = mesh.neighbours[:, col]
+        ok = (nbr >= 0) & solid[nbr]
+        nbr_sum += np.where(ok, values[nbr], 0.0)
         nbr_cnt += ok
 
-    skin = present & ~solid_grid & (nbr_cnt > 0)
-    out_grid = vals.copy()
-    ext = (nbr_sum[skin] + (4.0 - nbr_cnt[skin]) * vals[skin]) / 4.0
-    out_grid[skin] = vals[skin] + weight * (ext - vals[skin])
-    out = field.values.copy()
-    out[:] = out_grid[gi, gj]
-    return SensitivityField(values=out, protected=field.protected,
-                            degenerate=field.degenerate)
-
-
-def _rolled_ok(mask: np.ndarray, axis: int, shift: int) -> np.ndarray:
-    """Shifted copy of ``mask`` with the wrapped-around border zeroed."""
-    rolled = np.roll(mask, shift, axis=axis).astype(float)
-    index = [slice(None), slice(None)]
-    index[axis] = 0 if shift == 1 else -1
-    rolled[tuple(index)] = 0.0
-    return rolled
+    skin = ~solid & (nbr_cnt > 0)
+    out = values.copy()
+    ext = (nbr_sum[skin] + (4.0 - nbr_cnt[skin]) * values[skin]) / 4.0
+    out[skin] = values[skin] + weight * (ext - values[skin])
+    return SensitivityField(values=out, protected=field.protected)
 
 
 def smooth_filter(field: SensitivityField, mesh: Mesh, radius: float) -> SensitivityField:
@@ -107,5 +87,4 @@ def smooth_filter(field: SensitivityField, mesh: Mesh, radius: float) -> Sensiti
     if radius == 0.0:
         return field
     H, Hs = mesh.cone_filter(radius)
-    return SensitivityField(values=(H @ field.values) / Hs, protected=field.protected,
-                            degenerate=field.degenerate)
+    return SensitivityField(values=(H @ field.values) / Hs, protected=field.protected)

@@ -10,6 +10,10 @@ Conventions used throughout the package:
   ``d = 1`` for y.
 * All elements are squares of side ``h``; the optimizer relies on the
   one-value-per-element layout for volume bookkeeping.
+* ``Mesh.neighbours[e]`` lists the face neighbours of the element in grid
+  cell (i, j) in the column order (i+1, j), (i-1, j), (i, j+1), (i, j-1),
+  with -1 off the grid or in a masked cell. Element adjacency is read from
+  this table only; the grid itself is used for labelling and for images.
 """
 
 from __future__ import annotations
@@ -108,10 +112,14 @@ class BoundarySpec:
     def loaded_nodes(self) -> set[int]:
         return {p.node for p in self.point_loads}
 
+    def fixed_nodes(self) -> np.ndarray:
+        """Nodes with at least one fixed DOF, ascending."""
+        return np.unique(np.array([n for n, _ in self.fixed_dofs], dtype=np.int64))
+
     def validate(self, n_nodes: int) -> None:
         if len(self.fixed_dofs) < 3:
             raise MeshError("need at least 3 fixed DOFs to remove rigid-body modes")
-        for node, d in self.fixed_dofs:
+        for node in self.fixed_nodes().tolist():
             if not 0 <= node < n_nodes:
                 raise MeshError(f"fixed node {node} out of range")
         for p in self.point_loads:
@@ -133,6 +141,8 @@ class Mesh:
     elements : (n_elements, 4) int array, CCW node indices.
     element_grid : (n_elements, 2) int array of (column i, row j) grid cells.
     grid_shape : (nx, ny) of the underlying structured grid.
+    neighbours : (n_elements, 4) int array of face neighbours, -1 where
+        there is none (column order in the module docstring).
     h : element side length; element_area = h**2.
     """
 
@@ -154,9 +164,10 @@ class Mesh:
         self.edofs = ed
         self.centroids = self.nodes[self.elements].mean(axis=1)
         self._node_elements = self._build_incidence()
+        self.neighbours = self._build_neighbours()
         self._cone_filters: dict[float, tuple[sparse.csr_matrix, np.ndarray]] = {}
         for a in (self.nodes, self.elements, self.element_grid, self.edofs, self.centroids,
-                  *self._node_elements):
+                  *self._node_elements, self.neighbours):
             a.flags.writeable = False
 
     def _build_incidence(self):
@@ -166,6 +177,14 @@ class Mesh:
         # stable sort groups each node's slots in ascending element order
         indices = np.argsort(self.elements.ravel(), kind="stable") // 4
         return indptr, indices
+
+    def _build_neighbours(self):
+        nx, ny = self.grid_shape
+        gi, gj = self.element_grid[:, 0] + 1, self.element_grid[:, 1] + 1
+        grid = np.full((nx + 2, ny + 2), -1, dtype=np.int64)  # one cell of -1 all round
+        grid[gi, gj] = np.arange(self.n_elements)
+        return np.column_stack([grid[gi + 1, gj], grid[gi - 1, gj],
+                                grid[gi, gj + 1], grid[gi, gj - 1]])
 
     def node_elements(self, node: int) -> np.ndarray:
         """Elements incident to a node (sorted by element index)."""
@@ -271,15 +290,13 @@ class ActiveMesh:
     """Solid-element submesh with DOF bookkeeping for the reduced system.
 
     Elements in solid components that are not edge-connected to any fixed
-    node are excluded (they would make the stiffness matrix singular); they
-    are reported in ``detached_elements``.
+    node are excluded (they would make the stiffness matrix singular).
     """
 
-    def __init__(self, mesh: Mesh, element_ids, free_dofs, detached_elements):
+    def __init__(self, mesh: Mesh, element_ids, free_dofs):
         self.mesh = mesh
         self.element_ids = element_ids          # active (analyzed) elements
         self.free_dofs = free_dofs              # mesh DOF ids, sorted
-        self.detached_elements = detached_elements
         self.n_free = len(free_dofs)
         # mesh DOF -> reduced index (-1 when eliminated)
         red = np.full(mesh.n_dofs, -1, dtype=np.int64)
@@ -300,6 +317,16 @@ def _support_connected(mesh: Mesh, solid: np.ndarray, fixed_nodes: np.ndarray) -
     return np.isin(labels, labels[seeds])  # void is label 0, never a seed
 
 
+def _connected_and_orphans(mesh: Mesh, solid: np.ndarray,
+                           boundary: BoundarySpec) -> tuple[np.ndarray, list[int]]:
+    """Support-connected mask of ``solid``, and the loaded or monitored nodes
+    (ascending) that touch no element of it."""
+    connected = _support_connected(mesh, solid, boundary.fixed_nodes())
+    orphans = [n for n in sorted(boundary.loaded_nodes() | boundary.monitor_nodes)
+               if not connected[mesh.node_elements(n)].any()]
+    return connected, orphans
+
+
 def repair_connectivity(mesh: Mesh, topo: TopologyState, previous: TopologyState,
                         boundary: BoundarySpec) -> TopologyState:
     """Re-attach orphaned load/monitor nodes after a cut.
@@ -311,23 +338,12 @@ def repair_connectivity(mesh: Mesh, topo: TopologyState, previous: TopologyState
     a shortest element path from the node back to the support-connected
     structure.
     """
-    nx, ny = mesh.grid_shape
-    grid = np.full((nx, ny), -1, dtype=np.int64)
-    gi, gj = mesh.element_grid[:, 0], mesh.element_grid[:, 1]
-    grid[gi, gj] = np.arange(mesh.n_elements)
-    fixed_nodes = np.unique([n for n, _ in boundary.fixed_dofs])
-    must_carry = sorted(boundary.loaded_nodes() | boundary.monitor_nodes)
-
     solid = topo.solid.copy()
-    changed = False
-    for _ in range(len(must_carry)):
-        connected = _support_connected(mesh, solid, fixed_nodes)
-        orphans = [n for n in must_carry
-                   if not any(connected[e] for e in mesh.node_elements(n))]
+    for _ in range(len(boundary.loaded_nodes() | boundary.monitor_nodes)):
+        connected, orphans = _connected_and_orphans(mesh, solid, boundary)
         if not orphans:
             break
-        node = orphans[0]
-        seeds = [int(e) for e in mesh.node_elements(node) if previous.solid[e]]
+        seeds = [int(e) for e in mesh.node_elements(orphans[0]) if previous.solid[e]]
         # breadth-first over the previous solid set toward the connected part
         parent = {e: -1 for e in seeds}
         queue = deque(seeds)
@@ -337,32 +353,21 @@ def repair_connectivity(mesh: Mesh, topo: TopologyState, previous: TopologyState
             if connected[e]:
                 goal = e
                 break
-            i, j = gi[e], gj[e]
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ni, nj = i + di, j + dj
-                if 0 <= ni < nx and 0 <= nj < ny:
-                    ne = grid[ni, nj]
-                    if ne >= 0 and previous.solid[ne] and ne not in parent:
-                        parent[int(ne)] = e
-                        queue.append(int(ne))
+            for ne in mesh.neighbours[e].tolist():
+                if ne >= 0 and previous.solid[ne] and ne not in parent:
+                    parent[ne] = e
+                    queue.append(ne)
         if goal < 0:
             break  # nothing to restore from; let active_submesh report it
         e = goal
         while e >= 0:
-            if not solid[e]:
-                solid[e] = True
-                changed = True
-            # widen the bridge: a single-element path is a near-mechanism
-            i, j = gi[e], gj[e]
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ni, nj = i + di, j + dj
-                if 0 <= ni < nx and 0 <= nj < ny:
-                    ne = grid[ni, nj]
-                    if ne >= 0 and previous.solid[ne] and not solid[ne]:
-                        solid[ne] = True
-                        changed = True
+            # restore the path element and, to widen the bridge (a
+            # single-element path is a near-mechanism), its previous-solid
+            # face neighbours
+            block = [f for f in (e, *mesh.neighbours[e].tolist()) if f >= 0]
+            solid[block] |= previous.solid[block]
             e = parent[e]
-    if not changed:
+    if np.array_equal(solid, topo.solid):
         return topo
     return TopologyState(solid=solid, volume_fraction=float(solid.sum()) / mesh.n_elements)
 
@@ -378,25 +383,16 @@ def active_submesh(mesh: Mesh, topo: TopologyState, boundary: BoundarySpec) -> A
     if not topo.solid.any():
         raise TopologyError("empty topology")
 
-    fixed_nodes = np.unique([n for n, _ in boundary.fixed_dofs])
-    connected = _support_connected(mesh, topo.solid, fixed_nodes)
-    detached = np.flatnonzero(topo.solid & ~connected)
+    connected, orphans = _connected_and_orphans(mesh, topo.solid, boundary)
     element_ids = np.flatnonzero(connected)
     if len(element_ids) == 0:
         raise TopologyError("no solid element is connected to the supports")
-
-    must_carry = boundary.loaded_nodes() | boundary.monitor_nodes
-    for node in sorted(must_carry):
-        if not any(connected[e] for e in mesh.node_elements(node)):
-            raise TopologyError(f"node {node} carries a load or constraint but touches no solid element")
+    if orphans:
+        raise TopologyError(f"node {orphans[0]} carries a load or constraint but touches no solid element")
 
     active_nodes = np.zeros(mesh.n_nodes, dtype=bool)
     active_nodes[mesh.elements[element_ids].ravel()] = True
-    active_dof = np.repeat(active_nodes, 2)
-
     fixed_mask = np.zeros(mesh.n_dofs, dtype=bool)
-    for node, d in boundary.fixed_dofs:
-        fixed_mask[2 * node + d] = True
-
-    free_dofs = np.flatnonzero(active_dof & ~fixed_mask)
-    return ActiveMesh(mesh, element_ids, free_dofs, detached)
+    fixed_mask[[2 * n + d for n, d in boundary.fixed_dofs]] = True
+    free_dofs = np.flatnonzero(np.repeat(active_nodes, 2) & ~fixed_mask)
+    return ActiveMesh(mesh, element_ids, free_dofs)

@@ -71,7 +71,6 @@ class SensitivityField:
 
     values: np.ndarray
     protected: np.ndarray | None = None  # bool mask
-    degenerate: bool = False
 
     def protected_mask(self) -> np.ndarray:
         if self.protected is None:
@@ -88,17 +87,16 @@ def normalize_and_protect(field: SensitivityField,
                           protected: np.ndarray | None = None) -> SensitivityField:
     """Scale so max|T| over non-protected elements is 1, then pin protected
     elements to +2 (strictly above any normalized value). An all-zero field
-    is returned unchanged with the degenerate flag set."""
+    is returned unchanged."""
     if protected is None:
         protected = field.protected_mask()
     values = field.values.copy()
     free = ~protected
     peak = np.max(np.abs(values[free])) if free.any() else 0.0
-    degenerate = peak == 0.0
-    if not degenerate:
+    if peak != 0.0:
         values = values / peak
     values[protected] = PROTECTED_VALUE
-    return SensitivityField(values=values, protected=protected, degenerate=degenerate)
+    return SensitivityField(values=values, protected=protected)
 
 
 def protected_elements(mesh: Mesh, boundary: BoundarySpec) -> np.ndarray:
@@ -106,12 +104,8 @@ def protected_elements(mesh: Mesh, boundary: BoundarySpec) -> np.ndarray:
     monitored node. Point loads and point constraints are singular sites;
     keeping their patches out of the ranking prevents the spike from
     dominating the field and the cut from ever exposing them."""
-    nodes = set(boundary.loaded_nodes()) | set(boundary.monitor_nodes)
-    nodes |= {n for n, _ in boundary.fixed_dofs}
-    mask = np.zeros(mesh.n_elements, dtype=bool)
-    for n in sorted(nodes):
-        mask[mesh.node_elements(n)] = True
-    return mask
+    nodes = [*boundary.fixed_nodes(), *boundary.loaded_nodes(), *boundary.monitor_nodes]
+    return np.isin(mesh.elements, nodes).any(axis=1)
 
 
 def topo_sensitivity(primal: fem.TensorField, adjoint: fem.TensorField,
@@ -291,8 +285,7 @@ def constraint_fields(analysis: fem.Analysis, constraints: list[ConstraintSpec],
             rhs, degenerate = adjoint_rhs_pnorm(analysis.active, primal, material,
                                                 spec.p_exponent, include)
             if degenerate:
-                fields.append(SensitivityField(values=np.zeros(mesh.n_elements),
-                                               degenerate=True))
+                fields.append(SensitivityField(values=np.zeros(mesh.n_elements)))
                 continue
             lam = fem.solve(analysis.system, rhs)
             adj = fem.recover(analysis.active, lam, material)

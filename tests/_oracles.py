@@ -6,13 +6,18 @@ topological sensitivity is checked against literal hole drilling with
 re-solves, eigenvalues against dense decompositions, and the array-based
 grid operations against the per-element loops they replaced. The condition
 estimate is checked against the power iteration it replaced, which applied
-each operator twice per step.
+each operator twice per step. The skin extension, the connectivity repair,
+the protected patch and the support-box matching are checked against the
+grid-rolling, grid-walking, set-based and per-node versions they replaced.
 """
+
+from collections import deque
 
 import numpy as np
 
 from topt import fem
-from topt.mesh import TopologyState
+from topt.mesh import TopologyState, _support_connected
+from topt.sensitivity import SensitivityField
 
 
 def closed_form_ke(E: float, nu: float) -> np.ndarray:
@@ -145,3 +150,124 @@ def condition_estimate_two_apply(system, tol: float = 1e-4,
     if inv_min <= 0.0:
         raise fem.SingularSystemError("inverse power iteration found a non-positive eigenvalue")
     return lam_max * inv_min, ok_max and ok_min
+
+
+def extend_into_skin_rolled(field, mesh, solid, weight: float = 1.0):
+    """Skin extension on the structured grid: each neighbour is a rolled copy
+    of the grid with the wrapped-around border zeroed."""
+    nx, ny = mesh.grid_shape
+    gi, gj = mesh.element_grid[:, 0], mesh.element_grid[:, 1]
+    vals = np.zeros((nx, ny))
+    present = np.zeros((nx, ny), dtype=bool)
+    solid_grid = np.zeros((nx, ny), dtype=bool)
+    vals[gi, gj] = field.values
+    present[gi, gj] = True
+    solid_grid[gi, gj] = solid
+
+    nbr_sum = np.zeros((nx, ny))
+    nbr_cnt = np.zeros((nx, ny))
+    src = np.where(solid_grid, vals, 0.0)
+    for axis, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
+        ok = _rolled_ok(solid_grid, axis, shift)
+        nbr_sum += np.roll(src, shift, axis=axis) * ok
+        nbr_cnt += ok
+
+    skin = present & ~solid_grid & (nbr_cnt > 0)
+    out_grid = vals.copy()
+    ext = (nbr_sum[skin] + (4.0 - nbr_cnt[skin]) * vals[skin]) / 4.0
+    out_grid[skin] = vals[skin] + weight * (ext - vals[skin])
+    out = field.values.copy()
+    out[:] = out_grid[gi, gj]
+    return SensitivityField(values=out, protected=field.protected)
+
+
+def _rolled_ok(mask: np.ndarray, axis: int, shift: int) -> np.ndarray:
+    """Shifted copy of ``mask`` with the wrapped-around border zeroed."""
+    rolled = np.roll(mask, shift, axis=axis).astype(float)
+    index = [slice(None), slice(None)]
+    index[axis] = 0 if shift == 1 else -1
+    rolled[tuple(index)] = 0.0
+    return rolled
+
+
+def repair_connectivity_grid(mesh, topo, previous, boundary):
+    """Connectivity repair walking the structured grid: breadth-first over
+    the previous solid set from the first orphaned load or monitor node to
+    the support-connected part, then the path and its face neighbours are
+    restored."""
+    nx, ny = mesh.grid_shape
+    grid = np.full((nx, ny), -1, dtype=np.int64)
+    gi, gj = mesh.element_grid[:, 0], mesh.element_grid[:, 1]
+    grid[gi, gj] = np.arange(mesh.n_elements)
+    fixed_nodes = np.unique([n for n, _ in boundary.fixed_dofs])
+    must_carry = sorted(boundary.loaded_nodes() | boundary.monitor_nodes)
+
+    solid = topo.solid.copy()
+    changed = False
+    for _ in range(len(must_carry)):
+        connected = _support_connected(mesh, solid, fixed_nodes)
+        orphans = [n for n in must_carry
+                   if not any(connected[e] for e in mesh.node_elements(n))]
+        if not orphans:
+            break
+        node = orphans[0]
+        seeds = [int(e) for e in mesh.node_elements(node) if previous.solid[e]]
+        parent = {e: -1 for e in seeds}
+        queue = deque(seeds)
+        goal = -1
+        while queue:
+            e = queue.popleft()
+            if connected[e]:
+                goal = e
+                break
+            i, j = gi[e], gj[e]
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                ni, nj = i + di, j + dj
+                if 0 <= ni < nx and 0 <= nj < ny:
+                    ne = grid[ni, nj]
+                    if ne >= 0 and previous.solid[ne] and ne not in parent:
+                        parent[int(ne)] = e
+                        queue.append(int(ne))
+        if goal < 0:
+            break
+        e = goal
+        while e >= 0:
+            if not solid[e]:
+                solid[e] = True
+                changed = True
+            i, j = gi[e], gj[e]
+            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                ni, nj = i + di, j + dj
+                if 0 <= ni < nx and 0 <= nj < ny:
+                    ne = grid[ni, nj]
+                    if ne >= 0 and previous.solid[ne] and not solid[ne]:
+                        solid[ne] = True
+                        changed = True
+            e = parent[e]
+    if not changed:
+        return topo
+    return TopologyState(solid=solid, volume_fraction=float(solid.sum()) / mesh.n_elements)
+
+
+def protected_elements_by_set(mesh, boundary) -> np.ndarray:
+    """Elements touching a loaded, fixed or monitored node, one node at a
+    time."""
+    nodes = set(boundary.loaded_nodes()) | set(boundary.monitor_nodes)
+    nodes |= {n for n, _ in boundary.fixed_dofs}
+    mask = np.zeros(mesh.n_elements, dtype=bool)
+    for n in sorted(nodes):
+        mask[mesh.node_elements(n)] = True
+    return mask
+
+
+def support_dofs_by_loop(cfg, mesh) -> set[tuple[int, int]]:
+    """Fixed DOFs of every support box, matching one node at a time."""
+    tol = 1e-9 * max(cfg.width, cfg.height)
+    dofs = set()
+    for box in cfg.supports:
+        for n in range(mesh.n_nodes):
+            x, y = mesh.nodes[n]
+            if box.xmin - tol <= x <= box.xmax + tol and box.ymin - tol <= y <= box.ymax + tol:
+                for d in box.directions:
+                    dofs.add((n, 0 if d == "x" else 1))
+    return dofs

@@ -1,5 +1,6 @@
 """Shared fixtures: small plane-stress problems used across the suite."""
 
+import numpy as np
 import pytest
 
 from topt import fem
@@ -17,6 +18,18 @@ def make_cantilever(nx=8, ny=4, width=2.0, height=1.0, case=1, direction=(0.0, -
     tip = locate_node(mesh, Point2(width, height / 2))
     boundary.point_loads.append(PointLoad(case, tip, direction, magnitude))
     return mesh, boundary, tip
+
+
+def topology_draws(mesh, seed, count=200):
+    """Seeded random (solid, previous, values, weight) draws: ``previous`` is
+    a dense random set, ``solid`` a random cut of it, so that loaded or
+    monitored nodes are often orphaned and the skin is ragged."""
+    rng = np.random.default_rng(seed)
+    n = mesh.n_elements
+    for _ in range(count):
+        previous = rng.random(n) < rng.uniform(0.6, 1.0)
+        solid = previous & (rng.random(n) < rng.uniform(0.5, 1.0))
+        yield solid, previous, rng.normal(size=n), rng.uniform(0.0, 1.0)
 
 
 @pytest.fixture(scope="session")

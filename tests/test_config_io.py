@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from topt import optimizer, outputs
-from topt.config import (ConfigError, parse_problem, parse_problem_config,
+from topt.config import (ConfigError, build_problem, parse_problem, parse_problem_config,
                          serialize_problem, serialize_problem_config)
 from topt.problems import BUILTIN_NAMES, builtin_config, builtin_problem
+
+from _oracles import support_dofs_by_loop
 
 MINIMAL = """
 [domain]
@@ -113,6 +115,14 @@ class TestBuiltinProblems:
         assert kinds == ["point_displacement", "pnorm_stress"]
         assert p.constraints[0].bound == 1.5
         assert p.constraints[1].bound == 1000.0
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_support_dofs_match_node_loop(self, name, scale):
+        cfg = builtin_config(name)
+        p = build_problem(cfg, mesh_scale=scale)
+        assert p.boundary.fixed_dofs == support_dofs_by_loop(cfg, p.mesh)
+        assert all(type(n) is int for n, _ in p.boundary.fixed_dofs)
 
     def test_mitchell_element_count(self):
         p = builtin_problem("mitchell-multi")

@@ -3,7 +3,11 @@ import pytest
 
 from topt import levelset
 from topt.mesh import DomainSpec, Rect, build_mesh
+from topt.problems import builtin_problem
 from topt.sensitivity import SensitivityField
+
+from _oracles import extend_into_skin_rolled
+from conftest import topology_draws
 
 
 def field(values, protected=None):
@@ -156,6 +160,16 @@ class TestExtendIntoSkin:
         for e in (0, 2, 6, 8):
             assert out.values[e] == -1.0
         assert out.values[4] == 7.0
+
+    @pytest.mark.parametrize("name", ["l-bracket-single", "cantilever-single"])
+    def test_matches_rolled_grid(self, name):
+        mesh = builtin_problem(name).mesh
+        for solid, _, values, weight in topology_draws(mesh, seed=3):
+            f = field(values, protected=values > 1.5)
+            expected = extend_into_skin_rolled(f, mesh, solid, weight)
+            out = levelset.extend_into_skin(f, mesh, solid, weight)
+            assert out.values.tobytes() == expected.values.tobytes()
+            assert out.protected is f.protected
 
     def test_weight_zero_is_identity(self):
         mesh = build_mesh(DomainSpec(1.0, 1.0, 3, 3))[0]

@@ -7,8 +7,9 @@ from topt.mesh import (BoundarySpec, DomainSpec, MeshError, Point2, PointLoad,
 from topt.mesh import _support_connected
 from topt.problems import builtin_problem
 
-from _oracles import flood_fill_support_connected, incidence_by_loop
-from conftest import make_cantilever
+from _oracles import (flood_fill_support_connected, incidence_by_loop,
+                      repair_connectivity_grid)
+from conftest import make_cantilever, topology_draws
 
 
 class TestBuildMesh:
@@ -73,6 +74,28 @@ class TestBuildMesh:
         assert np.array_equal(mesh._node_elements[1], indices)
         for n in range(mesh.n_nodes):
             assert np.all(np.diff(mesh.node_elements(n)) > 0)
+
+
+class TestNeighbours:
+    @staticmethod
+    def _by_dict(mesh):
+        """Face neighbours looked up cell by cell in a dict over the grid."""
+        cell = {(int(i), int(j)): e for e, (i, j) in enumerate(mesh.element_grid)}
+        return np.array([[cell.get((i + di, j + dj), -1)
+                          for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+                         for i, j in mesh.element_grid.tolist()], dtype=np.int64)
+
+    @pytest.mark.parametrize("mesh", [
+        builtin_problem("l-bracket-single").mesh,
+        build_mesh(DomainSpec(1.2, 1.0, 12, 10,
+                              masked_regions=(Rect(0.0, 0.0, 0.3, 0.2),
+                                              Rect(0.5, 0.4, 0.8, 0.7))))[0],
+    ], ids=["l-bracket", "two-masks"])
+    def test_matches_grid_lookup(self, mesh):
+        assert mesh.neighbours.dtype == np.int64
+        assert mesh.neighbours.shape == (mesh.n_elements, 4)
+        assert np.array_equal(mesh.neighbours, self._by_dict(mesh))
+        assert not mesh.neighbours.flags.writeable
 
 
 class TestLocateNode:
@@ -163,7 +186,7 @@ class TestSupportConnected:
     def test_matches_flood_fill(self, name):
         problem = builtin_problem(name)
         mesh = problem.mesh
-        supports = np.unique([n for n, _ in problem.boundary.fixed_dofs])
+        supports = problem.boundary.fixed_nodes()
         rng = np.random.default_rng(2024)
         for k in range(200):
             # densities around the percolation threshold give many components
@@ -184,6 +207,22 @@ class TestRepairConnectivity:
         active = active_submesh(mesh, repaired, boundary)  # should not raise
         assert repaired.solid.sum() > broken.solid.sum()
         assert len(active.element_ids) > 0
+
+    @pytest.mark.parametrize("name", ["l-bracket-single", "cantilever-single"])
+    def test_matches_grid_walk(self, name):
+        problem = builtin_problem(name)
+        mesh, boundary = problem.mesh, problem.boundary
+        repaired = 0
+        for solid, previous, _, _ in topology_draws(mesh, seed=5):
+            topo = TopologyState(solid, solid.mean())
+            prev = TopologyState(previous, previous.mean())
+            expected = repair_connectivity_grid(mesh, topo, prev, boundary)
+            out = repair_connectivity(mesh, topo, prev, boundary)
+            assert np.array_equal(out.solid, expected.solid)
+            assert out.volume_fraction == expected.volume_fraction
+            assert (out is topo) == (expected is topo)
+            repaired += expected is not topo
+        assert repaired >= 50  # the draws exercise the repair, not just the no-op
 
     def test_connected_topology_untouched(self):
         mesh, boundary, _ = make_cantilever(6, 3)

@@ -4,10 +4,11 @@ import pytest
 from topt import checks, fem, sensitivity
 from topt.checks import pnorm_fd_gradient
 from topt.mesh import Point2, PointLoad, TopologyState
+from topt.problems import BUILTIN_NAMES, builtin_problem
 from topt.sensitivity import (KIND_DISPLACEMENT, ConstraintSpec,
                               SensitivityField)
 
-from _oracles import hole_drilling, interior_elements, spearman
+from _oracles import hole_drilling, interior_elements, protected_elements_by_set, spearman
 from conftest import make_cantilever
 
 
@@ -160,12 +161,12 @@ class TestVolumeAndNormalize:
         f = SensitivityField(values=np.array([-2.0, 4.0]))
         out = sensitivity.normalize_and_protect(f)
         assert np.array_equal(out.values, np.array([-0.5, 1.0]))
-        assert not out.degenerate
+        assert np.max(np.abs(out.values)) == 1.0
 
     def test_all_zero_flagged(self):
         f = SensitivityField(values=np.zeros(4))
         out = sensitivity.normalize_and_protect(f)
-        assert out.degenerate and np.all(out.values == 0.0)
+        assert np.array_equal(out.values, f.values) and np.all(np.isfinite(out.values))
 
     def test_protected_pinned_above(self):
         protected = np.array([False, True, False])
@@ -210,8 +211,8 @@ class TestConstraintFields:
         cf = sensitivity.constraint_fields(
             analysis, constraints, [1.0, 1.0], fem.Material(), boundary,
             include, {1: 0, 2: 1})
-        assert cf.fields[1].degenerate
         assert np.all(cf.fields[1].values == 0.0)
+        assert np.max(np.abs(cf.fields[0].values)) == 1.0
 
     def test_swap_symmetry(self):
         mesh, boundary, analysis, constraints = self._two_load_shared_q()
@@ -259,6 +260,13 @@ class TestProtection:
             assert mask[e]
         clamped = [n for n, _ in boundary.fixed_dofs]
         assert all(mask[e] for n in clamped for e in mesh.node_elements(n))
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_protected_elements_match_set_loop(self, name):
+        problem = builtin_problem(name)
+        mask = sensitivity.protected_elements(problem.mesh, problem.boundary)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, protected_elements_by_set(problem.mesh, problem.boundary))
 
     def test_protected_survive_any_cut(self):
         from topt import levelset
