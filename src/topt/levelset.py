@@ -8,41 +8,51 @@ from .mesh import Mesh, TopologyState
 from .sensitivity import SensitivityField
 
 
-def find_tau(field: SensitivityField, target_vf: float) -> float:
-    """Cut-off whose strict super-level set {T > tau} has the element count
-    closest achievable to target_vf * n_elements.
+CUT_GRID = 1e9  # field values are compared on a 1e-9 grid
 
-    Selection on the sorted values, no bisection. Exact value ties cannot be
-    split by a threshold; the closer count wins, the larger on a draw.
-    Protected elements carry the maximum field value, so they are always
-    inside the kept set.
+
+def cut_key(field: SensitivityField) -> np.ndarray:
+    """Distinct per-element ranking key, within 1e-9 of the field values.
+
+    The values are rounded to a 1e-9 grid, so gaps left by solver round-off
+    (a mirror pair of a symmetric problem differs by ~1e-12) vanish, and
+    the remaining ties go to the lower element index: element i is lowered
+    by i/(2n) grid steps, less than half a step. Ordering elements by the
+    key is ordering them by (rounded value descending, index ascending).
+    The key stays distinct for fields of order one on up to ~10^6 elements.
+    """
+    n = len(field.values)
+    return (np.round(field.values * CUT_GRID) - np.arange(n) / (2.0 * n)) / CUT_GRID
+
+
+def find_tau(field: SensitivityField, target_vf: float) -> float:
+    """Cut-off on ``cut_key(field)`` whose strict super-level set keeps the
+    top k = round(target_vf * n) elements: tau lies between the keys of
+    ranks k - 1 and k. Protected elements carry the maximum field value,
+    so they rank first.
     """
     if target_vf <= 0:
         raise ValueError(f"target volume fraction must be positive, got {target_vf}")
-    values = field.values
-    n = len(values)
+    ranked = -np.sort(-cut_key(field))
+    n = len(ranked)
     k = int(round(min(target_vf, 1.0) * n))
-    order = np.argsort(-values, kind="stable")  # descending, ties by low index
-    ranked = values[order]
     if k >= n:
         return float(ranked[-1] - 1.0)
     if k == 0:
         return float(ranked[0])
-    tau = float(ranked[k])
-    if ranked[k - 1] == ranked[k]:
-        # tie block straddles the cut: pick the side with the closer count
-        above = int(np.sum(values > tau))
-        tie = int(np.sum(values == tau))
-        if abs((above + tie) - k) < abs(above - k) or abs((above + tie) - k) == abs(above - k):
-            tau = float(np.nextafter(tau, -np.inf))
-    return tau
+    hi, lo = ranked[k - 1], ranked[k]
+    if not hi > lo:
+        raise ValueError("field values too large to rank on the cut grid")
+    tau = 0.5 * (hi + lo)
+    return float(tau if tau < hi else lo)
 
 
 def extract_domain(field: SensitivityField, tau: float) -> TopologyState:
-    """Solid set {T > tau}; protected elements stay solid regardless."""
+    """Solid set {cut_key(field) > tau}; protected elements stay solid
+    regardless."""
     if not np.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    solid = field.values > tau
+    solid = cut_key(field) > tau
     solid |= field.protected_mask()
     n = len(solid)
     return TopologyState(solid=solid, volume_fraction=float(solid.sum()) / n)

@@ -137,15 +137,20 @@ def adjoint_rhs_point_displacement(mesh: Mesh, boundary: BoundarySpec,
     return rhs
 
 
+def _pnorm(s: np.ndarray, p: int) -> tuple[float, np.ndarray]:
+    """Global p-norm of the positive entries of ``s`` and their mask,
+    computed in scaled form so large exponents cannot overflow."""
+    live = s > 0.0
+    if not live.any():
+        return 0.0, live
+    t = s[live]
+    m = t.max()
+    return float(m * np.sum((t / m) ** p) ** (1.0 / p)), live
+
+
 def pnorm_stress(vonmises: np.ndarray, include: np.ndarray, p: int) -> float:
-    """Global p-norm of the included elements' von Mises stresses, computed
-    in scaled form so large exponents cannot overflow."""
-    s = vonmises[include]
-    s = s[s > 0.0]
-    if len(s) == 0:
-        return 0.0
-    m = s.max()
-    return float(m * np.sum((s / m) ** p) ** (1.0 / p))
+    """Global p-norm of the included elements' von Mises stresses."""
+    return _pnorm(vonmises[include], p)[0]
 
 
 def adjoint_rhs_pnorm(active, tensors: fem.TensorField, material: fem.Material,
@@ -153,26 +158,20 @@ def adjoint_rhs_pnorm(active, tensors: fem.TensorField, material: fem.Material,
     """Right-hand side -d(sigma_PN)/du via the chain rule through the
     per-element von Mises stress at the centroid.
 
-    Elements below the stress guard (1e-12 * E) contribute nothing; a fully
-    zero stress state returns a zero vector with the degenerate flag set.
+    The aggregate covers the same elements as ``pnorm_stress`` (included,
+    with positive stress); a fully zero stress state returns a zero vector
+    with the degenerate flag set.
     """
     mesh = active.mesh
-    guard = 1e-12 * material.E
     rhs = np.zeros(mesh.n_dofs)
 
-    ids = active.element_ids
-    use = include[ids]
-    ids = ids[use]
-    if len(ids) == 0:
-        return rhs, True
+    ids = active.element_ids[include[active.element_ids]]
     sig = tensors.stress[ids]
     s = fem.von_mises(sig)
-    live = s > guard
-    ids, sig, s = ids[live], sig[live], s[live]
-    if len(ids) == 0:
+    sigma_pn, live = _pnorm(s, p)
+    if sigma_pn == 0.0:
         return rhs, True
-    m = s.max()
-    sigma_pn = float(m * np.sum((s / m) ** p) ** (1.0 / p))
+    ids, sig, s = ids[live], sig[live], s[live]
 
     # d(sigma_PN)/ds_e, bounded in [0, 1] because sigma_PN >= max s
     w = (s / sigma_pn) ** (p - 1)

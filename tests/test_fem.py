@@ -1,9 +1,12 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from topt import fem
 from topt.mesh import DomainSpec, PointLoad, TopologyState, active_submesh, build_mesh
+from topt.problems import builtin_problem
 
 from _oracles import closed_form_ke, condition_estimate_two_apply
 from conftest import make_cantilever, uniaxial_element
@@ -318,6 +321,30 @@ class TestErrorContracts:
         f = fem.load_vector(mesh, boundary, 1)
         with pytest.raises((fem.SingularSystemError, fem.SolveError)):
             fem.solve(system, f)
+
+
+class TestFactorization:
+    @pytest.fixture(scope="class")
+    def lbracket_scale2(self):
+        problem = builtin_problem("l-bracket-single", mesh_scale=2)
+        active = active_submesh(problem.mesh, TopologyState.full(problem.mesh),
+                                problem.boundary)
+        return fem.assemble(active, problem.material).matrix
+
+    def test_symmetric_ordering_through_module_splu(self, lbracket_scale2, monkeypatch):
+        calls = []
+        splu = fem.spla.splu
+        # the benchmark's tracer swaps fem.spla for a proxy; so does this
+        proxy = types.SimpleNamespace(**vars(fem.spla))
+        proxy.splu = lambda *a, **k: calls.append(k) or splu(*a, **k)
+        monkeypatch.setattr(fem, "spla", proxy)
+        lu = fem.SystemMatrix(lbracket_scale2, active=None).lu
+        assert calls == [{"permc_spec": "MMD_AT_PLUS_A",
+                          "options": {"SymmetricMode": True}}]
+        # symmetric mode kept every pivot on the diagonal of the ordered matrix
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        colamd = splu(lbracket_scale2.tocsc())
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 class TestAnalyze:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from topt import levelset
+from topt import checks, levelset, optimizer
 from topt.mesh import DomainSpec, Rect, build_mesh
 from topt.problems import builtin_problem
 from topt.sensitivity import SensitivityField
@@ -42,13 +44,13 @@ class TestFindTau:
             topo = levelset.extract_domain(f, levelset.find_tau(f, target))
             assert abs(topo.volume_fraction - target) <= 1.0 / n
 
-    def test_tie_block_takes_closer_count(self):
-        # four tied values straddling the cut: strict > cannot split them
-        f = field([1.0, 1.0, 1.0, 0.0])
-        tau = levelset.find_tau(f, 0.5)
-        topo = levelset.extract_domain(f, tau)
-        # achievable counts are 0 or 3; 3 is closer to the target 2
-        assert topo.count() == 3
+    def test_tie_block_goes_to_lower_index(self):
+        # three tied values straddling the cut: the lower indices are kept
+        for values, expected in (([1.0, 1.0, 1.0, 0.0], [True, True, False, False]),
+                                 ([0.0, 1.0, 1.0, 1.0], [False, True, True, False])):
+            f = field(values)
+            topo = levelset.extract_domain(f, levelset.find_tau(f, 0.5))
+            assert np.array_equal(topo.solid, expected)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
@@ -56,6 +58,81 @@ class TestFindTau:
         t1 = levelset.find_tau(field(vals.copy()), 0.37)
         t2 = levelset.find_tau(field(vals.copy()), 0.37)
         assert t1 == t2
+
+
+def top_k_by_lexsort(values, k):
+    """Reference rank cut: the k largest values on the 1e-9 grid, ties to
+    the lower element index."""
+    order = np.lexsort((np.arange(len(values)), -np.round(values * 1e9)))
+    keep = np.zeros(len(values), dtype=bool)
+    keep[order[:k]] = True
+    return keep
+
+
+class TestRankCut:
+    def test_keeps_k_plus_protected_with_straddling_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(5, 400))
+            values = rng.integers(-3, 4, size=n) / 3.0  # long tie blocks
+            protected = rng.random(n) < 0.1
+            target = float(rng.uniform(0.01, 1.0))
+            k = int(round(target * n))
+            f = field(values, protected=protected)
+            topo = levelset.extract_domain(f, levelset.find_tau(f, target))
+            top = top_k_by_lexsort(values, k)
+            assert np.array_equal(topo.solid, top | protected)
+            assert topo.count() == k + np.count_nonzero(protected & ~top)
+
+    def test_matches_lexsort_on_normalized_fields(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(10, 3000))
+            values = rng.normal(size=n)
+            values /= np.max(np.abs(values))
+            target = float(rng.uniform(0.01, 1.0))
+            f = field(values)
+            topo = levelset.extract_domain(f, levelset.find_tau(f, target))
+            assert np.array_equal(topo.solid, top_k_by_lexsort(values, int(round(target * n))))
+
+    def test_mirror_round_off_does_not_move_cut(self):
+        # a left/right mirror-symmetric field on a 40 x 20 grid whose pairs
+        # tie exactly, then the same field with 1e-13 relative noise
+        rng = np.random.default_rng(13)
+        half = rng.normal(size=(20, 20))
+        grid = np.hstack([half, half[:, ::-1]])
+        values = (grid / np.max(np.abs(grid))).ravel()
+        for seed in (1, 2, 3):
+            noise = np.random.default_rng(seed).normal(size=values.size)
+            noisy = values * (1.0 + 1e-13 * noise)
+            assert not np.array_equal(noisy, values)
+            for target in (241 / 800, 401 / 800, 617 / 800):  # odd k splits a pair
+                exact = levelset.extract_domain(field(values),
+                                                levelset.find_tau(field(values), target))
+                moved = levelset.extract_domain(field(noisy),
+                                                levelset.find_tau(field(noisy), target))
+                assert np.array_equal(moved.solid, exact.solid)
+
+    def test_oversized_values_rejected(self):
+        # at 1e18 grid steps the tie offset is below the float spacing, so
+        # two tied values keep one key and no threshold separates them
+        f = field([1e9, 1e9])
+        with pytest.raises(ValueError):
+            levelset.find_tau(f, 0.5)
+
+    def test_criterion_4_checks_the_optimizer_cut(self, monkeypatch):
+        calls = []
+        for name in ("find_tau", "extract_domain"):
+            original = getattr(levelset, name)
+            monkeypatch.setattr(levelset, name, lambda *a, _f=original, _n=name:
+                                calls.append(_n) or _f(*a))
+        worst = checks.tau_gap(np.random.default_rng(2024), 20, 500)
+        assert worst <= 0.5  # a rank cut misses the target by rounding only
+        assert calls == ["find_tau", "extract_domain"] * 20
+        calls.clear()
+        problem = builtin_problem("cantilever-single")
+        optimizer.run(problem, replace(problem.config, max_total_fea=6))
+        assert calls and calls == ["find_tau", "extract_domain"] * (len(calls) // 2)
 
 
 class TestExtractDomain:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,32 @@ class TestScaleInvariance:
             1, p2.boundary.point_loads[0].node, (0.0, -1.0), 1000.0)
         res2 = optimizer.run(p2)
         assert np.array_equal(res1.topology.solid, res2.topology.solid)
+
+
+def noisy_solve(solve, seed):
+    """``solve`` with each result scaled by 1 + 1e-13 N(0, 1) per entry."""
+    rng = np.random.default_rng(seed)
+
+    def wrapped(system, rhs):
+        u = solve(system, rhs)
+        return u * (1.0 + 1e-13 * rng.normal(size=u.shape))
+    return wrapped
+
+
+class TestRoundOffRobustness:
+    @pytest.mark.parametrize("name", ["mitchell-multi", "cantilever-single",
+                                      "cantilever-multi"])
+    def test_solve_noise_leaves_design(self, name, monkeypatch):
+        # the symmetric built-ins have mirror pairs that differ only by
+        # round-off; 1e-13 relative noise on every solve must not move the cut
+        problem = builtin_problem(name)
+        config = replace(problem.config, track_condition=False)
+        exact = optimizer.run(problem, config).topology.solid
+        solve = fem.solve
+        for seed in (1, 2, 3):
+            monkeypatch.setattr(fem, "solve", noisy_solve(solve, seed))
+            noisy = optimizer.run(problem, config).topology.solid
+            assert noisy.tobytes() == exact.tobytes(), f"seed {seed}"
 
 
 class TestMultiplierRules:
