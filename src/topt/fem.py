@@ -3,9 +3,11 @@
 Void elements are removed from the assembly entirely (no ersatz stiffness)
 and fixed DOFs are eliminated by reduction, so the assembled matrix is
 symmetric positive definite and its condition number is physically
-meaningful. Stress and strain are recovered at element centroids, one value
-per element; the shear entries stored in tensor fields are the *tensor*
-components (eps_xy = gamma_xy / 2, sigma_xy).
+meaningful. Assembly sums element matrices through the per-mesh slot table
+of ``Mesh.stiffness_pattern``, in its nested-dissection order, and a matrix
+is factored in the order it is given. Stress and strain are recovered at
+element centroids, one value per element; the shear entries stored in
+tensor fields are the *tensor* components (eps_xy = gamma_xy / 2, sigma_xy).
 """
 
 from __future__ import annotations
@@ -92,7 +94,11 @@ def element_stiffness(material: Material, h: float) -> np.ndarray:
 
 
 class SystemMatrix:
-    """Reduced SPD stiffness matrix with a cached sparse LU factorization."""
+    """Reduced SPD stiffness matrix with a cached sparse LU factorization.
+
+    The matrix is factored in the order it is given, with diagonal pivots;
+    ``assemble`` gives it in the nested-dissection order of the mesh.
+    """
 
     def __init__(self, matrix: sp.csr_matrix, active: ActiveMesh):
         self.matrix = matrix
@@ -105,9 +111,8 @@ class SystemMatrix:
     def lu(self):
         if self._lu is None:
             try:
-                # K is SPD: a symmetric minimum-degree ordering of K + K^T
-                # with diagonal pivots fills far less than COLAMD
-                self._lu = spla.splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                # K is exactly symmetric, so its CSR transpose is K in CSC
+                self._lu = spla.splu(self.matrix.T, permc_spec="NATURAL",
                                      options={"SymmetricMode": True})
             except RuntimeError as exc:  # factorization hit an exact zero pivot
                 raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc
@@ -122,22 +127,33 @@ class SystemMatrix:
 
 
 def assemble(active: ActiveMesh, material: Material) -> SystemMatrix:
-    """Assemble the reduced stiffness matrix over the active elements."""
+    """Assemble the reduced stiffness matrix over the active elements.
+
+    Rows and columns follow ``active.free_dofs``. Each entry sums its element
+    contributions in element order, so the matrix is exactly symmetric, and
+    only nonzero entries are stored.
+    """
     if len(active.element_ids) == 0:
         raise ValueError("cannot assemble an empty active mesh")
-    ke = element_stiffness(material, active.mesh.h)
-    red = active.reduced_index[active.edofs]  # (n_active, 8)
-
-    rows = np.repeat(red, 8, axis=1).ravel()
-    cols = np.tile(red, (1, 8)).ravel()
-    vals = np.tile(ke.ravel(), len(active.element_ids))
-    keep = (rows >= 0) & (cols >= 0)
-    K = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                      shape=(active.n_free, active.n_free)).tocsr()
-    # duplicate summation order differs between (i,j) and (j,i); symmetrize
-    # so K - K^T is exactly zero
-    K = (K + K.T) * 0.5
-    return SystemMatrix(K.tocsr(), active)
+    mesh = active.mesh
+    pattern = mesh.stiffness_pattern()
+    ke = element_stiffness(material, mesh.h)
+    slots = pattern.slots[active.element_ids].ravel()
+    vals = np.bincount(slots, weights=np.tile(ke.ravel(), len(active.element_ids)),
+                       minlength=len(pattern.cols))
+    # reduced index of each rank, -1 when eliminated
+    red = np.full(mesh.n_dofs, -1, dtype=np.intc)
+    red[active.free_dofs] = np.arange(active.n_free, dtype=np.intc)
+    red = red[pattern.dof_order]
+    free = red >= 0
+    cols = red[pattern.cols]
+    # entries no active element touches are zero, as are exact cancellations
+    keep = (vals != 0.0) & np.repeat(free, np.diff(pattern.indptr)) & (cols >= 0)
+    kept = np.flatnonzero(keep)
+    # eliminated rows keep no entry, so each free row starts where its rank's row did
+    indptr = np.searchsorted(kept, pattern.indptr[np.append(np.flatnonzero(free), mesh.n_dofs)])
+    K = sp.csr_matrix((vals[kept], cols[kept], indptr), shape=(active.n_free, active.n_free))
+    return SystemMatrix(K, active)
 
 
 def solve(system: SystemMatrix, rhs: np.ndarray) -> np.ndarray:

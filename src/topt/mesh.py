@@ -14,6 +14,9 @@ Conventions used throughout the package:
   cell (i, j) in the column order (i+1, j), (i-1, j), (i, j+1), (i, j-1),
   with -1 off the grid or in a masked cell. Element adjacency is read from
   this table only; the grid itself is used for labelling and for images.
+* The stiffness matrix is numbered in the nested-dissection order of
+  ``Mesh.stiffness_pattern()``: free DOFs are listed in that order, and a
+  matrix is factored in the order it is given.
 """
 
 from __future__ import annotations
@@ -132,6 +135,49 @@ class BoundarySpec:
                 raise MeshError(f"load applied to fully fixed node {p.node}")
 
 
+@dataclass(frozen=True)
+class StiffnessPattern:
+    """Sparsity of the full-mesh stiffness matrix in nested-dissection order.
+
+    ``dof_order[r]`` is the mesh DOF of rank r. ``indptr`` and ``cols`` are
+    the CSR structure of the pattern in rank numbering, columns ascending
+    in each row, and ``slots[e, 8 * a + b]`` is the pattern entry to which
+    element e adds its stiffness ``ke[a, b]``.
+    """
+
+    dof_order: np.ndarray  # (n_dofs,)
+    indptr: np.ndarray     # (n_dofs + 1,)
+    cols: np.ndarray       # (nnz,)
+    slots: np.ndarray      # (n_elements, 64)
+
+
+def _nested_dissection(ni: int, nj: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points (i, j) of an ni-by-nj point grid in nested-dissection order.
+
+    A grid of more than 4 points is cut at the middle line across its longer
+    side; the points below the line come first, then those above it, then
+    the line itself. Smaller grids are listed row by row.
+    """
+    memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def order(ni, nj):
+        if ni < nj:
+            j, i = order(nj, ni)
+            return i, j
+        if (ni, nj) not in memo:
+            if ni * nj <= 4:
+                j, i = np.divmod(np.arange(ni * nj), ni)
+            else:
+                m = ni // 2
+                (ia, ja), (ib, jb) = order(m, nj), order(ni - m - 1, nj)
+                i = np.concatenate([ia, ib + m + 1, np.full(nj, m)])
+                j = np.concatenate([ja, jb, np.arange(nj)])
+            memo[ni, nj] = i, j
+        return memo[ni, nj]
+
+    return order(ni, nj)
+
+
 class Mesh:
     """Immutable structured quad mesh (possibly with masked regions removed).
 
@@ -166,6 +212,7 @@ class Mesh:
         self._node_elements = self._build_incidence()
         self.neighbours = self._build_neighbours()
         self._cone_filters: dict[float, tuple[sparse.csr_matrix, np.ndarray]] = {}
+        self._stiffness_pattern: StiffnessPattern | None = None
         for a in (self.nodes, self.elements, self.element_grid, self.edofs, self.centroids,
                   *self._node_elements, self.neighbours):
             a.flags.writeable = False
@@ -210,6 +257,31 @@ class Mesh:
                 a.flags.writeable = False
             self._cone_filters[radius] = (H, Hs)
         return self._cone_filters[radius]
+
+    def stiffness_pattern(self) -> StiffnessPattern:
+        """Nested-dissection DOF order, stiffness pattern and element slot
+        table (George, SIAM J. Numer. Anal. 10, 1973), built once per mesh.
+        Both DOFs of a node get adjacent ranks."""
+        if self._stiffness_pattern is None:
+            nx, ny = self.grid_shape
+            # row-major grid point of each node, from its elements' cells
+            point = np.empty(self.n_nodes, dtype=np.int64)
+            cell = self.element_grid[:, 1] * (nx + 1) + self.element_grid[:, 0]
+            point[self.elements] = cell[:, None] + [0, 1, nx + 2, nx + 1]
+            oi, oj = _nested_dissection(nx + 1, ny + 1)
+            position = np.argsort(oj * (nx + 1) + oi)  # of each grid point in that order
+            nodes = np.argsort(position[point])
+            dof_order = (2 * nodes[:, None] + [X, Y]).ravel()
+            r = np.argsort(dof_order)[self.edofs]
+            keys = (r[:, :, None] * self.n_dofs + r[:, None, :]).ravel()
+            entries, slots = np.unique(keys, return_inverse=True)
+            rows, cols = np.divmod(entries, self.n_dofs)
+            pattern = StiffnessPattern(dof_order, np.searchsorted(rows, np.arange(self.n_dofs + 1)),
+                                       cols, slots.reshape(self.n_elements, 64))
+            for a in (pattern.dof_order, pattern.indptr, pattern.cols, pattern.slots):
+                a.flags.writeable = False
+            self._stiffness_pattern = pattern
+        return self._stiffness_pattern
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         return (self.nodes[:, 0].min(), self.nodes[:, 1].min(),
@@ -296,12 +368,8 @@ class ActiveMesh:
     def __init__(self, mesh: Mesh, element_ids, free_dofs):
         self.mesh = mesh
         self.element_ids = element_ids          # active (analyzed) elements
-        self.free_dofs = free_dofs              # mesh DOF ids, sorted
+        self.free_dofs = free_dofs              # mesh DOF ids, nested-dissection order
         self.n_free = len(free_dofs)
-        # mesh DOF -> reduced index (-1 when eliminated)
-        red = np.full(mesh.n_dofs, -1, dtype=np.int64)
-        red[free_dofs] = np.arange(self.n_free)
-        self.reduced_index = red
         self.edofs = mesh.edofs[element_ids]
 
 
@@ -394,5 +462,6 @@ def active_submesh(mesh: Mesh, topo: TopologyState, boundary: BoundarySpec) -> A
     active_nodes[mesh.elements[element_ids].ravel()] = True
     fixed_mask = np.zeros(mesh.n_dofs, dtype=bool)
     fixed_mask[[2 * n + d for n, d in boundary.fixed_dofs]] = True
-    free_dofs = np.flatnonzero(np.repeat(active_nodes, 2) & ~fixed_mask)
+    order = mesh.stiffness_pattern().dof_order
+    free_dofs = order[(np.repeat(active_nodes, 2) & ~fixed_mask)[order]]
     return ActiveMesh(mesh, element_ids, free_dofs)

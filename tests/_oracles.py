@@ -14,6 +14,7 @@ grid-rolling, grid-walking, set-based and per-node versions they replaced.
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
 
 from topt import fem
 from topt.mesh import TopologyState, _support_connected
@@ -37,6 +38,26 @@ def closed_form_ke(E: float, nu: float) -> np.ndarray:
         [k[7], k[2], k[1], k[4], k[3], k[6], k[5], k[0]],
     ])
     return E / (1 - nu * nu) * KE
+
+
+def assemble_coo(active, material) -> sp.csr_matrix:
+    """Reduced stiffness matrix with rows and columns in ascending free-DOF
+    order, from COO triplets summed by the CSR conversion and symmetrized."""
+    ke = fem.element_stiffness(material, active.mesh.h)
+    reduced_index = np.full(active.mesh.n_dofs, -1, dtype=np.int64)
+    reduced_index[np.sort(active.free_dofs)] = np.arange(active.n_free)
+    red = reduced_index[active.edofs]  # (n_active, 8)
+
+    rows = np.repeat(red, 8, axis=1).ravel()
+    cols = np.tile(red, (1, 8)).ravel()
+    vals = np.tile(ke.ravel(), len(active.element_ids))
+    keep = (rows >= 0) & (cols >= 0)
+    K = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                      shape=(active.n_free, active.n_free)).tocsr()
+    # duplicate summation order differs between (i,j) and (j,i); symmetrize
+    # so K - K^T is exactly zero
+    K = (K + K.T) * 0.5
+    return K.tocsr()
 
 
 def hole_drilling(mesh, boundary, material, elements) -> np.ndarray:

@@ -5,11 +5,27 @@ import pytest
 import scipy.sparse as sp
 
 from topt import fem
-from topt.mesh import DomainSpec, PointLoad, TopologyState, active_submesh, build_mesh
-from topt.problems import builtin_problem
+from topt.mesh import (DomainSpec, PointLoad, TopologyError, TopologyState, active_submesh,
+                       build_mesh, repair_connectivity)
+from topt.problems import BUILTIN_NAMES, builtin_problem
 
-from _oracles import closed_form_ke, condition_estimate_two_apply
-from conftest import make_cantilever, uniaxial_element
+from _oracles import assemble_coo, closed_form_ke, condition_estimate_two_apply
+from conftest import make_cantilever, topology_draws, uniaxial_element
+
+
+def assert_matches_coo(active, material):
+    """The assembled matrix is the COO assembly's, renumbered by free_dofs:
+    the same stored entries, values within round-off, exactly symmetric."""
+    K = fem.assemble(active, material).matrix
+    at = np.searchsorted(np.sort(active.free_dofs), active.free_dofs)
+    expected = assemble_coo(active, material)[at][:, at].tocsr()
+    expected.sort_indices()
+    # equal to the sorted oracle, so K's own column indices are sorted too
+    assert np.array_equal(K.indptr, expected.indptr)
+    assert np.array_equal(K.indices, expected.indices)
+    scale = np.max(np.abs(expected.data))
+    assert np.max(np.abs(K.data - expected.data)) <= 1e-14 * scale
+    assert (K != K.T).nnz == 0
 
 
 class TestMaterial:
@@ -86,6 +102,31 @@ class TestAssemble:
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         K = fem.assemble(active, fem.Material()).matrix.toarray()
         assert np.linalg.eigvalsh(K).min() > 0  # dense eigendecomposition oracle
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_full_domain_matches_coo(self, name):
+        problem = builtin_problem(name)
+        active = active_submesh(problem.mesh, TopologyState.full(problem.mesh),
+                                problem.boundary)
+        assert_matches_coo(active, problem.material)
+
+    @pytest.mark.parametrize("name", ["l-bracket-single", "cantilever-single"])
+    def test_random_topologies_match_coo(self, name):
+        problem = builtin_problem(name)
+        mesh, boundary = problem.mesh, problem.boundary
+        analyzed = 0
+        for solid, previous, _, _ in topology_draws(mesh, seed=7, count=80):
+            topo = repair_connectivity(mesh, TopologyState(solid, solid.mean()),
+                                       TopologyState(previous, previous.mean()), boundary)
+            try:
+                active = active_submesh(mesh, topo, boundary)
+            except TopologyError:
+                continue
+            # the draws leave void elements inside the analyzed structure
+            assert len(active.element_ids) < mesh.n_elements
+            assert_matches_coo(active, problem.material)
+            analyzed += 1
+        assert analyzed >= 50
 
 
 class TestSolve:
@@ -336,13 +377,17 @@ class TestFactorization:
         splu = fem.spla.splu
         # the benchmark's tracer swaps fem.spla for a proxy; so does this
         proxy = types.SimpleNamespace(**vars(fem.spla))
-        proxy.splu = lambda *a, **k: calls.append(k) or splu(*a, **k)
+        proxy.splu = lambda *a, **k: calls.append((a, k)) or splu(*a, **k)
         monkeypatch.setattr(fem, "spla", proxy)
         lu = fem.SystemMatrix(lbracket_scale2, active=None).lu
-        assert calls == [{"permc_spec": "MMD_AT_PLUS_A",
-                          "options": {"SymmetricMode": True}}]
-        # symmetric mode kept every pivot on the diagonal of the ordered matrix
+        [(args, kwargs)] = calls
+        assert kwargs == {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
+        # the CSC input is the CSR matrix transposed in place, not a copy
+        assert args[0].format == "csc" and np.shares_memory(args[0].data, lbracket_scale2.data)
+        # pivots stayed on the diagonal, in assembled order
+        n = lbracket_scale2.shape[0]
         assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert np.array_equal(lu.perm_c, np.arange(n))
         colamd = splu(lbracket_scale2.tocsc())
         assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 

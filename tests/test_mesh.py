@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from topt import config, fem
 from topt.mesh import (BoundarySpec, DomainSpec, MeshError, Point2, PointLoad,
                        Rect, TopologyError, TopologyState, active_submesh,
                        build_mesh, locate_node, repair_connectivity)
 from topt.mesh import _support_connected
-from topt.problems import builtin_problem
+from topt.problems import builtin_config, builtin_problem
 
 from _oracles import (flood_fill_support_connected, incidence_by_loop,
                       repair_connectivity_grid)
@@ -179,6 +180,57 @@ class TestActiveSubmesh:
         with pytest.raises(TopologyError):
             # the tip load sits on the detached island
             active_submesh(mesh, TopologyState(solid, solid.mean()), boundary)
+
+
+class TestStiffnessPattern:
+    def test_separator_line_last(self):
+        mesh, _ = build_mesh(DomainSpec(1.0, 1.0, 4, 4))  # 5 x 5 nodes
+        order = mesh.stiffness_pattern().dof_order
+        assert np.array_equal(order[1::2], order[0::2] + 1)  # x then y per node
+        x = mesh.nodes[order[0::2] // 2, 0]
+        # nodes left of the middle line, then right of it, then the line bottom-up
+        assert np.all(x[:10] < 0.5) and np.all(x[10:20] > 0.5) and np.all(x[20:] == 0.5)
+        assert np.all(np.diff(mesh.nodes[order[40::2] // 2, 1]) > 0)
+
+    @pytest.mark.parametrize("name", ["l-bracket-single", "cantilever-single"])
+    def test_free_dofs_permute_sorted_free_set(self, name):
+        problem = builtin_problem(name)
+        mesh, boundary = problem.mesh, problem.boundary
+        fixed = [2 * n + d for n, d in boundary.fixed_dofs]
+        checked = 0
+        for solid, _, _, _ in topology_draws(mesh, seed=3, count=40):
+            try:
+                active = active_submesh(mesh, TopologyState(solid, solid.mean()), boundary)
+            except TopologyError:
+                continue
+            nodes = np.unique(mesh.elements[active.element_ids])
+            expected = np.setdiff1d(np.concatenate([2 * nodes, 2 * nodes + 1]), fixed)
+            assert np.array_equal(np.sort(active.free_dofs), expected)
+            position = np.full(mesh.n_dofs, -1)
+            position[active.free_dofs] = np.arange(active.n_free)
+            both = (position[0::2] >= 0) & (position[1::2] >= 0)
+            assert np.array_equal(position[1::2][both], position[0::2][both] + 1)
+            checked += 1
+        assert checked >= 10
+
+    def test_build_problem_leaves_pattern_unbuilt(self):
+        problem = config.build_problem(builtin_config("l-bracket-single"), mesh_scale=2)
+        assert problem.mesh._stiffness_pattern is None
+
+    def test_built_once_and_read_only(self):
+        problem = builtin_problem("cantilever-single")
+        mesh = problem.mesh
+        active = active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
+        fem.assemble(active, problem.material)
+        pattern = mesh.stiffness_pattern()
+        arrays = (pattern.dof_order, pattern.indptr, pattern.cols, pattern.slots)
+        fem.assemble(active, problem.material)
+        again = mesh.stiffness_pattern()
+        assert again is pattern
+        assert all(a is b for a, b in zip(
+            (again.dof_order, again.indptr, again.cols, again.slots), arrays))
+        assert not any(a.flags.writeable for a in arrays)
+        assert pattern.slots.shape == (mesh.n_elements, 64)
 
 
 class TestSupportConnected:
