@@ -160,10 +160,26 @@ def _entries(value: str) -> list[str]:
 
 
 def _unit(dx: float, dy: float, where: str) -> tuple[float, float]:
+    """Unit vector along (dx, dy). A vector already of unit length to within
+    a few ulp is kept verbatim, so the normalized values of a document parse
+    back unchanged after serialization."""
     norm = math.hypot(dx, dy)
-    if norm == 0:
-        raise ConfigError(f"{where}: zero direction vector")
+    if norm == 0 or not math.isfinite(norm):
+        raise ConfigError(f"{where}: direction vector must be nonzero and finite")
+    if abs(norm - 1.0) <= 4 * math.ulp(1.0):
+        return (dx, dy)
     return (dx / norm, dy / norm)
+
+
+def _case(value: float | str, where: str) -> int:
+    """Load case number; a non-integral value is an error, not truncated."""
+    try:
+        number = float(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if not number.is_integer():
+        raise ConfigError(f"{where}: load case must be an integer, got {value!r}")
+    return int(number)
 
 
 def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
@@ -231,7 +247,8 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
     for e in _entries(lod.get("load", "")):
         case, x, y, dx, dy, mag = _floats(e, 6, "[loads] load")
         dx, dy = _unit(dx, dy, "[loads] load")
-        loads.append(LoadEntry(case=int(case), x=x, y=y, dx=dx, dy=dy, magnitude=mag))
+        loads.append(LoadEntry(case=_case(case, "[loads] load"), x=x, y=y, dx=dx, dy=dy,
+                               magnitude=mag))
     if not loads:
         raise ConfigError("[loads] defines no point load")
 
@@ -244,18 +261,25 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
         for e in _entries(con.get("displacement", "")):
             case, x, y, dx, dy, bound = _floats(e, 6, "[constraints] displacement")
             dx, dy = _unit(dx, dy, "[constraints] displacement")
-            constraints.append(ConstraintEntry(kind=KIND_DISPLACEMENT, case=int(case),
-                                               bound=bound, x=x, y=y, dx=dx, dy=dy))
+            constraints.append(ConstraintEntry(
+                kind=KIND_DISPLACEMENT, case=_case(case, "[constraints] displacement"),
+                bound=bound, x=x, y=y, dx=dx, dy=dy))
         for e in _entries(con.get("stress", "")):
             parts = e.split()
             if len(parts) not in (2, 3):
                 raise ConfigError(f"[constraints] stress: expected 'case bound [p]', got {e!r}")
+            try:
+                bound = float(parts[1])
+                p = int(parts[2]) if len(parts) == 3 else 8
+            except ValueError as exc:
+                raise ConfigError(f"[constraints] stress: {exc}") from exc
             constraints.append(ConstraintEntry(
-                kind=KIND_PNORM_STRESS, case=int(float(parts[0])), bound=float(parts[1]),
-                p=int(parts[2]) if len(parts) == 3 else 8))
+                kind=KIND_PNORM_STRESS, case=_case(parts[0], "[constraints] stress"),
+                bound=bound, p=p))
         for e in _entries(con.get("compliance", "")):
             case, bound = _floats(e, 2, "[constraints] compliance")
-            constraints.append(ConstraintEntry(kind=KIND_COMPLIANCE, case=int(case), bound=bound))
+            constraints.append(ConstraintEntry(
+                kind=KIND_COMPLIANCE, case=_case(case, "[constraints] compliance"), bound=bound))
 
     optimizer: list[tuple[str, str]] = []
     if parser.has_section("optimizer"):

@@ -96,8 +96,9 @@ def element_stiffness(material: Material, h: float) -> np.ndarray:
 class SystemMatrix:
     """Reduced SPD stiffness matrix with a cached sparse LU factorization.
 
-    The matrix is factored in the order it is given, with diagonal pivots;
-    ``assemble`` gives it in the nested-dissection order of the mesh.
+    The matrix is factored in the order it is given, which ``assemble`` makes
+    the nested-dissection order of the mesh; SuperLU's default threshold
+    pivoting may still move a pivot off the diagonal.
     """
 
     def __init__(self, matrix: sp.csr_matrix, active: ActiveMesh):
@@ -118,11 +119,20 @@ class SystemMatrix:
                 raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc
         return self._lu
 
-    @property
-    def condition(self) -> tuple[float, bool]:
-        """``condition_estimate(self)`` with default settings, computed once."""
+    def condition(self, start: np.ndarray | None = None) -> tuple[float, bool, np.ndarray]:
+        """``condition_estimate`` with default settings, computed once: later
+        calls return the first result whatever their start.
+
+        ``start`` and the returned lowest mode are full-mesh DOF vectors, zero
+        off the free set, so a mode carries over to a system on other DOFs.
+        """
         if self._condition is None:
-            self._condition = condition_estimate(self)
+            dofs = self.active.free_dofs
+            estimate, converged, low = condition_estimate(
+                self, start=None if start is None else start[dofs])
+            mode = np.zeros(self.active.mesh.n_dofs)
+            mode[dofs] = low
+            self._condition = (estimate, converged, mode)
         return self._condition
 
 
@@ -225,43 +235,52 @@ def compliance(loads: np.ndarray, u: np.ndarray) -> float:
     return float(np.dot(loads, u))
 
 
-def condition_estimate(system: SystemMatrix, tol: float = 1e-4,
-                       max_iters: int = 500) -> tuple[float, bool]:
+def condition_estimate(system: SystemMatrix, tol: float = 1e-4, max_iters: int = 500,
+                       start: np.ndarray | None = None) -> tuple[float, bool, np.ndarray]:
     """Estimate lambda_max/lambda_min by power and inverse power iteration.
 
     Each step applies the operator once: the product that gives the
     Rayleigh quotient of the current vector is the next step's iterate, so
     a run of k steps costs k + 1 applications per operator.
 
-    Returns (estimate, converged). When the iteration cap is hit the value
-    is a lower bound and converged is False.
+    The power iteration for lambda_max starts from ``1 + i/n``. The inverse
+    iteration for lambda_min starts from ``start`` (a vector over the
+    system's rows), typically the lowest mode of a nearby system, or from
+    ``1 + i/n`` when ``start`` is None, zero or not finite.
+
+    Returns (estimate, converged, low_mode), low_mode being the unit
+    approximation to the lowest eigenvector. When the iteration cap is hit
+    the value is a lower bound and converged is False.
     """
     n = system.n
     if n == 1:
-        return 1.0, True
+        return 1.0, True, np.ones(1)
+    cold = 1.0 + np.arange(n) / n
 
-    def dominant(apply):
-        v = 1.0 + np.arange(n) / n
-        v /= np.linalg.norm(v)
+    def dominant(apply, v):
+        norm = np.linalg.norm(v)
+        if not 0.0 < norm < np.inf:
+            v, norm = cold, np.linalg.norm(cold)
+        v = v / norm
         w = apply(v)
         lam = 0.0
         for _ in range(max_iters):
             nw = np.linalg.norm(w)
             if nw == 0.0:
-                return 0.0, True
+                return 0.0, True, v
             v = w / nw
             w = apply(v)
             lam_new = float(v @ w)
             if abs(lam_new - lam) <= tol * abs(lam_new):
-                return lam_new, True
+                return lam_new, True, v
             lam = lam_new
-        return lam, False
+        return lam, False, v
 
-    lam_max, ok_max = dominant(lambda v: system.matrix @ v)
-    inv_min, ok_min = dominant(system.lu.solve)
+    lam_max, ok_max, _ = dominant(lambda v: system.matrix @ v, cold)
+    inv_min, ok_min, low_mode = dominant(system.lu.solve, cold if start is None else start)
     if inv_min <= 0.0:
         raise SingularSystemError("inverse power iteration found a non-positive eigenvalue")
-    return lam_max * inv_min, ok_max and ok_min
+    return lam_max * inv_min, ok_max and ok_min, low_mode
 
 
 @dataclass

@@ -127,6 +127,9 @@ class _Run:
         self.relaxed: np.ndarray | None = None
         self.skin_weight = 1.0
         self.reuse_field = False
+        # lowest stiffness mode of the last condition estimate (full-mesh
+        # DOFs), the next estimate's start: successive systems differ little
+        self.low_mode: np.ndarray | None = None
         self.structural = [sensitivity.is_structural(c, self.mesh, self.boundary)
                            for c in self.constraints]
 
@@ -318,7 +321,7 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
         al = auglag.update_penalties(al, g, config.sigma_constant, config.eta)
         cond = None
         if config.track_condition:
-            cond = analysis.system.condition[0]
+            cond, _, state.low_mode = analysis.system.condition(state.low_mode)
         state.record(step, topo.volume_fraction, analysis, g, al, cond)
 
         if np.all(g <= 0.0):

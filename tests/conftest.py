@@ -58,3 +58,19 @@ def uniaxial_element(material=None, h=1.0, sigma=1.0):
     boundary.point_loads.append(PointLoad(1, 1, (1.0, 0.0), f))
     boundary.point_loads.append(PointLoad(1, 3, (1.0, 0.0), f))
     return mesh, boundary
+
+
+class Counting:
+    """Delegates one operator to the wrapped object and counts applications."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __matmul__(self, v):
+        self.calls += 1
+        return self.inner @ v
+
+    def solve(self, v):
+        self.calls += 1
+        return self.inner.solve(v)

@@ -1,3 +1,5 @@
+import pytest
+
 from topt import checks
 from topt.cli import main
 
@@ -70,6 +72,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "gamma0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("load = 1 ", "load = 1.7 ", "[loads] load"),
+        ("displacement = 1 ", "displacement = 1.5 ", "[constraints] displacement"),
+        ("[optimizer]", "stress = 0.5 1000.0\n[optimizer]", "[constraints] stress"),
+        ("[optimizer]", "compliance = 2.5 1.5\n[optimizer]", "[constraints] compliance"),
+        ("[optimizer]", "stress = 1 1000.0 8.5\n[optimizer]", "[constraints] stress"),
+    ], ids=["load-case", "displacement-case", "stress-case", "compliance-case",
+            "stress-exponent"])
+    def test_non_integral_number_exit_one(self, tmp_path, capsys, old, new, where):
+        cfg = write_config(tmp_path, CONFIG.replace(old, new, 1))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert err.count("\n") == 1 and where in err
 
     def test_mesh_scale_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

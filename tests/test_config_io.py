@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topt import optimizer, outputs
 from topt.config import (ConfigError, build_problem, parse_problem, parse_problem_config,
@@ -105,6 +108,75 @@ class TestRoundTrip:
         assert q.boundary.point_loads == p.boundary.point_loads
         assert q.constraints == p.constraints
         assert q.config == p.config
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COMPONENT = st.floats(-1e6, 1e6, allow_nan=False)
+_DIRECTION = st.tuples(_COMPONENT, _COMPONENT).filter(lambda d: math.hypot(*d) > 0)
+_EXPONENT = st.sampled_from(["", " 4", " 8"])  # the p-exponent is optional
+# an integral case may be written as an int or a float
+_CASE = st.builds(lambda c, dot: f"{c}.0" if dot else str(c), st.integers(1, 4), st.booleans())
+_OPTIMIZER_VALUES = {
+    "delta_v": _FINITE.map(repr),
+    "max_inner_iters": st.integers(1, 50).map(str),
+    "filter": st.sampled_from(["on", "off", "true", "0"]),
+    "multiplier_rule": st.sampled_from(["paper", "standard"]),
+    "track_condition": st.sampled_from(["on", "off"]),
+}
+
+
+@st.composite
+def _documents(draw):
+    """Configuration text with arbitrary numbers, directions and entry counts."""
+    def num():
+        return repr(draw(_FINITE))
+
+    def entries(make, min_size=0):
+        return " ; ".join(make() for _ in range(draw(st.integers(min_size, 3))))
+
+    def direction():
+        return "{!r} {!r}".format(*draw(_DIRECTION))
+
+    lines = ["[domain]", f"width = {num()}", f"height = {num()}",
+             f"nx = {draw(st.integers(1, 99))}", f"ny = {draw(st.integers(1, 99))}"]
+    masks = entries(lambda: " ".join(num() for _ in range(4)))
+    if masks:
+        lines.append(f"mask = {masks}")
+    lines += ["[material]", f"e = {num()}", f"nu = {num()}"]
+    lines += ["[supports]", "fix = " + entries(
+        lambda: f"{num()} {num()} {num()} {num()} {draw(st.sampled_from(['x', 'Y', 'xy']))}",
+        min_size=1)]
+    lines += ["[loads]", "load = " + entries(
+        lambda: f"{draw(_CASE)} {num()} {num()} {direction()} {num()}", min_size=1)]
+    constraints = {
+        "displacement": entries(lambda: f"{draw(_CASE)} {num()} {num()} {direction()} {num()}"),
+        "stress": entries(lambda: f"{draw(_CASE)} {num()}{draw(_EXPONENT)}"),
+        "compliance": entries(lambda: f"{draw(_CASE)} {num()}"),
+    }
+    if any(constraints.values()):
+        lines.append("[constraints]")
+        lines += [f"{key} = {value}" for key, value in constraints.items() if value]
+    keys = draw(st.lists(st.sampled_from(sorted(_OPTIMIZER_VALUES)), unique=True))
+    if keys:
+        lines.append("[optimizer]")
+        lines += [f"{key} = {draw(_OPTIMIZER_VALUES[key])}" for key in keys]
+    return "\n".join(lines) + "\n"
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_documents())
+    def test_generated_documents_round_trip(self, text):
+        cfg = parse_problem_config(text)
+        assert parse_problem_config(serialize_problem_config(cfg)) == cfg
+
+    def test_unit_direction_kept_verbatim(self):
+        # (0.3, 1) normalized; its hypot is 1 - 1 ulp, and dividing by it
+        # again moved the direction in its last digit on every parse
+        unit = "0.2873478855663454 0.9578262852211513"
+        text = MINIMAL.replace("load = 1 2.0 0.5 0.0 -1.0", f"load = 1 2.0 0.5 {unit}")
+        load = parse_problem_config(text).loads[0]
+        assert (load.dx, load.dy) == (0.2873478855663454, 0.9578262852211513)
 
 
 class TestBuiltinProblems:

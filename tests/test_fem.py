@@ -10,7 +10,7 @@ from topt.mesh import (DomainSpec, PointLoad, TopologyError, TopologyState, acti
 from topt.problems import BUILTIN_NAMES, builtin_problem
 
 from _oracles import assemble_coo, closed_form_ke, condition_estimate_two_apply
-from conftest import make_cantilever, topology_draws, uniaxial_element
+from conftest import Counting, make_cantilever, topology_draws, uniaxial_element
 
 
 def assert_matches_coo(active, material):
@@ -255,11 +255,11 @@ class TestConditionEstimate:
         return fem.SystemMatrix(sp.csr_matrix(matrix), active=None)
 
     def test_identity(self):
-        cond, ok = fem.condition_estimate(self._system(np.eye(6)))
+        cond, ok, _ = fem.condition_estimate(self._system(np.eye(6)))
         assert ok and np.isclose(cond, 1.0, rtol=1e-3)
 
     def test_diagonal(self):
-        cond, ok = fem.condition_estimate(self._system(np.diag([1.0, 4.0, 10.0])))
+        cond, ok, _ = fem.condition_estimate(self._system(np.diag([1.0, 4.0, 10.0])))
         assert ok and np.isclose(cond, 10.0, rtol=1e-2)
 
     def test_random_spd_within_factor_two(self):
@@ -268,7 +268,7 @@ class TestConditionEstimate:
         spd = A @ A.T + 0.5 * np.eye(20)
         eig = np.linalg.eigvalsh(spd)  # dense oracle
         true = eig.max() / eig.min()
-        cond, _ = fem.condition_estimate(self._system(spd))
+        cond, _, _ = fem.condition_estimate(self._system(spd))
         assert true / 2 <= cond <= true * 2
 
 
@@ -279,28 +279,19 @@ def _seeded_spd(seed: int) -> np.ndarray:
     return A @ A.T + 10.0 ** rng.uniform(-3, 1) * np.eye(n)
 
 
-class _Counting:
-    """Delegates one operator to the wrapped object and counts applications."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def __matmul__(self, v):
-        self.calls += 1
-        return self.inner @ v
-
-    def solve(self, v):
-        self.calls += 1
-        return self.inner.solve(v)
-
-
 def _counted_system(matrix):
     """A SystemMatrix whose K products and LU solves are counted."""
     system = fem.SystemMatrix(sp.csr_matrix(matrix), active=None)
-    system._lu = _Counting(system.lu)
-    system.matrix = _Counting(system.matrix)
+    system._lu = Counting(system.lu)
+    system.matrix = Counting(system.matrix)
     return system
+
+
+def _cantilever_system(solid=None):
+    """An assembled system on a 12 x 6 cantilever, fully solid by default."""
+    mesh, boundary, _ = make_cantilever(12, 6)
+    topo = TopologyState.full(mesh) if solid is None else TopologyState(solid, solid.mean())
+    return fem.assemble(active_submesh(mesh, topo, boundary), fem.Material())
 
 
 class TestConditionEstimateExactness:
@@ -314,11 +305,11 @@ class TestConditionEstimateExactness:
     @pytest.mark.parametrize("matrix", _SYSTEMS.values(), ids=_SYSTEMS.keys())
     def test_equals_two_apply(self, matrix):
         system = fem.SystemMatrix(sp.csr_matrix(matrix), active=None)
-        assert fem.condition_estimate(system) == condition_estimate_two_apply(system)
+        assert fem.condition_estimate(system)[:2] == condition_estimate_two_apply(system)
 
     def test_capped_equals_two_apply(self):
         system = fem.SystemMatrix(sp.csr_matrix(np.diag([1.0, 4.0, 10.0])), active=None)
-        out = fem.condition_estimate(system, max_iters=3)
+        out = fem.condition_estimate(system, max_iters=3)[:2]
         assert out == condition_estimate_two_apply(system, max_iters=3)
         assert out[1] is False
 
@@ -335,19 +326,66 @@ class TestConditionEstimateExactness:
             assert getattr(new, op).calls == steps + 1
 
     def test_condition_computed_once(self, monkeypatch):
-        system = _counted_system(_seeded_spd(0))
+        system = _cantilever_system()
+        system._lu = Counting(system.lu)
+        system.matrix = Counting(system.matrix)
         calls = []
         estimate = fem.condition_estimate
-        # the property resolves condition_estimate through the module, so a
+        # the method resolves condition_estimate through the module, so a
         # wrapper installed there (as the benchmark's tracer does) sees it
         monkeypatch.setattr(fem, "condition_estimate",
-                            lambda s: calls.append(s) or estimate(s))
-        first = system.condition
+                            lambda s, **k: calls.append(s) or estimate(s, **k))
+        first = system.condition()
         counts = (system.matrix.calls, system._lu.calls)
-        assert system.condition is first
+        # a system restored by a backtrack keeps its estimate, whatever the start
+        assert system.condition(np.ones(system.active.mesh.n_dofs)) is first
         assert (system.matrix.calls, system._lu.calls) == counts
         assert calls == [system]
-        assert first == condition_estimate_two_apply(system)
+        assert first[:2] == condition_estimate_two_apply(system)
+
+
+class TestConditionWarmStart:
+    """The inverse iteration for lambda_min starts from a given mode."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_lowest_eigenvector_converges_in_two_steps(self, seed):
+        matrix = _seeded_spd(seed)
+        system = _counted_system(matrix)
+        low = np.linalg.eigh(matrix)[1][:, 0]
+        _, ok, mode = fem.condition_estimate(system, start=low)
+        assert ok and system._lu.calls <= 3
+        assert abs(mode @ low) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_degenerate_start_is_cold(self, seed, fill):
+        system = fem.SystemMatrix(sp.csr_matrix(_seeded_spd(seed)), active=None)
+        cold = fem.condition_estimate(system)
+        warm = fem.condition_estimate(system, start=np.full(system.n, fill))
+        assert warm[:2] == cold[:2] == condition_estimate_two_apply(system)
+        assert np.array_equal(warm[2], cold[2])
+
+    def test_mode_carried_through_free_dofs(self):
+        full = _cantilever_system()
+        _, _, mode = full.condition()
+        mesh = full.active.mesh
+        off = np.ones(mesh.n_dofs, dtype=bool)
+        off[full.active.free_dofs] = False
+        assert mode.shape == (mesh.n_dofs,) and not mode[off].any()
+        # the same matrix restarted from its own mode, given on the full mesh
+        again = fem.SystemMatrix(full.matrix, full.active)
+        again._lu = Counting(full.lu)
+        assert again.condition(mode)[1] and again._lu.calls <= 3
+        # a system with a few elements removed restarts from it in fewer steps
+        solid = np.ones(mesh.n_elements, dtype=bool)
+        solid[[5, 40, 41]] = False
+        lu_calls = []
+        for start in (None, mode):
+            smaller = _cantilever_system(solid)
+            smaller._lu = Counting(smaller.lu)
+            smaller.condition(start)
+            lu_calls.append(smaller._lu.calls)
+        assert lu_calls[1] < lu_calls[0]
 
 
 class TestErrorContracts:

@@ -10,7 +10,7 @@ from topt.optimizer import OptimizerConfig
 from topt.problems import builtin_problem
 from topt.sensitivity import KIND_DISPLACEMENT, ConstraintSpec
 
-from conftest import make_cantilever
+from conftest import Counting, make_cantilever
 
 
 def small_problem(nx=20, ny=10, bound=1.5, constrained=True, config=None,
@@ -211,6 +211,50 @@ class TestRoundOffRobustness:
             monkeypatch.setattr(fem, "solve", noisy_solve(solve, seed))
             noisy = optimizer.run(problem, config).topology.solid
             assert noisy.tobytes() == exact.tobytes(), f"seed {seed}"
+
+
+class TestConditionWarmStart:
+    """Each outer step's estimate starts its inverse iteration from the
+    lowest mode of the step before."""
+
+    # K products inside the estimate over one mitchell-multi run with every
+    # inverse iteration started from 1 + i/n (it then made 671 LU solves);
+    # the power iteration for lambda_max takes no warm start
+    COLD_K_PRODUCTS = 1264
+
+    @pytest.fixture(scope="class")
+    def counted_run(self):
+        tally = {"lu": 0, "k": 0}
+        estimate = fem.condition_estimate
+
+        def counted(system, **kwargs):
+            lu, matrix = system.lu, system.matrix
+            system._lu, system.matrix = Counting(lu), Counting(matrix)
+            try:
+                return estimate(system, **kwargs)
+            finally:
+                tally["lu"] += system._lu.calls
+                tally["k"] += system.matrix.calls
+                system._lu, system.matrix = lu, matrix
+
+        problem = builtin_problem("mitchell-multi")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fem, "condition_estimate", counted)
+            result = optimizer.run(problem)
+        return problem, result, tally
+
+    def test_lu_solves_within_budget(self, counted_run):
+        _, _, tally = counted_run
+        assert tally["lu"] <= 200
+        assert tally["k"] == self.COLD_K_PRODUCTS
+
+    def test_repeat_run_same_estimates(self, counted_run):
+        # the same problem object again: no mode may outlive its run
+        problem, first, _ = counted_run
+        second = optimizer.run(problem)
+        conds = [[h.cond_estimate for h in r.history] for r in (first, second)]
+        assert sum(c is not None for c in conds[0]) >= 20
+        assert conds[0] == conds[1]
 
 
 class TestMultiplierRules:
