@@ -219,8 +219,10 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
         for key in mat:
             if key not in {"e", "nu"}:
                 raise ConfigError(f"unknown key {key!r} in [material]")
-        e_mod = float(mat.get("e", e_mod))
-        nu = float(mat.get("nu", nu))
+        if "e" in mat:
+            [e_mod] = _floats(mat["e"], 1, "[material] e")
+        if "nu" in mat:
+            [nu] = _floats(mat["nu"], 1, "[material] nu")
 
     sup = parser["supports"]
     for key in sup:
@@ -231,7 +233,7 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
         parts = e.split()
         if len(parts) != 5:
             raise ConfigError(f"[supports] fix: expected 'xmin ymin xmax ymax dirs', got {e!r}")
-        box = [float(p) for p in parts[:4]]
+        box = _floats(" ".join(parts[:4]), 4, "[supports] fix")
         dirs = parts[4].lower()
         if dirs not in {"x", "y", "xy"}:
             raise ConfigError(f"[supports] fix: directions must be x, y, or xy, got {dirs!r}")

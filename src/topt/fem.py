@@ -98,7 +98,9 @@ class SystemMatrix:
 
     The matrix is factored in the order it is given, which ``assemble`` makes
     the nested-dissection order of the mesh; SuperLU's default threshold
-    pivoting may still move a pivot off the diagonal.
+    pivoting may still move a pivot off the diagonal. The factor is made on
+    first use of ``lu`` and lives until ``release()``; ``lu`` then factors
+    again on demand, to the same result. The condition estimate stays cached.
     """
 
     def __init__(self, matrix: sp.csr_matrix, active: ActiveMesh):
@@ -118,6 +120,11 @@ class SystemMatrix:
             except RuntimeError as exc:  # factorization hit an exact zero pivot
                 raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc
         return self._lu
+
+    def release(self) -> None:
+        """Drop the factorization; a SuperLU factor can hold far more memory
+        than its L and U entries."""
+        self._lu = None
 
     def condition(self, start: np.ndarray | None = None) -> tuple[float, bool, np.ndarray]:
         """``condition_estimate`` with default settings, computed once: later

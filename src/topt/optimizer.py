@@ -132,11 +132,23 @@ class _Run:
         self.low_mode: np.ndarray | None = None
         self.structural = [sensitivity.is_structural(c, self.mesh, self.boundary)
                            for c in self.constraints]
+        # the analysis the run works from, the only one whose factorization
+        # may be alive: every solve and condition estimate is made on it
+        self.live: fem.Analysis | None = None
+
+    def work_from(self, analysis: fem.Analysis | None) -> None:
+        """Make ``analysis`` the live one, releasing the factorization of
+        the one before. An older analysis made live again (a snapshot, an
+        inner-loop best) factors again only if it is solved again."""
+        if self.live is not None and self.live is not analysis:
+            self.live.system.release()
+        self.live = analysis
 
     def analyze(self, topo: TopologyState) -> fem.Analysis:
-        analysis = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases)
-        self.fea_count += analysis.n_solves
-        return analysis
+        self.work_from(None)  # before the next factorization, never after
+        self.live = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases)
+        self.fea_count += self.live.n_solves
+        return self.live
 
     def raws(self, analysis: fem.Analysis) -> list[float]:
         return [sensitivity.constraint_raw(analysis, c, self.case_index, self.include)
@@ -232,7 +244,7 @@ def fixed_point_step(run: _Run, topo: TopologyState, analysis: fem.Analysis,
     run.reuse_field = False
     for it in range(config.max_inner_iters):
         if run.fea_count + run.solves_per_inner() > config.max_total_fea:
-            return best[0], best[1], False
+            break
         if it == 0 and retry:
             # backtracked retry: re-cut the level-set that produced the last
             # accepted topology, so the smaller decrement gives a strictly
@@ -263,6 +275,7 @@ def fixed_point_step(run: _Run, topo: TopologyState, analysis: fem.Analysis,
         small_changes = small_changes + 1 if change < config.compliance_tol else 0
         if small_changes >= 2:
             return topo, analysis, True
+    run.work_from(best[1])
     return best[0], best[1], False
 
 
@@ -277,6 +290,10 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
     state = _Run(problem, config)
     topo = TopologyState.full(state.mesh)
     analysis = state.analyze(topo)
+    for case, j in zip(state.cases, analysis.compliances):
+        if j <= 0:
+            raise ValueError(f"load case {case} does no work on the full domain; its "
+                             "loads act only on fixed DOFs or cancel out")
     state.references = state.raws(analysis)
     for c, ref in zip(state.constraints, state.references):
         if ref <= 0:
@@ -297,6 +314,7 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
         False when the decrement has fallen below the minimum."""
         nonlocal topo, analysis, delta_v
         topo, analysis, relaxed = snapshot
+        state.work_from(analysis)
         state.relaxed = None if relaxed is None else relaxed.copy()
         state.reuse_field = state.relaxed is not None
         delta_v *= 0.5
@@ -304,6 +322,7 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
         return delta_v >= config.min_delta_v
 
     def finish(t: TopologyState, a: fem.Analysis, feasible: bool, msg: str) -> OptimizationResult:
+        state.work_from(None)  # the result holds no factorization
         raws = state.raws(a)
         return OptimizationResult(
             topology=t, history=state.history, feasible=feasible, message=msg,

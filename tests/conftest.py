@@ -1,5 +1,7 @@
 """Shared fixtures: small plane-stress problems used across the suite."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,13 @@ class Counting:
     def solve(self, v):
         self.calls += 1
         return self.inner.solve(v)
+
+
+def wrap_splu(monkeypatch, hook):
+    """Call ``hook(*args, **kwargs)`` ahead of each factorization. Like the
+    benchmark's tracer, this gives fem a copy of ``spla`` with ``splu``
+    wrapped, so scipy itself is left alone."""
+    splu = fem.spla.splu
+    proxy = types.SimpleNamespace(**vars(fem.spla))
+    proxy.splu = lambda *args, **kwargs: hook(*args, **kwargs) or splu(*args, **kwargs)
+    monkeypatch.setattr(fem, "spla", proxy)

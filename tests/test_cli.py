@@ -1,4 +1,10 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topt import checks
 from topt.cli import main
@@ -89,6 +95,29 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("error:") == 1
         assert err.count("\n") == 1 and where in err
 
+    @pytest.mark.parametrize("text, where", [
+        (CONFIG + "[material]\ne = 2e11x\n", "[material] e"),
+        (CONFIG + "[material]\nnu = 0.3.3\n", "[material] nu"),
+        (CONFIG.replace("0.0 0.0 0.0 1.0 xy", "0.0 0.0 0.0 1.O xy"), "[supports] fix"),
+    ], ids=["material-e", "material-nu", "supports-fix"])
+    def test_bad_number_names_key(self, tmp_path, capsys, text, where):
+        cfg = write_config(tmp_path, text)
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert err.count("\n") == 1 and where in err
+
+    def test_load_on_fixed_dofs_exit_one(self, tmp_path, capsys):
+        # the tip is held along the load's direction: the load does no work
+        text = CONFIG.replace("0.0 1.0 xy", "0.0 1.0 xy ; 2.0 0.5 2.0 0.5 y").replace(
+            "displacement = 1 2.0 0.5 0.0 -1.0 1.5", "compliance = 1 1.5")
+        code = main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: load case 1 does no work") and err.count("\n") == 1
+
     def test_mesh_scale_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -125,3 +154,101 @@ class TestVerifyCommand:
         assert code == 1
         assert out.count("FAIL") == 1 and out.count("PASS") == 2
         assert "FAIL  tau cut volume exactness" in out
+
+
+@st.composite
+def _small_problems(draw):
+    """A config document of a random small problem: at most 12 x 6
+    elements, random masks, support boxes, load points and bounds, and a
+    budget of at most 60 FEA solves."""
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    h = draw(st.sampled_from([0.25, 0.5, 1.0]))  # elements are square
+    width, height = nx * h, ny * h
+
+    def coordinate(n):
+        # mostly on a node line, sometimes anywhere, rarely a little outside
+        kind = draw(st.integers(0, 7))
+        if kind > 1:
+            return draw(st.integers(0, n)) * h
+        return draw(st.floats(0.0, n * h) if kind else st.floats(-0.1 * n * h, 1.1 * n * h))
+
+    def x():
+        return coordinate(nx)
+
+    def y():
+        return coordinate(ny)
+
+    def box():
+        x0, x1, y0, y1 = sorted([x(), x()]) + sorted([y(), y()])
+        return f"{x0!r} {y0!r} {x1!r} {y1!r}"
+
+    def mask():
+        # a hole between node lines, or rarely any box (maybe degenerate)
+        if not draw(st.integers(0, 3)):
+            return box()
+        x0, x1 = sorted(draw(st.lists(st.integers(0, nx), min_size=2, max_size=2, unique=True)))
+        y0, y1 = sorted(draw(st.lists(st.integers(0, ny), min_size=2, max_size=2, unique=True)))
+        return f"{x0 * h!r} {y0 * h!r} {x1 * h!r} {y1 * h!r}"
+
+    def support():
+        # often a whole side, which holds the rigid-body modes
+        side = draw(st.sampled_from([None, "left", "right", "bottom"]))
+        edge = {None: box(), "left": f"0.0 0.0 0.0 {height!r}",
+                "right": f"{width!r} 0.0 {width!r} {height!r}",
+                "bottom": f"0.0 0.0 {width!r} 0.0"}[side]
+        return f"{edge} {draw(st.sampled_from(['x', 'y', 'xy', 'xy', 'xy']))}"
+
+    def direction():
+        dx, dy = draw(st.sampled_from([(0.0, -1.0), (1.0, 0.0), (0.6, 0.8), (-1.0, 1.0)]))
+        return f"{dx!r} {dy!r}"
+
+    def entries(make, min_size):
+        return " ; ".join(make() for _ in range(draw(st.integers(min_size, 2))))
+
+    cases = draw(st.sampled_from([[1], [1, 2]]))
+    case = st.sampled_from(cases)
+    bound = st.sampled_from([0.5, 1.0, 1.01, 1.1, 1.5, 3.0, 1000.0])
+    lines = ["[domain]", f"width = {width!r}", f"height = {height!r}", f"nx = {nx}", f"ny = {ny}"]
+    if not draw(st.integers(0, 3)):
+        lines.append("mask = " + entries(mask, 1))
+    lines += ["[supports]", "fix = " + entries(support, 1)]
+    loads = [f"{c} {x()!r} {y()!r} {direction()} {draw(st.sampled_from([1.0, 2.5, -1.0]))!r}"
+             for c in cases]
+    lines += ["[loads]", "load = " + " ; ".join(loads)]
+    constraints = [
+        ("displacement", lambda: f"{draw(case)} {x()!r} {y()!r} {direction()} {draw(bound)!r}"),
+        ("stress", lambda: f"{draw(case)} {draw(bound)!r}"),
+        ("compliance", lambda: f"{draw(case)} {draw(bound)!r}"),
+    ]
+    lines.append("[constraints]")
+    constrained = False
+    for key, make in constraints:
+        if draw(st.booleans()):
+            lines.append(f"{key} = " + entries(make, 1))
+            constrained = True
+    lines += ["[optimizer]", f"max_total_fea = {draw(st.integers(1, 60))}",
+              f"max_inner_iters = {draw(st.integers(1, 5))}",
+              f"track_condition = {draw(st.sampled_from(['on', 'off']))}",
+              f"filter = {draw(st.sampled_from(['on', 'off']))}"]
+    # without a constraint a run needs a target; rarely it gets neither
+    if not constrained and draw(st.integers(0, 7)) or draw(st.booleans()):
+        lines.append(f"target_vf = {draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestRandomProblems:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_small_problems())
+    def test_documented_exit(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "problem.ini"
+            cfg.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+        else:
+            assert err == "" and out.startswith("problem: ")

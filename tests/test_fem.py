@@ -1,8 +1,7 @@
-import types
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from topt import fem
 from topt.mesh import (DomainSpec, PointLoad, TopologyError, TopologyState, active_submesh,
@@ -10,7 +9,7 @@ from topt.mesh import (DomainSpec, PointLoad, TopologyError, TopologyState, acti
 from topt.problems import BUILTIN_NAMES, builtin_problem
 
 from _oracles import assemble_coo, closed_form_ke, condition_estimate_two_apply
-from conftest import Counting, make_cantilever, topology_draws, uniaxial_element
+from conftest import Counting, make_cantilever, topology_draws, uniaxial_element, wrap_splu
 
 
 def assert_matches_coo(active, material):
@@ -388,6 +387,33 @@ class TestConditionWarmStart:
         assert lu_calls[1] < lu_calls[0]
 
 
+class TestRelease:
+    """A released system factors again on demand, to the same result."""
+
+    def test_solve_after_release_refactors_bit_equal(self, monkeypatch):
+        mesh, boundary, _ = make_cantilever(12, 6)
+        system = fem.assemble(active_submesh(mesh, TopologyState.full(mesh), boundary),
+                              fem.Material())
+        f = fem.load_vector(mesh, boundary, 1)
+        before = fem.solve(system, f)
+        system.release()
+        assert system._lu is None
+        calls = []
+        wrap_splu(monkeypatch, lambda *a, **k: calls.append(a))
+        after = fem.solve(system, f)
+        assert len(calls) == 1 and system._lu is not None
+        assert after.tobytes() == before.tobytes()
+
+    def test_condition_of_released_system_is_cached(self, monkeypatch):
+        system = _cantilever_system()
+        first = system.condition()
+        system.release()
+        calls = []
+        wrap_splu(monkeypatch, lambda *a, **k: calls.append(a))
+        assert system.condition() is first
+        assert calls == [] and system._lu is None
+
+
 class TestErrorContracts:
     def test_singular_system_reported(self):
         # two fixed DOFs leave a rigid rotation: the factorization or the
@@ -412,11 +438,7 @@ class TestFactorization:
 
     def test_symmetric_ordering_through_module_splu(self, lbracket_scale2, monkeypatch):
         calls = []
-        splu = fem.spla.splu
-        # the benchmark's tracer swaps fem.spla for a proxy; so does this
-        proxy = types.SimpleNamespace(**vars(fem.spla))
-        proxy.splu = lambda *a, **k: calls.append((a, k)) or splu(*a, **k)
-        monkeypatch.setattr(fem, "spla", proxy)
+        wrap_splu(monkeypatch, lambda *a, **k: calls.append((a, k)))
         lu = fem.SystemMatrix(lbracket_scale2, active=None).lu
         [(args, kwargs)] = calls
         assert kwargs == {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
@@ -426,7 +448,7 @@ class TestFactorization:
         n = lbracket_scale2.shape[0]
         assert np.array_equal(lu.perm_r, lu.perm_c)
         assert np.array_equal(lu.perm_c, np.arange(n))
-        colamd = splu(lbracket_scale2.tocsc())
+        colamd = spla.splu(lbracket_scale2.tocsc())
         assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 

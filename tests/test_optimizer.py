@@ -8,14 +8,16 @@ from topt.config import finalize_problem
 from topt.mesh import Point2, PointLoad
 from topt.optimizer import OptimizerConfig
 from topt.problems import builtin_problem
-from topt.sensitivity import KIND_DISPLACEMENT, ConstraintSpec
+from topt.sensitivity import KIND_DISPLACEMENT, KIND_PNORM_STRESS, ConstraintSpec
 
-from conftest import Counting, make_cantilever
+from conftest import Counting, make_cantilever, wrap_splu
 
 
 def small_problem(nx=20, ny=10, bound=1.5, constrained=True, config=None,
-                  extra_q=False):
-    """Desk-size cantilever problem for optimizer behavior tests."""
+                  extra_q=False, q_bound=None, stress_bound=None):
+    """Desk-size cantilever problem for optimizer behavior tests: the tip
+    displacement, optionally a remote point's (bounded by ``q_bound``,
+    default ``bound``) and the p-norm stress."""
     mesh, boundary, tip = make_cantilever(nx=nx, ny=ny)
     constraints = []
     if constrained:
@@ -24,8 +26,10 @@ def small_problem(nx=20, ny=10, bound=1.5, constrained=True, config=None,
             point=Point2(2.0, 0.5), direction=(0.0, -1.0)))
     if extra_q:
         constraints.append(ConstraintSpec(
-            kind=KIND_DISPLACEMENT, case=1, bound=bound,
+            kind=KIND_DISPLACEMENT, case=1, bound=bound if q_bound is None else q_bound,
             point=Point2(1.0, 1.0), direction=(0.0, -1.0)))
+    if stress_bound is not None:
+        constraints.append(ConstraintSpec(kind=KIND_PNORM_STRESS, case=1, bound=stress_bound))
     return finalize_problem("test-cantilever", mesh, boundary,
                             fem.Material(), constraints,
                             config or OptimizerConfig())
@@ -255,6 +259,92 @@ class TestConditionWarmStart:
         conds = [[h.cond_estimate for h in r.history] for r in (first, second)]
         assert sum(c is not None for c in conds[0]) >= 20
         assert conds[0] == conds[1]
+
+
+def builtin_with(name, **settings):
+    """A built-in problem with some optimizer settings changed."""
+    problem = builtin_problem(name)
+    problem.config = replace(problem.config, **settings)
+    return problem
+
+
+class FactorLedger:
+    """Records every analysis of the runs made while installed, and counts
+    factorizations and those made while another system still held one."""
+
+    def __init__(self, monkeypatch):
+        self.systems: list[fem.SystemMatrix] = []
+        self.factorizations = 0
+        self.overlapping = 0
+        analyze = fem.analyze
+
+        def recorded(*args, **kwargs):
+            analysis = analyze(*args, **kwargs)
+            self.systems.append(analysis.system)
+            return analysis
+
+        def factoring(*args, **kwargs):
+            self.factorizations += 1
+            self.overlapping += any(s._lu is not None for s in self.systems)
+
+        monkeypatch.setattr(fem, "analyze", recorded)
+        wrap_splu(monkeypatch, factoring)
+
+
+class TestOneFactorization:
+    """A run holds at most one sparse factorization at a time."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: small_problem(extra_q=True),
+        lambda: builtin_with("cantilever-single", filter_enabled=True),
+    ], ids=["remote-q", "cantilever-filter"])
+    def test_one_factorization_alive(self, make, monkeypatch):
+        problem = make()
+        ledger = FactorLedger(monkeypatch)
+        result = optimizer.run(problem)
+        analyses = len(ledger.systems)
+        # real adjoint solves ran, all on the newest analysis: none refactored
+        assert result.fea_count > analyses * len(problem.boundary.load_cases())
+        assert ledger.factorizations == analyses
+        assert ledger.overlapping == 0
+        assert result.analysis.system._lu is None
+
+    def test_result_holds_no_factorization(self, monkeypatch):
+        ledger = FactorLedger(monkeypatch)
+        result = optimizer.run(small_problem(constrained=False, config=OptimizerConfig(
+            target_vf=0.9, track_condition=False)))
+        # the run ends on its newest analysis, and releases that one too
+        assert result.analysis.system is ledger.systems[-1]
+        assert result.analysis.system._lu is None
+
+    @pytest.mark.parametrize("make, refactors", [
+        # each backtrack to the full domain rebuilds its field with an
+        # adjoint solve on the released full-domain system
+        (lambda: small_problem(extra_q=True, q_bound=1.001,
+                               config=OptimizerConfig(max_inner_iters=1)), True),
+        (lambda: builtin_with("mitchell-multi", max_inner_iters=1), False),
+        # a non-converged inner loop returns its best, whose adjoint solves
+        # then factor it again
+        (lambda: small_problem(extra_q=True, q_bound=5.0, stress_bound=1.05,
+                               config=OptimizerConfig(max_inner_iters=3)), True),
+        # a first cut too large for the bounds: after the backtrack the
+        # full domain's field is rebuilt by an adjoint solve, so the violated
+        # analysis made since must already have released its factor
+        (lambda: small_problem(extra_q=True, bound=1.05,
+                               config=OptimizerConfig(delta_v=0.2)), True),
+        (lambda: small_problem(bound=1.3), False),
+    ], ids=["inner-1-remote-q", "inner-1-mitchell", "inner-3-stress", "first-cut-backtrack",
+            "backtracking"])
+    def test_history_equals_unreleased(self, make, refactors, monkeypatch):
+        ledger = FactorLedger(monkeypatch)
+        released = optimizer.run(make())
+        assert (ledger.factorizations > len(ledger.systems)) == refactors
+        assert ledger.overlapping == 0
+        monkeypatch.setattr(fem.SystemMatrix, "release", lambda self: None)
+        kept = optimizer.run(make())
+        assert any(h.achieved_vf > prev.achieved_vf
+                   for prev, h in zip(released.history, released.history[1:]))
+        assert released.history == kept.history
 
 
 class TestMultiplierRules:
