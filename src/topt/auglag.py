@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sensitivity import SensitivityField, normalize_and_protect
+from .sensitivity import normalize_and_protect
 
 MULTIPLIER_RULES = ("paper", "standard")
 
@@ -57,23 +57,22 @@ def coefficient(g: float, mu: float, gamma: float) -> float:
     return c if c > 0 else 0.0
 
 
-def combine_level_sets(t_obj: SensitivityField,
-                       constraints: list[tuple[SensitivityField, float, float, float]]
-                       ) -> SensitivityField:
-    """T_L = T_obj - sum_i c_i * T_gi, then normalized and protected.
+def combine_level_sets(t_obj: np.ndarray,
+                       constraints: list[tuple[np.ndarray, float, float, float]]
+                       ) -> np.ndarray:
+    """T_L = T_obj - sum_i c_i * T_gi, then normalized.
 
     ``constraints`` holds (field, g, mu, gamma) tuples; a constraint whose
     branch condition mu - gamma*g <= 0 contributes exactly zero.
     """
-    values = t_obj.values.copy()
-    n = len(values)
+    values = t_obj
     for field_i, g, mu, gamma in constraints:
-        if len(field_i.values) != n:
+        if len(field_i) != len(t_obj):
             raise ValueError("sensitivity field size mismatch")
         c = coefficient(g, mu, gamma)
         if c > 0.0:
-            values = values - c * field_i.values
-    return normalize_and_protect(SensitivityField(values=values), t_obj.protected_mask())
+            values = values - c * field_i
+    return normalize_and_protect(values)
 
 
 def update_multipliers(state: ALState, g: np.ndarray, rule: str = "paper") -> ALState:

@@ -62,7 +62,7 @@ def tau_gap(rng: np.random.Generator, trials: int, max_n: int) -> float:
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(10, max_n))
-        field = sensitivity.SensitivityField(values=rng.normal(size=n))
+        field = rng.normal(size=n)
         target = float(rng.uniform(0.01, 1.0))
         topo = levelset.extract_domain(field, levelset.find_tau(field, target))
         worst = max(worst, abs(topo.volume_fraction - target) * n)

@@ -297,6 +297,9 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
 
 
 def _optimizer_config(overrides: tuple[tuple[str, str], ...]) -> OptimizerConfig:
+    if {"filter", "filter_enabled"} <= {key for key, _ in overrides}:
+        raise ConfigError("[optimizer]: filter and filter_enabled name one setting; "
+                          "set only one of them")
     kwargs = {}
     for key, value in overrides:
         if key == "filter":

@@ -176,9 +176,10 @@ def assemble(active: ActiveMesh, material: Material) -> SystemMatrix:
 def solve(system: SystemMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve K u = f; returns the full-mesh DOF vector (zeros off the free set).
 
-    The accepted solution satisfies ||Ku - f|| / ||f|| <= 1e-8; a residual
-    failure on a factorizable matrix is reported as a singular system, since
-    with a direct solver that is the only way the contract can break.
+    The accepted solution satisfies ||Ku - f|| / ||f|| <= 1e-8. A residual
+    failure on a factorizable matrix raises ``SolveError`` naming a singular
+    system, since with a direct solver that is the only way the contract can
+    break: the supports leave a rigid-body mode.
     """
     mesh = system.active.mesh
     r = rhs[system.active.free_dofs]
@@ -191,7 +192,8 @@ def solve(system: SystemMatrix, rhs: np.ndarray) -> np.ndarray:
         raise SingularSystemError("solution contains non-finite values (singular system)")
     residual = np.linalg.norm(system.matrix @ x - r) / fnorm
     if residual > RESIDUAL_TOL:
-        raise SolveError(f"relative residual {residual:.3e} exceeds {RESIDUAL_TOL}")
+        raise SolveError(f"singular stiffness system: relative residual {residual:.3e} "
+                         f"exceeds {RESIDUAL_TOL}; the supports likely leave a rigid-body mode")
     u_full[system.active.free_dofs] = x
     return u_full
 

@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import Mesh, TopologyState
-from .sensitivity import SensitivityField
 
 
 CUT_GRID = 1e9  # field values are compared on a 1e-9 grid
 
 
-def cut_key(field: SensitivityField) -> np.ndarray:
+def cut_key(field: np.ndarray) -> np.ndarray:
     """Distinct per-element ranking key, within 1e-9 of the field values.
 
     The values are rounded to a 1e-9 grid, so gaps left by solver round-off
@@ -21,11 +20,11 @@ def cut_key(field: SensitivityField) -> np.ndarray:
     key is ordering them by (rounded value descending, index ascending).
     The key stays distinct for fields of order one on up to ~10^6 elements.
     """
-    n = len(field.values)
-    return (np.round(field.values * CUT_GRID) - np.arange(n) / (2.0 * n)) / CUT_GRID
+    n = len(field)
+    return (np.round(field * CUT_GRID) - np.arange(n) / (2.0 * n)) / CUT_GRID
 
 
-def find_tau(field: SensitivityField, target_vf: float) -> float:
+def find_tau(field: np.ndarray, target_vf: float) -> float:
     """Cut-off on ``cut_key(field)`` whose strict super-level set keeps the
     top k = round(target_vf * n) elements: tau lies between the keys of
     ranks k - 1 and k. Protected elements carry the maximum field value,
@@ -47,19 +46,20 @@ def find_tau(field: SensitivityField, target_vf: float) -> float:
     return float(tau if tau < hi else lo)
 
 
-def extract_domain(field: SensitivityField, tau: float) -> TopologyState:
-    """Solid set {cut_key(field) > tau}; protected elements stay solid
+def extract_domain(field: np.ndarray, tau: float,
+                   protected: np.ndarray | None = None) -> TopologyState:
+    """Solid set {cut_key(field) > tau}; ``protected`` elements stay solid
     regardless."""
     if not np.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     solid = cut_key(field) > tau
-    solid |= field.protected_mask()
-    n = len(solid)
-    return TopologyState(solid=solid, volume_fraction=float(solid.sum()) / n)
+    if protected is not None:
+        solid |= protected
+    return TopologyState(solid=solid)
 
 
-def extend_into_skin(field: SensitivityField, mesh: Mesh,
-                     solid: np.ndarray, weight: float = 1.0) -> SensitivityField:
+def extend_into_skin(values: np.ndarray, mesh: Mesh,
+                     solid: np.ndarray, weight: float = 1.0) -> np.ndarray:
     """Continue the field across the solid boundary: a void element adjacent
     to solid receives the mean over its full 4-neighborhood, with void (and
     domain-exterior) neighbors represented by the element's own baseline
@@ -73,7 +73,6 @@ def extend_into_skin(field: SensitivityField, mesh: Mesh,
     1 = full); the optimizer shrinks it with the volume decrement so that
     fine backtracking steps trim instead of relocating.
     """
-    values = field.values
     nbr_sum = np.zeros(len(values))
     nbr_cnt = np.zeros(len(values))
     for col in (1, 0, 3, 2):  # fixed summation order keeps results bit-stable
@@ -86,10 +85,10 @@ def extend_into_skin(field: SensitivityField, mesh: Mesh,
     out = values.copy()
     ext = (nbr_sum[skin] + (4.0 - nbr_cnt[skin]) * values[skin]) / 4.0
     out[skin] = values[skin] + weight * (ext - values[skin])
-    return SensitivityField(values=out, protected=field.protected)
+    return out
 
 
-def smooth_filter(field: SensitivityField, mesh: Mesh, radius: float) -> SensitivityField:
+def smooth_filter(field: np.ndarray, mesh: Mesh, radius: float) -> np.ndarray:
     """Cone-weighted average over element centroids within ``radius`` (in the
     same length units as the mesh); radius 0 is the identity."""
     if radius < 0:
@@ -97,4 +96,4 @@ def smooth_filter(field: SensitivityField, mesh: Mesh, radius: float) -> Sensiti
     if radius == 0.0:
         return field
     H, Hs = mesh.cone_filter(radius)
-    return SensitivityField(values=(H @ field.values) / Hs, protected=field.protected)
+    return (H @ field) / Hs

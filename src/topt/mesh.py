@@ -293,14 +293,17 @@ class TopologyState:
     """Solid/void characteristic set over the mesh elements."""
 
     solid: np.ndarray  # (n_elements,) bool
-    volume_fraction: float
 
     @classmethod
     def full(cls, mesh: Mesh) -> "TopologyState":
-        return cls(solid=np.ones(mesh.n_elements, dtype=bool), volume_fraction=1.0)
+        return cls(solid=np.ones(mesh.n_elements, dtype=bool))
 
     def count(self) -> int:
         return int(self.solid.sum())
+
+    @property
+    def volume_fraction(self) -> float:
+        return self.count() / len(self.solid)
 
 
 def build_mesh(spec: DomainSpec) -> tuple[Mesh, BoundarySpec]:
@@ -437,7 +440,7 @@ def repair_connectivity(mesh: Mesh, topo: TopologyState, previous: TopologyState
             e = parent[e]
     if np.array_equal(solid, topo.solid):
         return topo
-    return TopologyState(solid=solid, volume_fraction=float(solid.sum()) / mesh.n_elements)
+    return TopologyState(solid=solid)
 
 
 def active_submesh(mesh: Mesh, topo: TopologyState, boundary: BoundarySpec) -> ActiveMesh:

@@ -100,7 +100,7 @@ class OptimizationResult:
     message: str
     fea_count: int
     analysis: fem.Analysis | None = None
-    field: sensitivity.SensitivityField | None = None
+    field: np.ndarray | None = None  # the last level-set built
     references: list[float] = dc_field(default_factory=list)
     constraint_values: list[float] = dc_field(default_factory=list)  # raw/ref, final
     rel_compliance: list[float] = dc_field(default_factory=list)     # per case, final
@@ -123,7 +123,7 @@ class _Run:
         self.references: list[float] = []
         self.j0: list[float] = []
         self.history: list[HistoryRecord] = []
-        self.last_field: sensitivity.SensitivityField | None = None
+        self.last_field: np.ndarray | None = None
         self.relaxed: np.ndarray | None = None
         self.skin_weight = 1.0
         self.reuse_field = False
@@ -176,8 +176,7 @@ class _Run:
             cond_estimate=cond,
         ))
 
-    def build_field(self, analysis: fem.Analysis,
-                    al: auglag.ALState) -> sensitivity.SensitivityField:
+    def build_field(self, analysis: fem.Analysis, al: auglag.ALState) -> np.ndarray:
         """Augmented level-set of the current state (adjoint solves counted)."""
         if not self.constraints:
             combined = sensitivity.compliance_field(analysis, self.material)
@@ -198,8 +197,7 @@ class _Run:
                 self.boundary, self.include, self.case_index)
             self.fea_count += cf.adjoint_solves
             g = np.maximum(g_raw, -window)
-            combos = [(sensitivity.SensitivityField(values=ramp[i] * f.values),
-                       g[i], al.mu[i], al.gamma[i])
+            combos = [(ramp[i] * f, g[i], al.mu[i], al.gamma[i])
                       for i, f in zip(engaged, cf.fields)]
             t_obj = sensitivity.sensitivity_volume(self.mesh.n_elements)
             combined = auglag.combine_level_sets(t_obj, combos)
@@ -212,9 +210,8 @@ class _Run:
         if self.relaxed is not None:
             # exponential field memory: keeps successive cuts from relocating
             # large regions at once, which would sever load paths mid-flight
-            out = sensitivity.SensitivityField(
-                values=0.5 * (out.values + self.relaxed), protected=out.protected)
-        self.relaxed = out.values
+            out = 0.5 * (out + self.relaxed)
+        self.relaxed = out
         self.last_field = out
         return out
 
@@ -240,7 +237,7 @@ def fixed_point_step(run: _Run, topo: TopologyState, analysis: fem.Analysis,
     best_j = max(run.rel_compliance(analysis))
     small_changes = 0
     prev_j = np.array(analysis.compliances)
-    retry = run.reuse_field and run.relaxed is not None
+    retry = run.reuse_field
     run.reuse_field = False
     for it in range(config.max_inner_iters):
         if run.fea_count + run.solves_per_inner() > config.max_total_fea:
@@ -249,12 +246,11 @@ def fixed_point_step(run: _Run, topo: TopologyState, analysis: fem.Analysis,
             # backtracked retry: re-cut the level-set that produced the last
             # accepted topology, so the smaller decrement gives a strictly
             # nested (hence strictly milder) perturbation
-            field = sensitivity.SensitivityField(
-                values=run.relaxed, protected=run.protected)
+            field = run.relaxed
         else:
             field = run.build_field(analysis, al)
         tau = levelset.find_tau(field, target_vf)
-        new_topo = levelset.extract_domain(field, tau)
+        new_topo = levelset.extract_domain(field, tau, run.protected)
         new_topo = repair_connectivity(run.mesh, new_topo, topo, run.boundary)
         if np.array_equal(new_topo.solid, topo.solid):
             return topo, analysis, True
@@ -313,9 +309,8 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
         """Restore the last feasible state and halve the decrement; returns
         False when the decrement has fallen below the minimum."""
         nonlocal topo, analysis, delta_v
-        topo, analysis, relaxed = snapshot
+        topo, analysis, state.relaxed = snapshot
         state.work_from(analysis)
-        state.relaxed = None if relaxed is None else relaxed.copy()
         state.reuse_field = state.relaxed is not None
         delta_v *= 0.5
         state.skin_weight = delta_v / config.delta_v
@@ -344,8 +339,7 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
         state.record(step, topo.volume_fraction, analysis, g, al, cond)
 
         if np.all(g <= 0.0):
-            snapshot = (topo, analysis,
-                        None if state.relaxed is None else state.relaxed.copy())
+            snapshot = (topo, analysis, state.relaxed)
             if config.target_vf is not None and \
                     topo.volume_fraction <= config.target_vf + 1e-12:
                 message = "target volume fraction reached"

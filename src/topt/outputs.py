@@ -53,7 +53,7 @@ def write_vtk(problem: ProblemSpec, result: OptimizationResult, path: Path) -> N
         vm = np.maximum.reduce(result.analysis.vonmises)
     else:
         vm = np.zeros(mesh.n_elements)
-    t_l = result.field.values if result.field is not None else np.zeros(mesh.n_elements)
+    t_l = result.field if result.field is not None else np.zeros(mesh.n_elements)
 
     lines.append(f"CELL_DATA {mesh.n_elements}")
     for name, data in (("density", density), ("von_mises", vm), ("T_L", t_l)):

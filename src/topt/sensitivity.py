@@ -16,7 +16,7 @@ elements above the constant volume field and the threshold cut keeps them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,38 +65,22 @@ class ConstraintSpec:
         return replace(self, node=locate_node(mesh, self.point))
 
 
-@dataclass
-class SensitivityField:
-    """Per-element level-set values with optional protection pins."""
-
-    values: np.ndarray
-    protected: np.ndarray | None = None  # bool mask
-
-    def protected_mask(self) -> np.ndarray:
-        if self.protected is None:
-            return np.zeros(len(self.values), dtype=bool)
-        return self.protected
-
-
-def sensitivity_volume(n_elements: int, protected: np.ndarray | None = None) -> SensitivityField:
+def sensitivity_volume(n_elements: int) -> np.ndarray:
     """Constant -1 field: removing a unit of area removes a unit of volume."""
-    return SensitivityField(values=np.full(n_elements, -1.0), protected=protected)
+    return np.full(n_elements, -1.0)
 
 
-def normalize_and_protect(field: SensitivityField,
-                          protected: np.ndarray | None = None) -> SensitivityField:
+def normalize_and_protect(values: np.ndarray,
+                          protected: np.ndarray | None = None) -> np.ndarray:
     """Scale so max|T| over non-protected elements is 1, then pin protected
     elements to +2 (strictly above any normalized value). An all-zero field
-    is returned unchanged."""
-    if protected is None:
-        protected = field.protected_mask()
-    values = field.values.copy()
-    free = ~protected
-    peak = np.max(np.abs(values[free])) if free.any() else 0.0
-    if peak != 0.0:
-        values = values / peak
-    values[protected] = PROTECTED_VALUE
-    return SensitivityField(values=values, protected=protected)
+    is returned as an equal copy."""
+    free = values if protected is None else values[~protected]
+    peak = np.max(np.abs(free)) if free.size else 0.0
+    out = values / peak if peak != 0.0 else values.copy()
+    if protected is not None:
+        out[protected] = PROTECTED_VALUE
+    return out
 
 
 def protected_elements(mesh: Mesh, boundary: BoundarySpec) -> np.ndarray:
@@ -109,14 +93,13 @@ def protected_elements(mesh: Mesh, boundary: BoundarySpec) -> np.ndarray:
 
 
 def topo_sensitivity(primal: fem.TensorField, adjoint: fem.TensorField,
-                     nu: float) -> SensitivityField:
+                     nu: float) -> np.ndarray:
     """Closed-form 2-D topological sensitivity from primal stress and adjoint
     strain (zero wherever either field is zero, i.e. on void elements)."""
     s, e = primal.stress, adjoint.strain
     contraction = s[:, 0] * e[:, 0] + s[:, 1] * e[:, 1] + 2.0 * s[:, 2] * e[:, 2]
     traces = (s[:, 0] + s[:, 1]) * (e[:, 0] + e[:, 1])
-    values = -4.0 / (1.0 + nu) * contraction + (1.0 - 3.0 * nu) / (1.0 - nu * nu) * traces
-    return SensitivityField(values=values)
+    return -4.0 / (1.0 + nu) * contraction + (1.0 - 3.0 * nu) / (1.0 - nu * nu) * traces
 
 
 def adjoint_rhs_point_displacement(mesh: Mesh, boundary: BoundarySpec,
@@ -228,7 +211,7 @@ def is_structural(spec: ConstraintSpec, mesh: Mesh, boundary: BoundarySpec) -> b
 class ConstraintFields:
     """Per-constraint normalized level-set fields plus solve bookkeeping."""
 
-    fields: list[SensitivityField]
+    fields: list[np.ndarray]
     adjoint_solves: int
 
 
@@ -259,7 +242,7 @@ def constraint_fields(analysis: fem.Analysis, constraints: list[ConstraintSpec],
     nu = material.nu
     adjoint_cache: dict[tuple, fem.TensorField] = {}
     solves = 0
-    fields: list[SensitivityField] = []
+    fields: list[np.ndarray] = []
     for spec, ref in zip(constraints, references):
         i = case_index[spec.case]
         primal = analysis.tensors[i]
@@ -284,7 +267,7 @@ def constraint_fields(analysis: fem.Analysis, constraints: list[ConstraintSpec],
             rhs, degenerate = adjoint_rhs_pnorm(analysis.active, primal, material,
                                                 spec.p_exponent, include)
             if degenerate:
-                fields.append(SensitivityField(values=np.zeros(mesh.n_elements)))
+                fields.append(np.zeros(mesh.n_elements))
                 continue
             lam = fem.solve(analysis.system, rhs)
             adj = fem.recover(analysis.active, lam, material)
@@ -294,12 +277,11 @@ def constraint_fields(analysis: fem.Analysis, constraints: list[ConstraintSpec],
             adj = fem.recover(analysis.active, -u, material)
 
         raw = topo_sensitivity(primal, adj, nu)
-        margin = SensitivityField(values=-raw.values / ref)
-        fields.append(normalize_and_protect(margin))
+        fields.append(normalize_and_protect(-raw / ref))
     return ConstraintFields(fields=fields, adjoint_solves=solves)
 
 
-def compliance_field(analysis: fem.Analysis, material: fem.Material) -> SensitivityField:
+def compliance_field(analysis: fem.Analysis, material: fem.Material) -> np.ndarray:
     """Summed compliance sensitivity over all load cases (each normalized),
     used as the level-set for unconstrained pareto tracing."""
     mesh = analysis.active.mesh
@@ -307,6 +289,5 @@ def compliance_field(analysis: fem.Analysis, material: fem.Material) -> Sensitiv
     for u, tensors in zip(analysis.displacements, analysis.tensors):
         adj = fem.recover(analysis.active, -u, material)
         t = topo_sensitivity(tensors, adj, material.nu)
-        normed = normalize_and_protect(t)
-        total += normed.values
-    return SensitivityField(values=total)
+        total += normalize_and_protect(t)
+    return total

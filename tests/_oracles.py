@@ -9,6 +9,8 @@ estimate is checked against the power iteration it replaced, which applied
 each operator twice per step. The skin extension, the connectivity repair,
 the protected patch and the support-box matching are checked against the
 grid-rolling, grid-walking, set-based and per-node versions they replaced.
+The field normalization and the augmented-Lagrangian combination are checked
+against their first form, which always copied the field before changing it.
 """
 
 from collections import deque
@@ -18,7 +20,6 @@ import scipy.sparse as sp
 
 from topt import fem
 from topt.mesh import TopologyState, _support_connected
-from topt.sensitivity import SensitivityField
 
 
 def closed_form_ke(E: float, nu: float) -> np.ndarray:
@@ -70,9 +71,7 @@ def hole_drilling(mesh, boundary, material, elements) -> np.ndarray:
     for idx, e in enumerate(elements):
         solid = np.ones(mesh.n_elements, dtype=bool)
         solid[e] = False
-        topo = TopologyState(solid=solid,
-                             volume_fraction=(mesh.n_elements - 1) / mesh.n_elements)
-        a = fem.analyze(mesh, boundary, material, topo)
+        a = fem.analyze(mesh, boundary, material, TopologyState(solid=solid))
         out[idx] = (a.compliances[0] - j0) / mesh.element_area
     return out
 
@@ -173,6 +172,31 @@ def condition_estimate_two_apply(system, tol: float = 1e-4,
     return lam_max * inv_min, ok_max and ok_min
 
 
+def normalize_and_protect_copying(values, protected=None):
+    """Normalization as first written: copy, divide by the peak over
+    unprotected elements, then pin the protected elements to +2."""
+    if protected is None:
+        protected = np.zeros(len(values), dtype=bool)
+    out = values.copy()
+    free = ~protected
+    peak = np.max(np.abs(out[free])) if free.any() else 0.0
+    if peak != 0.0:
+        out = out / peak
+    out[protected] = 2.0
+    return out
+
+
+def combine_level_sets_copying(t_obj, constraints):
+    """T_obj - sum c_i T_gi over the (field, g, mu, gamma) tuples whose
+    coefficient c = mu - gamma g is positive, on a copy, then normalized."""
+    values = t_obj.copy()
+    for field, g, mu, gamma in constraints:
+        c = mu - gamma * g
+        if c > 0.0:
+            values = values - c * field
+    return normalize_and_protect_copying(values)
+
+
 def extend_into_skin_rolled(field, mesh, solid, weight: float = 1.0):
     """Skin extension on the structured grid: each neighbour is a rolled copy
     of the grid with the wrapped-around border zeroed."""
@@ -181,7 +205,7 @@ def extend_into_skin_rolled(field, mesh, solid, weight: float = 1.0):
     vals = np.zeros((nx, ny))
     present = np.zeros((nx, ny), dtype=bool)
     solid_grid = np.zeros((nx, ny), dtype=bool)
-    vals[gi, gj] = field.values
+    vals[gi, gj] = field
     present[gi, gj] = True
     solid_grid[gi, gj] = solid
 
@@ -197,9 +221,7 @@ def extend_into_skin_rolled(field, mesh, solid, weight: float = 1.0):
     out_grid = vals.copy()
     ext = (nbr_sum[skin] + (4.0 - nbr_cnt[skin]) * vals[skin]) / 4.0
     out_grid[skin] = vals[skin] + weight * (ext - vals[skin])
-    out = field.values.copy()
-    out[:] = out_grid[gi, gj]
-    return SensitivityField(values=out, protected=field.protected)
+    return out_grid[gi, gj]
 
 
 def _rolled_ok(mask: np.ndarray, axis: int, shift: int) -> np.ndarray:
@@ -267,7 +289,7 @@ def repair_connectivity_grid(mesh, topo, previous, boundary):
             e = parent[e]
     if not changed:
         return topo
-    return TopologyState(solid=solid, volume_fraction=float(solid.sum()) / mesh.n_elements)
+    return TopologyState(solid=solid)
 
 
 def protected_elements_by_set(mesh, boundary) -> np.ndarray:

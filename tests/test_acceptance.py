@@ -11,7 +11,6 @@ from topt.auglag import ALState
 from topt.mesh import TopologyState
 from topt.optimizer import OptimizerConfig
 from topt.problems import builtin_problem, scale_loads
-from topt.sensitivity import SensitivityField
 
 from _oracles import hole_drilling, interior_elements, spearman
 from conftest import make_cantilever
@@ -52,7 +51,7 @@ def test_criterion_1_hole_drilling_oracle():
     t_j = sensitivity.topo_sensitivity(analysis.tensors[0], adjoint, material.nu)
     interior = interior_elements(mesh)
     oracle = hole_drilling(mesh, boundary, material, interior)
-    rho = spearman(t_j.values[interior], oracle)
+    rho = spearman(t_j[interior], oracle)
     runtime = time.time() - t0
     report(1, "hole-drilling oracle vs compliance sensitivity",
            rho >= 0.90 and runtime < 60.0,
@@ -84,15 +83,15 @@ def test_criterion_3_al_unit_suite():
     s2 = ALState(mu=np.ones(1), gamma=np.array([10.0]), k=1, g_prev=np.array([0.3]))
     checks.append(auglag.update_penalties(s2, np.array([0.1])).gamma[0] == 10.0)
 
-    t_obj = SensitivityField(values=np.full(4, -1.0))
-    t_g = SensitivityField(values=np.array([-1.0, 0.0, 0.5, 1.0]))
+    t_obj = np.full(4, -1.0)
+    t_g = np.array([-1.0, 0.0, 0.5, 1.0])
     base = auglag.combine_level_sets(t_obj, [])
-    checks.append(np.array_equal(base.values, t_obj.values))
+    checks.append(np.array_equal(base, t_obj))
     inactive = auglag.combine_level_sets(t_obj, [(t_g, 0.2, 1.0, 10.0)])
-    checks.append(np.array_equal(inactive.values, base.values))
+    checks.append(np.array_equal(inactive, base))
     combined = auglag.combine_level_sets(t_obj, [(t_g, 0.05, 1.0, 10.0)])
-    expected = -1.0 - 0.5 * t_g.values
-    checks.append(np.array_equal(combined.values, expected / np.max(np.abs(expected))))
+    expected = -1.0 - 0.5 * t_g
+    checks.append(np.array_equal(combined, expected / np.max(np.abs(expected))))
 
     report(3, "augmented Lagrangian branch tables (exact arithmetic)",
            all(checks), f"{sum(checks)}/{len(checks)} identities")

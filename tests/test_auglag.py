@@ -5,7 +5,8 @@ import pytest
 
 from topt import auglag
 from topt.auglag import ALState
-from topt.sensitivity import SensitivityField
+
+from _oracles import combine_level_sets_copying
 
 
 class TestEvaluateConstraint:
@@ -49,46 +50,61 @@ class TestLagrangianTerms:
 
 class TestCombineLevelSets:
     def test_no_constraints_identity(self):
-        t_obj = SensitivityField(values=np.full(5, -1.0))
+        t_obj = np.full(5, -1.0)
         out = auglag.combine_level_sets(t_obj, [])
-        assert np.array_equal(out.values, t_obj.values)
+        assert np.array_equal(out, t_obj)
 
     def test_inactive_branch_contributes_nothing(self):
-        t_obj = SensitivityField(values=np.full(5, -1.0))
-        t_g = SensitivityField(values=np.linspace(-1, 1, 5))
+        t_obj = np.full(5, -1.0)
+        t_g = np.linspace(-1, 1, 5)
         # mu - gamma*g = 1 - 2 <= 0
         out = auglag.combine_level_sets(t_obj, [(t_g, 0.2, 1.0, 10.0)])
         base = auglag.combine_level_sets(t_obj, [])
-        assert np.array_equal(out.values, base.values)
+        assert np.array_equal(out, base)
 
     def test_pinned_coefficient_example(self):
         # mu=1, gamma=10, g=0.05 -> T_L proportional to -1 - 0.5*T_g
-        t_obj = SensitivityField(values=np.full(5, -1.0))
-        t_g = SensitivityField(values=np.array([-1.0, -0.5, 0.0, 0.5, 1.0]))
+        t_obj = np.full(5, -1.0)
+        t_g = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
         out = auglag.combine_level_sets(t_obj, [(t_g, 0.05, 1.0, 10.0)])
-        expected = -1.0 - (1.0 - 10.0 * 0.05) * t_g.values
+        expected = -1.0 - (1.0 - 10.0 * 0.05) * t_g
         peak = np.max(np.abs(expected))
-        assert np.array_equal(out.values, expected / peak)
+        assert np.array_equal(out, expected / peak)
 
     def test_linear_in_fields(self):
         rng = np.random.default_rng(2)
-        t_obj = SensitivityField(values=rng.normal(size=8))
-        a = SensitivityField(values=rng.normal(size=8))
+        t_obj = rng.normal(size=8)
+        a = rng.normal(size=8)
         g, mu, gamma = -0.1, 1.0, 10.0
         c = auglag.coefficient(g, mu, gamma)
         one = auglag.combine_level_sets(t_obj, [(a, g, mu, gamma)])
-        doubled = auglag.combine_level_sets(
-            t_obj, [(SensitivityField(values=2 * a.values), g, mu, gamma)])
-        raw_one = t_obj.values - c * a.values
-        raw_two = t_obj.values - 2 * c * a.values
-        assert np.allclose(one.values * np.max(np.abs(raw_one)), raw_one)
-        assert np.allclose(doubled.values * np.max(np.abs(raw_two)), raw_two)
+        doubled = auglag.combine_level_sets(t_obj, [(2 * a, g, mu, gamma)])
+        raw_one = t_obj - c * a
+        raw_two = t_obj - 2 * c * a
+        assert np.allclose(one * np.max(np.abs(raw_one)), raw_one)
+        assert np.allclose(doubled * np.max(np.abs(raw_two)), raw_two)
 
     def test_size_mismatch_rejected(self):
-        t_obj = SensitivityField(values=np.zeros(4))
-        bad = SensitivityField(values=np.zeros(5))
+        t_obj = np.zeros(4)
+        bad = np.zeros(5)
         with pytest.raises(ValueError):
             auglag.combine_level_sets(t_obj, [(bad, 0.0, 1.0, 10.0)])
+
+
+    def test_bit_equal_to_copying_oracle(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            n = int(rng.integers(1, 200))
+            fields = [rng.normal(size=n) for _ in range(int(rng.integers(0, 5)))]
+            live = [(f, float(rng.normal(scale=0.2)), float(rng.uniform(0.0, 2.0)),
+                     float(rng.uniform(1.0, 100.0))) for f in fields]
+            # mu - gamma * g <= 0: every coefficient is zero
+            dead = [(f, 1.0, 0.0, gamma) for f, _, _, gamma in live]
+            for t_obj in (np.full(n, -1.0), rng.normal(size=n), np.zeros(n)):
+                for constraints in (live, dead):
+                    out = auglag.combine_level_sets(t_obj, constraints)
+                    expected = combine_level_sets_copying(t_obj, constraints)
+                    assert out.tobytes() == expected.tobytes()
 
 
 class TestUpdateMultipliers:

@@ -69,6 +69,7 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "singular" in err and "rigid-body" in err
         assert "Traceback" not in err
 
     def test_bad_optimizer_setting_exit_one(self, tmp_path, capsys):

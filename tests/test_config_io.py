@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from topt import optimizer, outputs
 from topt.config import (ConfigError, build_problem, parse_problem, parse_problem_config,
-                         serialize_problem, serialize_problem_config)
+                         serialize_problem, serialize_problem_config, with_overrides)
 from topt.problems import BUILTIN_NAMES, builtin_config, builtin_problem
 
 from _oracles import support_dofs_by_loop
@@ -63,6 +63,19 @@ class TestParse:
         assert p.config.delta_v == 0.05
         assert p.config.filter_enabled
         assert p.config.multiplier_rule == "standard"
+
+    @pytest.mark.parametrize("first, second", [("filter = on", "filter_enabled = off"),
+                                               ("filter_enabled = off", "filter = on")])
+    def test_filter_under_both_names_rejected(self, first, second):
+        # one setting under two names: neither order may silently win
+        text = MINIMAL + f"\n[optimizer]\n{first}\n{second}\n"
+        with pytest.raises(ConfigError, match="filter and filter_enabled"):
+            parse_problem(text)
+
+    def test_filter_override_of_filter_key_rejected(self):
+        cfg = parse_problem_config(MINIMAL + "\n[optimizer]\nfilter = off\n")
+        with pytest.raises(ConfigError, match="filter and filter_enabled"):
+            build_problem(with_overrides(cfg, filter_enabled=True))
 
     def test_bad_optimizer_number_names_key(self):
         with pytest.raises(ConfigError, match=r"\[optimizer\] max_inner_iters: "):

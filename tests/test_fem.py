@@ -115,8 +115,8 @@ class TestAssemble:
         mesh, boundary = problem.mesh, problem.boundary
         analyzed = 0
         for solid, previous, _, _ in topology_draws(mesh, seed=7, count=80):
-            topo = repair_connectivity(mesh, TopologyState(solid, solid.mean()),
-                                       TopologyState(previous, previous.mean()), boundary)
+            topo = repair_connectivity(mesh, TopologyState(solid),
+                                       TopologyState(previous), boundary)
             try:
                 active = active_submesh(mesh, topo, boundary)
             except TopologyError:
@@ -205,7 +205,7 @@ class TestRecover:
         mesh, boundary, tip = make_cantilever(6, 3)
         solid = np.ones(mesh.n_elements, dtype=bool)
         solid[7] = False
-        topo = TopologyState(solid, solid.mean())
+        topo = TopologyState(solid)
         analysis = fem.analyze(mesh, boundary, fem.Material(), topo)
         assert np.all(analysis.tensors[0].stress[7] == 0.0)
         assert analysis.vonmises[0][7] == 0.0
@@ -243,7 +243,7 @@ class TestCompliance:
         solid = np.zeros(4, dtype=bool)
         solid[[0, 1]] = True  # bottom strip only
         j_thin = fem.analyze(mesh, boundary, fem.Material(),
-                             TopologyState(solid, 0.5)).compliances[0]
+                             TopologyState(solid)).compliances[0]
         j_full = fem.analyze(mesh, boundary, fem.Material(),
                              TopologyState.full(mesh)).compliances[0]
         assert j_full < j_thin
@@ -289,7 +289,7 @@ def _counted_system(matrix):
 def _cantilever_system(solid=None):
     """An assembled system on a 12 x 6 cantilever, fully solid by default."""
     mesh, boundary, _ = make_cantilever(12, 6)
-    topo = TopologyState.full(mesh) if solid is None else TopologyState(solid, solid.mean())
+    topo = TopologyState.full(mesh) if solid is None else TopologyState(solid)
     return fem.assemble(active_submesh(mesh, topo, boundary), fem.Material())
 
 

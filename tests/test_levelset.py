@@ -3,18 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from topt import checks, levelset, optimizer
+from topt import auglag, checks, levelset, optimizer, sensitivity
 from topt.mesh import DomainSpec, Rect, build_mesh
 from topt.problems import builtin_problem
-from topt.sensitivity import SensitivityField
 
 from _oracles import extend_into_skin_rolled
 from conftest import topology_draws
 
 
-def field(values, protected=None):
-    return SensitivityField(values=np.asarray(values, dtype=float),
-                            protected=protected)
+def field(values):
+    return np.asarray(values, dtype=float)
 
 
 class TestFindTau:
@@ -78,8 +76,8 @@ class TestRankCut:
             protected = rng.random(n) < 0.1
             target = float(rng.uniform(0.01, 1.0))
             k = int(round(target * n))
-            f = field(values, protected=protected)
-            topo = levelset.extract_domain(f, levelset.find_tau(f, target))
+            f = field(values)
+            topo = levelset.extract_domain(f, levelset.find_tau(f, target), protected)
             top = top_k_by_lexsort(values, k)
             assert np.array_equal(topo.solid, top | protected)
             assert topo.count() == k + np.count_nonzero(protected & ~top)
@@ -150,8 +148,8 @@ class TestExtractDomain:
 
     def test_protected_stays_solid(self):
         protected = np.array([False, True, False])
-        f = field([1.0, -5.0, 2.0], protected=protected)
-        topo = levelset.extract_domain(f, 0.0)
+        f = field([1.0, -5.0, 2.0])
+        topo = levelset.extract_domain(f, 0.0, protected)
         assert topo.solid[1]
 
     def test_rank_invariance_under_monotone_transform(self):
@@ -183,7 +181,7 @@ class TestSmoothFilter:
         mesh = self._mesh()
         f = field(np.full(25, 3.3))
         out = levelset.smooth_filter(f, mesh, 1.5 * mesh.h)
-        assert np.allclose(out.values, 3.3)
+        assert np.allclose(out, 3.3)
 
     def test_spike_against_direct_convolution(self):
         square = self._mesh()
@@ -206,16 +204,16 @@ class TestSmoothFilter:
                         d = np.linalg.norm(mesh.centroids - mesh.centroids[e], axis=1)
                         w = np.maximum(0.0, 1.0 - d / r)
                         expected[e] = np.dot(w, vals) / w.sum()
-                    assert np.allclose(out.values, expected, rtol=1e-12, atol=0.0)
+                    assert np.allclose(out, expected, rtol=1e-12, atol=0.0)
                 out = levelset.smooth_filter(field(spiked), mesh, r)
-                assert out.values[spike] == out.values.max()
+                assert out[spike] == out.max()
                 # the spike reaches every element whose centroid lies within r
                 d = np.linalg.norm(mesh.centroids - mesh.centroids[spike], axis=1)
-                assert np.count_nonzero(out.values) == np.count_nonzero(d < r)
+                assert np.count_nonzero(out) == np.count_nonzero(d < r)
         # on the square at r = 1.5 h the spike spreads over the immediate
         # ring: face neighbors at h and diagonal neighbors at sqrt(2) h
         out = levelset.smooth_filter(field(np.eye(25)[12]), square, 1.5 * square.h)
-        assert np.count_nonzero(out.values) == 9
+        assert np.count_nonzero(out) == 9
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -232,25 +230,58 @@ class TestExtendIntoSkin:
         out = levelset.extend_into_skin(field(vals), mesh, solid)
         # face neighbors of the center: one solid neighbor, three at baseline
         for e in (1, 3, 5, 7):
-            assert np.isclose(out.values[e], (7.0 + 3 * (-1.0)) / 4.0)
+            assert np.isclose(out[e], (7.0 + 3 * (-1.0)) / 4.0)
         # corners touch the center only diagonally: unchanged
         for e in (0, 2, 6, 8):
-            assert out.values[e] == -1.0
-        assert out.values[4] == 7.0
+            assert out[e] == -1.0
+        assert out[4] == 7.0
 
     @pytest.mark.parametrize("name", ["l-bracket-single", "cantilever-single"])
     def test_matches_rolled_grid(self, name):
         mesh = builtin_problem(name).mesh
         for solid, _, values, weight in topology_draws(mesh, seed=3):
-            f = field(values, protected=values > 1.5)
-            expected = extend_into_skin_rolled(f, mesh, solid, weight)
-            out = levelset.extend_into_skin(f, mesh, solid, weight)
-            assert out.values.tobytes() == expected.values.tobytes()
-            assert out.protected is f.protected
+            expected = extend_into_skin_rolled(values, mesh, solid, weight)
+            out = levelset.extend_into_skin(values, mesh, solid, weight)
+            assert out.tobytes() == expected.tobytes()
 
     def test_weight_zero_is_identity(self):
         mesh = build_mesh(DomainSpec(1.0, 1.0, 3, 3))[0]
         vals = np.arange(9, dtype=float)
         solid = vals > 4
         out = levelset.extend_into_skin(field(vals), mesh, solid, weight=0.0)
-        assert np.array_equal(out.values, vals)
+        assert np.array_equal(out, vals)
+
+
+def read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+class TestInputsNotWritten:
+    """Field functions return new arrays and never write into their inputs,
+    so the optimizer can keep a level-set without copying it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda v, w, protected, solid, mesh: sensitivity.normalize_and_protect(v),
+        lambda v, w, protected, solid, mesh: sensitivity.normalize_and_protect(v, protected),
+        lambda v, w, protected, solid, mesh: auglag.combine_level_sets(
+            v, [(w, -0.1, 1.0, 10.0), (w, 0.5, 1.0, 10.0)]),
+        lambda v, w, protected, solid, mesh: levelset.extend_into_skin(v, mesh, solid, 0.5),
+        lambda v, w, protected, solid, mesh: levelset.smooth_filter(v, mesh, 0.0),
+        lambda v, w, protected, solid, mesh: levelset.smooth_filter(v, mesh, 1.5 * mesh.h),
+        lambda v, w, protected, solid, mesh: levelset.find_tau(v, 0.4),
+        lambda v, w, protected, solid, mesh: levelset.extract_domain(
+            v, levelset.find_tau(v, 0.4), protected),
+    ], ids=["normalize", "normalize-protected", "combine", "extend-into-skin",
+            "filter-radius-0", "filter", "find-tau", "extract-domain"])
+    def test_inputs_unchanged(self, call):
+        mesh = builtin_problem("l-bracket-single").mesh
+        rng = np.random.default_rng(17)
+        n = mesh.n_elements
+        inputs = [rng.normal(size=n), rng.normal(size=n), rng.random(n) < 0.1,
+                  rng.random(n) < 0.6]
+        frozen = [read_only(a) for a in inputs]
+        call(*frozen, mesh)  # a write into a read-only input raises
+        for a, f in zip(inputs, frozen):
+            assert f.tobytes() == a.tobytes()

@@ -142,7 +142,7 @@ class TestActiveSubmesh:
         boundary.point_loads.append(PointLoad(1, 5, (0.0, 1.0), 1.0))
         solid = np.zeros(9, dtype=bool)
         solid[0] = True
-        active = active_submesh(mesh, TopologyState(solid, 1 / 9), boundary)
+        active = active_submesh(mesh, TopologyState(solid), boundary)
         assert len(active.element_ids) == 1
         nodes, dofs = free_and_fixed_active(mesh, boundary, active)
         assert len(nodes) == 4
@@ -154,7 +154,7 @@ class TestActiveSubmesh:
         for e in mesh.node_elements(tip):
             solid[e] = False
         with pytest.raises(TopologyError):
-            active_submesh(mesh, TopologyState(solid, solid.mean()), boundary)
+            active_submesh(mesh, TopologyState(solid), boundary)
 
     def test_active_elements_have_active_nodes(self):
         mesh, boundary, _ = make_cantilever(6, 3)
@@ -165,7 +165,7 @@ class TestActiveSubmesh:
             # keep the left column so supports stay attached
             solid[np.flatnonzero(mesh.element_grid[:, 0] == 0)] = True
             try:
-                active = active_submesh(mesh, TopologyState(solid, solid.mean()), boundary)
+                active = active_submesh(mesh, TopologyState(solid), boundary)
             except TopologyError:
                 continue
             active_nodes = set(np.unique(mesh.elements[active.element_ids]))
@@ -179,7 +179,7 @@ class TestActiveSubmesh:
         solid[np.flatnonzero(mesh.element_grid[:, 0] == 4)] = False
         with pytest.raises(TopologyError):
             # the tip load sits on the detached island
-            active_submesh(mesh, TopologyState(solid, solid.mean()), boundary)
+            active_submesh(mesh, TopologyState(solid), boundary)
 
 
 class TestStiffnessPattern:
@@ -200,7 +200,7 @@ class TestStiffnessPattern:
         checked = 0
         for solid, _, _, _ in topology_draws(mesh, seed=3, count=40):
             try:
-                active = active_submesh(mesh, TopologyState(solid, solid.mean()), boundary)
+                active = active_submesh(mesh, TopologyState(solid), boundary)
             except TopologyError:
                 continue
             nodes = np.unique(mesh.elements[active.element_ids])
@@ -254,7 +254,7 @@ class TestRepairConnectivity:
         previous = TopologyState.full(mesh)
         solid = np.ones(mesh.n_elements, dtype=bool)
         solid[np.flatnonzero(mesh.element_grid[:, 0] == 4)] = False
-        broken = TopologyState(solid, solid.mean())
+        broken = TopologyState(solid)
         repaired = repair_connectivity(mesh, broken, previous, boundary)
         active = active_submesh(mesh, repaired, boundary)  # should not raise
         assert repaired.solid.sum() > broken.solid.sum()
@@ -266,8 +266,8 @@ class TestRepairConnectivity:
         mesh, boundary = problem.mesh, problem.boundary
         repaired = 0
         for solid, previous, _, _ in topology_draws(mesh, seed=5):
-            topo = TopologyState(solid, solid.mean())
-            prev = TopologyState(previous, previous.mean())
+            topo = TopologyState(solid)
+            prev = TopologyState(previous)
             expected = repair_connectivity_grid(mesh, topo, prev, boundary)
             out = repair_connectivity(mesh, topo, prev, boundary)
             assert np.array_equal(out.solid, expected.solid)

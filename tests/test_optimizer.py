@@ -122,7 +122,7 @@ class TestInnerLoop:
         run = optimizer._Run(p, p.config)
         analysis = run.analyze(res.topology)
         run.j0 = list(analysis.compliances)
-        run.relaxed = None if res.field is None else res.field.values.copy()
+        run.relaxed = res.field
         from topt import auglag
         al = auglag.ALState.initial(0)
         fea_before = run.fea_count
@@ -178,6 +178,24 @@ class TestBacktracking:
         assert res.feasible
         assert all(v <= b + 1e-12 for v, b in
                    zip(res.constraint_values, [c.bound for c in p.constraints]))
+
+
+    def test_kept_level_sets_never_written(self, monkeypatch):
+        # the run and its snapshot keep the relaxed level-set without a copy;
+        # with every built level-set read-only, a write into one would raise
+        expected = optimizer.run(small_problem(bound=1.3))
+        build = optimizer._Run.build_field
+
+        def read_only(self, analysis, al):
+            out = build(self, analysis, al)
+            out.flags.writeable = False
+            return out
+        monkeypatch.setattr(optimizer._Run, "build_field", read_only)
+        res = optimizer.run(small_problem(bound=1.3))
+        assert any(h.achieved_vf > prev.achieved_vf
+                   for prev, h in zip(res.history, res.history[1:]))
+        assert res.history == expected.history
+        assert res.field.tobytes() == expected.field.tobytes()
 
 
 class TestScaleInvariance:
