@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 
 import numpy as np
 
-from .fem import Material
+from .fem import Material, element_stiffness
 from .mesh import (BoundarySpec, DomainSpec, Mesh, Point2, PointLoad, Rect,
                    build_mesh, locate_node)
 from .optimizer import OptimizerConfig
@@ -326,6 +326,9 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
     """Materialize a configuration into a runnable problem."""
     if mesh_scale < 1:
         raise ConfigError("mesh scale must be a positive integer")
+    for key in ("width", "height"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"[domain] {key} must be finite, got {getattr(cfg, key)!r}")
     try:
         domain = DomainSpec(width=cfg.width, height=cfg.height,
                             nx=cfg.nx * mesh_scale, ny=cfg.ny * mesh_scale,
@@ -363,6 +366,10 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
             constraints.append(ConstraintSpec(kind=c.kind, case=c.case, bound=c.bound))
 
     material = Material(E=cfg.e_modulus, nu=cfg.nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(element_stiffness(material, mesh.h)).all()
+    if not finite:
+        raise ConfigError(f"[material] e = {cfg.e_modulus!r} gives a non-finite element stiffness")
     opt = _optimizer_config(cfg.optimizer)
     try:
         return finalize_problem(cfg.name, mesh, boundary, material, constraints, opt,

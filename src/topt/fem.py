@@ -12,6 +12,7 @@ tensor fields are the *tensor* components (eps_xy = gamma_xy / 2, sigma_xy).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,10 @@ def centroid_b_matrix(h: float) -> np.ndarray:
     return _b_matrix(0.0, 0.0, h)
 
 
+@functools.lru_cache(maxsize=8)
 def element_stiffness(material: Material, h: float) -> np.ndarray:
-    """8x8 stiffness of one square bilinear quad, 2x2 Gauss quadrature (exact)."""
+    """8x8 stiffness of one square bilinear quad, 2x2 Gauss quadrature (exact).
+    Computed once per material and size, so the array is read-only."""
     C = material.constitutive()
     det_j = (h / 2.0) ** 2
     K = np.zeros((8, 8))
@@ -90,7 +93,9 @@ def element_stiffness(material: Material, h: float) -> np.ndarray:
         for eta in (-_GAUSS, _GAUSS):
             B = _b_matrix(xi, eta, h)
             K += B.T @ C @ B * det_j
-    return 0.5 * (K + K.T)
+    K = 0.5 * (K + K.T)
+    K.flags.writeable = False
+    return K
 
 
 class SystemMatrix:
@@ -126,9 +131,10 @@ class SystemMatrix:
         than its L and U entries."""
         self._lu = None
 
-    def condition(self, start: np.ndarray | None = None) -> tuple[float, bool, np.ndarray]:
+    def condition(self, lam_max: float,
+                  start: np.ndarray | None = None) -> tuple[float, bool, np.ndarray]:
         """``condition_estimate`` with default settings, computed once: later
-        calls return the first result whatever their start.
+        calls return the first result whatever their arguments.
 
         ``start`` and the returned lowest mode are full-mesh DOF vectors, zero
         off the free set, so a mode carries over to a system on other DOFs.
@@ -136,7 +142,7 @@ class SystemMatrix:
         if self._condition is None:
             dofs = self.active.free_dofs
             estimate, converged, low = condition_estimate(
-                self, start=None if start is None else start[dofs])
+                self, lam_max, start=None if start is None else start[dofs])
             mode = np.zeros(self.active.mesh.n_dofs)
             mode[dofs] = low
             self._condition = (estimate, converged, mode)
@@ -244,52 +250,44 @@ def compliance(loads: np.ndarray, u: np.ndarray) -> float:
     return float(np.dot(loads, u))
 
 
-def condition_estimate(system: SystemMatrix, tol: float = 1e-4, max_iters: int = 500,
-                       start: np.ndarray | None = None) -> tuple[float, bool, np.ndarray]:
-    """Estimate lambda_max/lambda_min by power and inverse power iteration.
-
-    Each step applies the operator once: the product that gives the
-    Rayleigh quotient of the current vector is the next step's iterate, so
-    a run of k steps costs k + 1 applications per operator.
-
-    The power iteration for lambda_max starts from ``1 + i/n``. The inverse
-    iteration for lambda_min starts from ``start`` (a vector over the
-    system's rows), typically the lowest mode of a nearby system, or from
-    ``1 + i/n`` when ``start`` is None, zero or not finite.
-
-    Returns (estimate, converged, low_mode), low_mode being the unit
-    approximation to the lowest eigenvector. When the iteration cap is hit
-    the value is a lower bound and converged is False.
-    """
-    n = system.n
+def lambda_max_bound(matrix: sp.csr_matrix) -> float:
+    """Upper bound on the largest eigenvalue of a symmetric matrix: the Lanczos
+    Ritz value theta plus its residual ||Kv - theta v||, from the fixed start
+    1 + i/n (ARPACK's default start is random). By Weyl monotonicity and Cauchy
+    interlacing, the full domain's bound holds for every topology of a run."""
+    n = matrix.shape[0]
     if n == 1:
-        return 1.0, True, np.ones(1)
-    cold = 1.0 + np.arange(n) / n
+        return float(matrix.diagonal()[0])
+    theta, v = spla.eigsh(matrix, k=1, which="LA", tol=1e-4, v0=1.0 + np.arange(n) / n)
+    return float(theta[0] + np.linalg.norm(matrix @ v[:, 0] - theta[0] * v[:, 0]))
 
-    def dominant(apply, v):
-        norm = np.linalg.norm(v)
-        if not 0.0 < norm < np.inf:
-            v, norm = cold, np.linalg.norm(cold)
-        v = v / norm
-        w = apply(v)
-        lam = 0.0
-        for _ in range(max_iters):
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0, True, v
-            v = w / nw
-            w = apply(v)
-            lam_new = float(v @ w)
-            if abs(lam_new - lam) <= tol * abs(lam_new):
-                return lam_new, True, v
-            lam = lam_new
-        return lam, False, v
 
-    lam_max, ok_max, _ = dominant(lambda v: system.matrix @ v, cold)
-    inv_min, ok_min, low_mode = dominant(system.lu.solve, cold if start is None else start)
+def condition_estimate(system: SystemMatrix, lam_max: float, tol: float = 1e-4,
+                       max_iters: int = 500,
+                       start: np.ndarray | None = None) -> tuple[float, bool, np.ndarray]:
+    """Estimate lambda_max/lambda_min from an upper bound ``lam_max`` (see
+    ``lambda_max_bound``) and inverse power iteration, one solve per step.
+
+    The iteration starts from ``start`` (a vector over the system's rows),
+    typically the lowest mode of a nearby system, or from ``1 + i/n`` when
+    ``start`` is None, zero or not finite. Returns (estimate, converged,
+    low_mode), low_mode being the unit approximation to the lowest
+    eigenvector; converged is False when the iteration cap is hit.
+    """
+    if start is None or not 0.0 < np.linalg.norm(start) < np.inf:
+        start = 1.0 + np.arange(system.n) / system.n
+    w = system.lu.solve(start / np.linalg.norm(start))
+    inv_min, converged = 0.0, False
+    for _ in range(max_iters):
+        v = w / np.linalg.norm(w)
+        w = system.lu.solve(v)
+        previous, inv_min = inv_min, float(v @ w)
+        if abs(inv_min - previous) <= tol * abs(inv_min):
+            converged = True
+            break
     if inv_min <= 0.0:
         raise SingularSystemError("inverse power iteration found a non-positive eigenvalue")
-    return lam_max * inv_min, ok_max and ok_min, low_mode
+    return lam_max * inv_min, converged, v
 
 
 @dataclass

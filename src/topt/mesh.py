@@ -213,6 +213,7 @@ class Mesh:
         self.neighbours = self._build_neighbours()
         self._cone_filters: dict[float, tuple[sparse.csr_matrix, np.ndarray]] = {}
         self._stiffness_pattern: StiffnessPattern | None = None
+        self._connected_memo: tuple[bytes, np.ndarray | None] = (b"", None)
         for a in (self.nodes, self.elements, self.element_grid, self.edofs, self.centroids,
                   *self._node_elements, self.neighbours):
             a.flags.writeable = False
@@ -385,14 +386,21 @@ def _support_connected(mesh: Mesh, solid: np.ndarray, fixed_nodes: np.ndarray) -
     at_support = np.zeros(mesh.n_nodes, dtype=bool)
     at_support[np.asarray(fixed_nodes, dtype=np.int64)] = True
     seeds = solid & at_support[mesh.elements].any(axis=1)
-    return np.isin(labels, labels[seeds])  # void is label 0, never a seed
+    supported = np.zeros(labels.max() + 1, dtype=bool)
+    supported[labels[seeds]] = True  # void is label 0, never a seed
+    return supported[labels]
 
 
 def _connected_and_orphans(mesh: Mesh, solid: np.ndarray,
                            boundary: BoundarySpec) -> tuple[np.ndarray, list[int]]:
     """Support-connected mask of ``solid``, and the loaded or monitored nodes
-    (ascending) that touch no element of it."""
-    connected = _support_connected(mesh, solid, boundary.fixed_nodes())
+    (ascending) that touch no element of it; the mask is read-only, memoized per mesh."""
+    fixed = boundary.fixed_nodes()
+    key = solid.tobytes() + fixed.tobytes()  # solid's length is fixed
+    if mesh._connected_memo[0] != key:
+        mesh._connected_memo = (key, _support_connected(mesh, solid, fixed))
+        mesh._connected_memo[1].flags.writeable = False
+    connected = mesh._connected_memo[1]
     orphans = [n for n in sorted(boundary.loaded_nodes() | boundary.monitor_nodes)
                if not connected[mesh.node_elements(n)].any()]
     return connected, orphans

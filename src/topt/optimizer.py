@@ -100,7 +100,7 @@ class OptimizationResult:
     message: str
     fea_count: int
     analysis: fem.Analysis | None = None
-    field: np.ndarray | None = None  # the last level-set built
+    field: np.ndarray | None = None  # the level-set whose cut gave the design
     references: list[float] = dc_field(default_factory=list)
     constraint_values: list[float] = dc_field(default_factory=list)  # raw/ref, final
     rel_compliance: list[float] = dc_field(default_factory=list)     # per case, final
@@ -123,12 +123,10 @@ class _Run:
         self.references: list[float] = []
         self.j0: list[float] = []
         self.history: list[HistoryRecord] = []
-        self.last_field: np.ndarray | None = None
         self.relaxed: np.ndarray | None = None
         self.skin_weight = 1.0
         self.reuse_field = False
-        # lowest stiffness mode of the last condition estimate (full-mesh
-        # DOFs), the next estimate's start: successive systems differ little
+        # the last estimate's lowest mode (full-mesh DOFs) starts the next
         self.low_mode: np.ndarray | None = None
         self.structural = [sensitivity.is_structural(c, self.mesh, self.boundary)
                            for c in self.constraints]
@@ -212,7 +210,6 @@ class _Run:
             # large regions at once, which would sever load paths mid-flight
             out = 0.5 * (out + self.relaxed)
         self.relaxed = out
-        self.last_field = out
         return out
 
     def solves_per_inner(self) -> int:
@@ -297,12 +294,12 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
                              f"initial value {ref}; orient its direction along the "
                              "actual initial displacement")
     state.j0 = list(analysis.compliances)
+    lam_max = fem.lambda_max_bound(analysis.system.matrix) if config.track_condition else None
 
     al = auglag.ALState.initial(len(state.constraints), config.mu0, config.gamma0)
     delta_v = config.delta_v
     snapshot: tuple[TopologyState, fem.Analysis, np.ndarray | None] | None = None
     floor_vf = (int(state.protected.sum()) + 1) / state.mesh.n_elements
-    message = ""
     step = 0
 
     def backtrack() -> bool:
@@ -316,12 +313,13 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
         state.skin_weight = delta_v / config.delta_v
         return delta_v >= config.min_delta_v
 
-    def finish(t: TopologyState, a: fem.Analysis, feasible: bool, msg: str) -> OptimizationResult:
+    def finish(t: TopologyState, a: fem.Analysis, field: np.ndarray | None, feasible: bool,
+               msg: str) -> OptimizationResult:
         state.work_from(None)  # the result holds no factorization
         raws = state.raws(a)
         return OptimizationResult(
             topology=t, history=state.history, feasible=feasible, message=msg,
-            fea_count=state.fea_count, analysis=a, field=state.last_field,
+            fea_count=state.fea_count, analysis=a, field=field,
             references=list(state.references),
             constraint_values=[r / ref for r, ref in zip(raws, state.references)],
             rel_compliance=list(state.rel_compliance(a)),
@@ -335,7 +333,7 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
         al = auglag.update_penalties(al, g, config.sigma_constant, config.eta)
         cond = None
         if config.track_condition:
-            cond, _, state.low_mode = analysis.system.condition(state.low_mode)
+            cond, _, state.low_mode = analysis.system.condition(lam_max, state.low_mode)
         state.record(step, topo.volume_fraction, analysis, g, al, cond)
 
         if np.all(g <= 0.0):
@@ -370,7 +368,7 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
                     break
         else:
             if snapshot is None:
-                return finish(topo, analysis, False,
+                return finish(topo, analysis, None, False,
                               "infeasible at the full domain: " + ", ".join(
                                   f"g_{i + 1}={gi:.4f}" for i, gi in enumerate(g) if gi > 0))
             if not backtrack():
@@ -378,11 +376,10 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
                 break
         step += 1
         if state.fea_count >= config.max_total_fea:
-            if snapshot is not None:
-                topo, analysis, _ = snapshot
             message = "FEA budget exhausted"
             break
 
-    if snapshot is not None:
-        topo, analysis, _ = snapshot
-    return finish(topo, analysis, True, message or "completed")
+    # every pass that ends the loop follows a feasible one; the snapshot's
+    # level-set is the one whose cut gave its design
+    topo, analysis, field = snapshot
+    return finish(topo, analysis, field, True, message)

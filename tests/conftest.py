@@ -5,9 +5,10 @@ import types
 import numpy as np
 import pytest
 
-from topt import fem
+from topt import fem, optimizer
 from topt.mesh import (DomainSpec, Point2, PointLoad, TopologyState,
                        build_mesh, locate_node)
+from topt.problems import builtin_problem
 
 
 def make_cantilever(nx=8, ny=4, width=2.0, height=1.0, case=1, direction=(0.0, -1.0),
@@ -32,6 +33,20 @@ def topology_draws(mesh, seed, count=200):
         previous = rng.random(n) < rng.uniform(0.6, 1.0)
         solid = previous & (rng.random(n) < rng.uniform(0.5, 1.0))
         yield solid, previous, rng.normal(size=n), rng.uniform(0.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def builtin_run():
+    """``builtin_run(name)``: (problem, result) of a built-in problem with its
+    own settings, run once per session; callers must not change either."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            problem = builtin_problem(name)
+            runs[name] = problem, optimizer.run(problem)
+        return runs[name]
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,22 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("error:") == 1
         assert err.count("\n") == 1 and where in err
+
+    @pytest.mark.parametrize("old, new, where", [
+        ("width = 2.0", "width = inf", "[domain] width"),
+        ("height = 1.0", "height = inf", "[domain] height"),
+        ("[supports]", "[material]\ne = inf\n\n[supports]", "[material] e"),
+        ("[supports]", "[material]\ne = 1e308\n\n[supports]", "[material] e"),
+    ], ids=["width-inf", "height-inf", "e-inf", "e-overflow"])
+    def test_non_finite_input_names_key(self, tmp_path, capsys, old, new, where):
+        # rejected before any array work, so numpy has nothing to warn about
+        cfg = write_config(tmp_path, CONFIG.replace(old, new, 1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1 and caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and where in err
 
     def test_load_on_fixed_dofs_exit_one(self, tmp_path, capsys):
         # the tip is held along the load's direction: the load does no work

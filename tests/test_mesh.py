@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from topt import config, fem
+from topt import mesh as mesh_module
 from topt.mesh import (BoundarySpec, DomainSpec, MeshError, Point2, PointLoad,
                        Rect, TopologyError, TopologyState, active_submesh,
                        build_mesh, locate_node, repair_connectivity)
@@ -246,6 +247,27 @@ class TestSupportConnected:
             fixed = supports if k % 2 == 0 else rng.choice(mesh.n_nodes, size=3)
             expected = flood_fill_support_connected(mesh, solid, fixed)
             assert np.array_equal(_support_connected(mesh, solid, fixed), expected)
+
+    def test_repair_then_analysis_labels_once(self, monkeypatch):
+        mesh, boundary, _ = make_cantilever(6, 3)
+        solid = mesh.element_grid[:, 0] != 4  # the loaded tip is cut off
+        labelled = []
+        label = mesh_module._support_connected
+        monkeypatch.setattr(mesh_module, "_support_connected",
+                            lambda *args: labelled.append(args[1].copy()) or label(*args))
+        repaired = repair_connectivity(mesh, TopologyState(solid),
+                                       TopologyState.full(mesh), boundary)
+        active = active_submesh(mesh, repaired, boundary)
+        # the orphaned cut, then the repaired set the analysis reuses
+        assert [x.tobytes() for x in labelled] == [solid.tobytes(), repaired.solid.tobytes()]
+        # keyed by content, not by object
+        again = active_submesh(mesh, TopologyState(repaired.solid.copy()), boundary)
+        assert len(labelled) == 2
+        assert np.array_equal(again.element_ids, active.element_ids)
+        # other supports label again
+        boundary.fix_node(int(mesh.elements[-1, 2]), "x")
+        active_submesh(mesh, repaired, boundary)
+        assert len(labelled) == 3
 
 
 class TestRepairConnectivity:
