@@ -4,20 +4,28 @@ Void elements are removed from the assembly entirely (no ersatz stiffness)
 and fixed DOFs are eliminated by reduction, so the assembled matrix is
 symmetric positive definite and its condition number is physically
 meaningful. Assembly sums element matrices through the per-mesh slot table
-of ``Mesh.stiffness_pattern``, in its nested-dissection order, and a matrix
-is factored in the order it is given. Stress and strain are recovered at
-element centroids, one value per element; the shear entries stored in
-tensor fields are the *tensor* components (eps_xy = gamma_xy / 2, sigma_xy).
+of ``Mesh.stiffness_pattern``, in its narrowest-band order, and a matrix is
+factored in the order it is given, by LAPACK's banded Cholesky on one BLAS
+thread, so the factor's bytes do not depend on the thread count. Stress and
+strain are recovered at element centroids, one value per element; the shear
+entries stored in tensor fields are the *tensor* components
+(eps_xy = gamma_xy / 2, sigma_xy).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .mesh import ActiveMesh, BoundarySpec, Mesh, TopologyState, active_submesh
 
@@ -98,38 +106,103 @@ def element_stiffness(material: Material, h: float) -> np.ndarray:
     return K
 
 
-class SystemMatrix:
-    """Reduced SPD stiffness matrix with a cached sparse LU factorization.
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(setter, getter) of the thread count of each OpenBLAS that numpy and
+    scipy bundle; empty where they were built against another BLAS."""
+    found = []
+    for package in (np, scipy):
+        pattern = os.path.join(os.path.dirname(package.__file__), os.pardir,
+                               f"{package.__name__}.libs", "libscipy_openblas*")
+        for path in sorted(glob.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                if setter is not None and getter is not None:
+                    setter.argtypes, getter.restype = [ctypes.c_int], ctypes.c_int
+                    found.append((setter, getter))
+    return tuple(found)
 
-    The matrix is factored in the order it is given, which ``assemble`` makes
-    the nested-dissection order of the mesh; SuperLU's default threshold
-    pivoting may still move a pivot off the diagonal. The factor is made on
-    first use of ``lu`` and lives until ``release()``; ``lu`` then factors
-    again on demand, to the same result. The condition estimate stays cached.
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the counts after. A
+    threaded factorization or dot product sums in another order, so its bytes
+    would depend on the thread count (and on two cores pbtrf is slower too)."""
+    threads = _openblas_threads()
+    before = [getter() for _, getter in threads]
+    for setter, _ in threads:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (setter, _), count in zip(threads, before):
+            setter(count)
+
+
+def lower_band(matrix: sp.csr_matrix) -> np.ndarray:
+    """LAPACK's lower band storage of a symmetric CSR matrix with sorted
+    columns: ``ab[i - j, j] = K[i, j]`` for ``0 <= i - j <= kd``, Fortran
+    order, where kd is the largest ``i - j`` of a stored entry."""
+    n = matrix.shape[0]
+    start = matrix.indptr[:-1]
+    kd = int((np.arange(n) - matrix.indices[start]).max())  # first column is a row's least
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    lower = np.flatnonzero(matrix.indices <= rows)
+    flat = np.zeros(n * (kd + 1))
+    flat[matrix.indices[lower].astype(np.intp) * kd + rows[lower]] = matrix.data[lower]
+    return flat.reshape((kd + 1, n), order="F")
+
+
+class BandCholesky:
+    """Banded Cholesky factor of an SPD matrix (LAPACK ``pbtrf``), made in
+    place in the band it is given."""
+
+    def __init__(self, band: np.ndarray):
+        try:
+            with one_blas_thread():
+                self.band = cholesky_banded(band, lower=True, overwrite_ab=True,
+                                            check_finite=False)
+        except np.linalg.LinAlgError as exc:  # a pivot was not positive
+            raise SingularSystemError(
+                f"singular stiffness system: factorization failed ({exc}); "
+                "the supports likely leave a rigid-body mode") from exc
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        with one_blas_thread():
+            return cho_solve_banded((self.band, True), rhs, check_finite=False)
+
+
+class SystemMatrix:
+    """Reduced SPD stiffness matrix with a cached banded Cholesky factor.
+
+    The matrix is factored without pivoting in the order it is given, which
+    ``assemble`` makes the narrowest-band order of the mesh. The factor is
+    made on first use of ``factor`` and lives until ``release()``; ``factor``
+    then factors again on demand, to the same result. The condition estimate
+    stays cached.
     """
 
     def __init__(self, matrix: sp.csr_matrix, active: ActiveMesh):
         self.matrix = matrix
         self.active = active
         self.n = matrix.shape[0]
-        self._lu = None
+        self._factor = None
         self._condition = None
 
     @property
-    def lu(self):
-        if self._lu is None:
-            try:
-                # K is exactly symmetric, so its CSR transpose is K in CSC
-                self._lu = spla.splu(self.matrix.T, permc_spec="NATURAL",
-                                     options={"SymmetricMode": True})
-            except RuntimeError as exc:  # factorization hit an exact zero pivot
-                raise SingularSystemError(f"stiffness factorization failed: {exc}") from exc
-        return self._lu
+    def factor(self) -> BandCholesky:
+        if self._factor is None:
+            self._factor = BandCholesky(lower_band(self.matrix))
+        return self._factor
 
     def release(self) -> None:
-        """Drop the factorization; a SuperLU factor can hold far more memory
-        than its L and U entries."""
-        self._lu = None
+        """Drop the factor, n * (kd + 1) doubles."""
+        self._factor = None
 
     def condition(self, lam_max: float,
                   start: np.ndarray | None = None) -> tuple[float, bool, np.ndarray]:
@@ -193,7 +266,7 @@ def solve(system: SystemMatrix, rhs: np.ndarray) -> np.ndarray:
     fnorm = np.linalg.norm(r)
     if fnorm == 0.0:
         return u_full
-    x = system.lu.solve(r)
+    x = system.factor.solve(r)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solution contains non-finite values (singular system)")
     residual = np.linalg.norm(system.matrix @ x - r) / fnorm
@@ -258,8 +331,9 @@ def lambda_max_bound(matrix: sp.csr_matrix) -> float:
     n = matrix.shape[0]
     if n == 1:
         return float(matrix.diagonal()[0])
-    theta, v = spla.eigsh(matrix, k=1, which="LA", tol=1e-4, v0=1.0 + np.arange(n) / n)
-    return float(theta[0] + np.linalg.norm(matrix @ v[:, 0] - theta[0] * v[:, 0]))
+    with one_blas_thread():  # ARPACK's threaded BLAS is slower here, and sums in another order
+        theta, v = spla.eigsh(matrix, k=1, which="LA", tol=1e-4, v0=1.0 + np.arange(n) / n)
+        return float(theta[0] + np.linalg.norm(matrix @ v[:, 0] - theta[0] * v[:, 0]))
 
 
 def condition_estimate(system: SystemMatrix, lam_max: float, tol: float = 1e-4,
@@ -276,15 +350,16 @@ def condition_estimate(system: SystemMatrix, lam_max: float, tol: float = 1e-4,
     """
     if start is None or not 0.0 < np.linalg.norm(start) < np.inf:
         start = 1.0 + np.arange(system.n) / system.n
-    w = system.lu.solve(start / np.linalg.norm(start))
     inv_min, converged = 0.0, False
-    for _ in range(max_iters):
-        v = w / np.linalg.norm(w)
-        w = system.lu.solve(v)
-        previous, inv_min = inv_min, float(v @ w)
-        if abs(inv_min - previous) <= tol * abs(inv_min):
-            converged = True
-            break
+    with one_blas_thread():  # norms and dot products too
+        w = system.factor.solve(start / np.linalg.norm(start))
+        for _ in range(max_iters):
+            v = w / np.linalg.norm(w)
+            w = system.factor.solve(v)
+            previous, inv_min = inv_min, float(v @ w)
+            if abs(inv_min - previous) <= tol * abs(inv_min):
+                converged = True
+                break
     if inv_min <= 0.0:
         raise SingularSystemError("inverse power iteration found a non-positive eigenvalue")
     return lam_max * inv_min, converged, v

@@ -14,7 +14,7 @@ Conventions used throughout the package:
   cell (i, j) in the column order (i+1, j), (i-1, j), (i, j+1), (i, j-1),
   with -1 off the grid or in a masked cell. Element adjacency is read from
   this table only; the grid itself is used for labelling and for images.
-* The stiffness matrix is numbered in the nested-dissection order of
+* The stiffness matrix is numbered in the narrowest-band node order of
   ``Mesh.stiffness_pattern()``: free DOFs are listed in that order, and a
   matrix is factored in the order it is given.
 """
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage, sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
 X, Y = 0, 1
@@ -137,7 +138,7 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class StiffnessPattern:
-    """Sparsity of the full-mesh stiffness matrix in nested-dissection order.
+    """Sparsity of the full-mesh stiffness matrix in narrowest-band order.
 
     ``dof_order[r]`` is the mesh DOF of rank r. ``indptr`` and ``cols`` are
     the CSR structure of the pattern in rank numbering, columns ascending
@@ -149,33 +150,6 @@ class StiffnessPattern:
     indptr: np.ndarray     # (n_dofs + 1,)
     cols: np.ndarray       # (nnz,)
     slots: np.ndarray      # (n_elements, 64)
-
-
-def _nested_dissection(ni: int, nj: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points (i, j) of an ni-by-nj point grid in nested-dissection order.
-
-    A grid of more than 4 points is cut at the middle line across its longer
-    side; the points below the line come first, then those above it, then
-    the line itself. Smaller grids are listed row by row.
-    """
-    memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    def order(ni, nj):
-        if ni < nj:
-            j, i = order(nj, ni)
-            return i, j
-        if (ni, nj) not in memo:
-            if ni * nj <= 4:
-                j, i = np.divmod(np.arange(ni * nj), ni)
-            else:
-                m = ni // 2
-                (ia, ja), (ib, jb) = order(m, nj), order(ni - m - 1, nj)
-                i = np.concatenate([ia, ib + m + 1, np.full(nj, m)])
-                j = np.concatenate([ja, jb, np.arange(nj)])
-            memo[ni, nj] = i, j
-        return memo[ni, nj]
-
-    return order(ni, nj)
 
 
 class Mesh:
@@ -259,19 +233,30 @@ class Mesh:
             self._cone_filters[radius] = (H, Hs)
         return self._cone_filters[radius]
 
+    def band_orders(self) -> list[np.ndarray]:
+        """Candidate node orders for a narrow stiffness band: reverse
+        Cuthill-McKee on the element node graph (Cuthill & McKee, 1969), and
+        the nodes sorted by x then y and by y then x."""
+        pairs = np.stack([np.repeat(self.elements, 4, axis=1).ravel(),
+                          np.tile(self.elements, 4).ravel()])
+        graph = sparse.csr_matrix((np.ones(pairs.shape[1], dtype=np.int8), pairs),
+                                  shape=(self.n_nodes, self.n_nodes))
+        x, y = self.nodes[:, 0], self.nodes[:, 1]
+        return [reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64),
+                np.lexsort((y, x)), np.lexsort((x, y))]
+
+    def node_band(self, nodes: np.ndarray) -> int:
+        """Largest rank distance between two nodes of one element when the
+        nodes are listed as ``nodes``; the DOF band is twice this plus one."""
+        rank = np.argsort(nodes)[self.elements]
+        return int((rank.max(axis=1) - rank.min(axis=1)).max())
+
     def stiffness_pattern(self) -> StiffnessPattern:
-        """Nested-dissection DOF order, stiffness pattern and element slot
-        table (George, SIAM J. Numer. Anal. 10, 1973), built once per mesh.
-        Both DOFs of a node get adjacent ranks."""
+        """DOF order, stiffness pattern and element slot table, built once per
+        mesh. Nodes are listed in the first of ``band_orders`` with the
+        narrowest band, and both DOFs of a node get adjacent ranks."""
         if self._stiffness_pattern is None:
-            nx, ny = self.grid_shape
-            # row-major grid point of each node, from its elements' cells
-            point = np.empty(self.n_nodes, dtype=np.int64)
-            cell = self.element_grid[:, 1] * (nx + 1) + self.element_grid[:, 0]
-            point[self.elements] = cell[:, None] + [0, 1, nx + 2, nx + 1]
-            oi, oj = _nested_dissection(nx + 1, ny + 1)
-            position = np.argsort(oj * (nx + 1) + oi)  # of each grid point in that order
-            nodes = np.argsort(position[point])
+            nodes = min(self.band_orders(), key=self.node_band)
             dof_order = (2 * nodes[:, None] + [X, Y]).ravel()
             r = np.argsort(dof_order)[self.edofs]
             keys = (r[:, :, None] * self.n_dofs + r[:, None, :]).ravel()
@@ -372,7 +357,7 @@ class ActiveMesh:
     def __init__(self, mesh: Mesh, element_ids, free_dofs):
         self.mesh = mesh
         self.element_ids = element_ids          # active (analyzed) elements
-        self.free_dofs = free_dofs              # mesh DOF ids, nested-dissection order
+        self.free_dofs = free_dofs              # mesh DOF ids, in the pattern's order
         self.n_free = len(free_dofs)
         self.edofs = mesh.edofs[element_ids]
 

@@ -150,9 +150,9 @@ def condition_estimate_two_apply(system, lam_max: float, tol: float = 1e-4,
     v /= np.linalg.norm(v)
     inv_min = 0.0
     for _ in range(max_iters):
-        w = system.lu.solve(v)
+        w = system.factor.solve(v)
         v = w / np.linalg.norm(w)
-        new = float(v @ system.lu.solve(v))
+        new = float(v @ system.factor.solve(v))
         if abs(new - inv_min) <= tol * abs(new):
             return lam_max * new, True
         inv_min = new

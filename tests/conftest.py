@@ -1,7 +1,5 @@
 """Shared fixtures: small plane-stress problems used across the suite."""
 
-import types
-
 import numpy as np
 import pytest
 
@@ -93,11 +91,9 @@ class Counting:
         return self.inner.solve(v)
 
 
-def wrap_splu(monkeypatch, hook):
-    """Call ``hook(*args, **kwargs)`` ahead of each factorization. Like the
-    benchmark's tracer, this gives fem a copy of ``spla`` with ``splu``
-    wrapped, so scipy itself is left alone."""
-    splu = fem.spla.splu
-    proxy = types.SimpleNamespace(**vars(fem.spla))
-    proxy.splu = lambda *args, **kwargs: hook(*args, **kwargs) or splu(*args, **kwargs)
-    monkeypatch.setattr(fem, "spla", proxy)
+def wrap_factorization(monkeypatch, hook):
+    """Call ``hook(*args, **kwargs)`` ahead of each band factorization, that
+    is each call fem makes to ``cholesky_banded``; scipy itself is left alone."""
+    factor = fem.cholesky_banded
+    monkeypatch.setattr(fem, "cholesky_banded",
+                        lambda *args, **kwargs: hook(*args, **kwargs) or factor(*args, **kwargs))

@@ -73,6 +73,16 @@ class TestRunCommand:
         assert "singular" in err and "rigid-body" in err
         assert "Traceback" not in err
 
+    def test_rigid_body_mode_in_factorization_exit_one(self, tmp_path, capsys):
+        # y held along the left edge leaves x translation free; the banded
+        # Cholesky meets a non-positive pivot before any residual is checked
+        cfg = write_config(tmp_path, CONFIG.replace("0.0 0.0 0.0 1.0 xy", "0.0 0.0 0.0 1.0 y"))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: singular stiffness system: factorization failed")
+        assert err.count("\n") == 1 and "rigid-body" in err
+
     def test_bad_optimizer_setting_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, CONFIG + "gamma0 = 0\n")
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])

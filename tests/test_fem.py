@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +15,7 @@ from topt.mesh import (DomainSpec, PointLoad, TopologyError, TopologyState, acti
 from topt.problems import BUILTIN_NAMES, builtin_problem
 
 from _oracles import assemble_coo, closed_form_ke, condition_estimate_two_apply
-from conftest import Counting, make_cantilever, topology_draws, uniaxial_element, wrap_splu
+from conftest import Counting, make_cantilever, topology_draws, uniaxial_element, wrap_factorization
 
 
 def assert_matches_coo(active, material):
@@ -315,9 +321,9 @@ def _seeded_spd(seed: int) -> np.ndarray:
 
 
 def _counted_system(matrix):
-    """A SystemMatrix whose K products and LU solves are counted."""
+    """A SystemMatrix whose K products and factor solves are counted."""
     system = fem.SystemMatrix(sp.csr_matrix(matrix), active=None)
-    system._lu = Counting(system.lu)
+    system._factor = Counting(system.factor)
     system.matrix = Counting(system.matrix)
     return system
 
@@ -358,13 +364,13 @@ class TestConditionEstimateExactness:
         new = _counted_system(matrix)
         assert fem.condition_estimate(new, 1.0)[1]
         # the two-solve loop makes two solves per step
-        assert new._lu.calls == old._lu.calls // 2 + 1
+        assert new._factor.calls == old._factor.calls // 2 + 1
         assert new.matrix.calls == 0
 
     def test_condition_computed_once(self, monkeypatch):
         system = _cantilever_system()
         lam_max = fem.lambda_max_bound(system.matrix)
-        system._lu = Counting(system.lu)
+        system._factor = Counting(system.factor)
         system.matrix = Counting(system.matrix)
         calls = []
         estimate = fem.condition_estimate
@@ -373,10 +379,10 @@ class TestConditionEstimateExactness:
         monkeypatch.setattr(fem, "condition_estimate",
                             lambda s, *a, **k: calls.append(s) or estimate(s, *a, **k))
         first = system.condition(lam_max)
-        lu_calls = system._lu.calls
+        solves = system._factor.calls
         # a system restored by a backtrack keeps its estimate, whatever the start
         assert system.condition(2 * lam_max, np.ones(system.active.mesh.n_dofs)) is first
-        assert system._lu.calls == lu_calls and system.matrix.calls == 0
+        assert system._factor.calls == solves and system.matrix.calls == 0
         assert calls == [system]
         assert first[:2] == condition_estimate_two_apply(system, lam_max)
 
@@ -390,7 +396,7 @@ class TestConditionWarmStart:
         system = _counted_system(matrix)
         low = np.linalg.eigh(matrix)[1][:, 0]
         _, ok, mode = fem.condition_estimate(system, 1.0, start=low)
-        assert ok and system._lu.calls <= 3
+        assert ok and system._factor.calls <= 3
         assert abs(mode @ low) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
@@ -412,18 +418,18 @@ class TestConditionWarmStart:
         assert mode.shape == (mesh.n_dofs,) and not mode[off].any()
         # the same matrix restarted from its own mode, given on the full mesh
         again = fem.SystemMatrix(full.matrix, full.active)
-        again._lu = Counting(full.lu)
-        assert again.condition(lam_max, mode)[1] and again._lu.calls <= 3
+        again._factor = Counting(full.factor)
+        assert again.condition(lam_max, mode)[1] and again._factor.calls <= 3
         # a system with a few elements removed restarts from it in fewer steps
         solid = np.ones(mesh.n_elements, dtype=bool)
         solid[[5, 40, 41]] = False
-        lu_calls = []
+        solves = []
         for start in (None, mode):
             smaller = _cantilever_system(solid)
-            smaller._lu = Counting(smaller.lu)
+            smaller._factor = Counting(smaller.factor)
             smaller.condition(lam_max, start)
-            lu_calls.append(smaller._lu.calls)
-        assert lu_calls[1] < lu_calls[0]
+            solves.append(smaller._factor.calls)
+        assert solves[1] < solves[0]
 
 
 class TestRelease:
@@ -436,11 +442,11 @@ class TestRelease:
         f = fem.load_vector(mesh, boundary, 1)
         before = fem.solve(system, f)
         system.release()
-        assert system._lu is None
+        assert system._factor is None
         calls = []
-        wrap_splu(monkeypatch, lambda *a, **k: calls.append(a))
+        wrap_factorization(monkeypatch, lambda *a, **k: calls.append(a))
         after = fem.solve(system, f)
-        assert len(calls) == 1 and system._lu is not None
+        assert len(calls) == 1 and system._factor is not None
         assert after.tobytes() == before.tobytes()
 
     def test_condition_of_released_system_is_cached(self, monkeypatch):
@@ -448,9 +454,9 @@ class TestRelease:
         first = system.condition(fem.lambda_max_bound(system.matrix))
         system.release()
         calls = []
-        wrap_splu(monkeypatch, lambda *a, **k: calls.append(a))
+        wrap_factorization(monkeypatch, lambda *a, **k: calls.append(a))
         assert system.condition(1.0) is first
-        assert calls == [] and system._lu is None
+        assert calls == [] and system._factor is None
 
 
 class TestErrorContracts:
@@ -467,6 +473,17 @@ class TestErrorContracts:
             fem.solve(system, f)
 
 
+_FACTOR_DIGEST = """
+import hashlib
+from topt import fem
+from topt.mesh import TopologyState, active_submesh
+from topt.problems import builtin_problem
+problem = builtin_problem("l-bracket-single", mesh_scale=2)
+active = active_submesh(problem.mesh, TopologyState.full(problem.mesh), problem.boundary)
+print(hashlib.sha256(fem.assemble(active, problem.material).factor.band.tobytes()).hexdigest())
+"""
+
+
 class TestFactorization:
     @pytest.fixture(scope="class")
     def lbracket_scale2(self):
@@ -475,20 +492,33 @@ class TestFactorization:
                                 problem.boundary)
         return fem.assemble(active, problem.material).matrix
 
-    def test_symmetric_ordering_through_module_splu(self, lbracket_scale2, monkeypatch):
+    def test_in_place_band_factor(self, lbracket_scale2, monkeypatch):
         calls = []
-        wrap_splu(monkeypatch, lambda *a, **k: calls.append((a, k)))
-        lu = fem.SystemMatrix(lbracket_scale2, active=None).lu
+        wrap_factorization(monkeypatch, lambda *a, **k: calls.append((a, k)))
+        factor = fem.SystemMatrix(lbracket_scale2, active=None).factor
         [(args, kwargs)] = calls
-        assert kwargs == {"permc_spec": "NATURAL", "options": {"SymmetricMode": True}}
-        # the CSC input is the CSR matrix transposed in place, not a copy
-        assert args[0].format == "csc" and np.shares_memory(args[0].data, lbracket_scale2.data)
-        # pivots stayed on the diagonal, in assembled order
+        assert kwargs == {"lower": True, "overwrite_ab": True, "check_finite": False}
+        band = args[0]
         n = lbracket_scale2.shape[0]
-        assert np.array_equal(lu.perm_r, lu.perm_c)
-        assert np.array_equal(lu.perm_c, np.arange(n))
-        colamd = spla.splu(lbracket_scale2.tocsc())
-        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+        assert band.shape == (184, n)  # kd = 183
+        # LAPACK wrote the factor over the band it was given, not a copy
+        assert factor.band.flags.f_contiguous and np.shares_memory(factor.band, band)
+        f = np.ones(n)
+        x = factor.solve(f)
+        assert np.linalg.norm(lbracket_scale2 @ x - f) / np.linalg.norm(f) <= 1e-10
+
+
+    def test_factor_bytes_independent_of_blas_threads(self, lbracket_scale2):
+        # a threaded pbtrf sums in another order; the factor runs on one thread
+        src = str(Path(fem.__file__).resolve().parents[1])
+        digests = {hashlib.sha256(
+            fem.SystemMatrix(lbracket_scale2, active=None).factor.band.tobytes()).hexdigest()}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            out = subprocess.run([sys.executable, "-c", _FACTOR_DIGEST], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestAnalyze:

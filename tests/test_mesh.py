@@ -7,7 +7,7 @@ from topt.mesh import (BoundarySpec, DomainSpec, MeshError, Point2, PointLoad,
                        Rect, TopologyError, TopologyState, active_submesh,
                        build_mesh, locate_node, repair_connectivity)
 from topt.mesh import _support_connected
-from topt.problems import builtin_config, builtin_problem
+from topt.problems import BUILTIN_NAMES, builtin_config, builtin_problem
 
 from _oracles import (flood_fill_support_connected, incidence_by_loop,
                       repair_connectivity_grid)
@@ -184,14 +184,20 @@ class TestActiveSubmesh:
 
 
 class TestStiffnessPattern:
-    def test_separator_line_last(self):
-        mesh, _ = build_mesh(DomainSpec(1.0, 1.0, 4, 4))  # 5 x 5 nodes
-        order = mesh.stiffness_pattern().dof_order
-        assert np.array_equal(order[1::2], order[0::2] + 1)  # x then y per node
-        x = mesh.nodes[order[0::2] // 2, 0]
-        # nodes left of the middle line, then right of it, then the line bottom-up
-        assert np.all(x[:10] < 0.5) and np.all(x[10:20] > 0.5) and np.all(x[20:] == 0.5)
-        assert np.all(np.diff(mesh.nodes[order[40::2] // 2, 1]) > 0)
+    def test_narrowest_band_chosen(self):
+        kd = {1: {"l-bracket": 95, "cantilever": 69, "mitchell": 69},
+              2: {"l-bracket": 183, "cantilever": 133, "mitchell": 133}}  # full domain
+        for scale in (1, 2):
+            for name in BUILTIN_NAMES:
+                problem = builtin_problem(name, mesh_scale=scale)
+                mesh = problem.mesh
+                order = mesh.stiffness_pattern().dof_order
+                assert np.array_equal(order[1::2], order[0::2] + 1)  # x then y per node
+                chosen = mesh.node_band(order[0::2] // 2)
+                assert chosen == min(mesh.node_band(o) for o in mesh.band_orders())
+                active = active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
+                band = fem.lower_band(fem.assemble(active, problem.material).matrix)
+                assert band.shape[0] - 1 == 2 * chosen + 1 == kd[scale][name.rsplit("-", 1)[0]]
 
     @pytest.mark.parametrize("name", ["l-bracket-single", "cantilever-single"])
     def test_free_dofs_permute_sorted_free_set(self, name):

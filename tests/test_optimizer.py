@@ -12,7 +12,7 @@ from topt.optimizer import OptimizerConfig
 from topt.problems import BUILTIN_NAMES, builtin_problem
 from topt.sensitivity import KIND_DISPLACEMENT, KIND_PNORM_STRESS, ConstraintSpec
 
-from conftest import Counting, make_cantilever, wrap_splu
+from conftest import Counting, make_cantilever, wrap_factorization
 
 
 def small_problem(nx=20, ny=10, bound=1.5, constrained=True, config=None,
@@ -243,18 +243,18 @@ class TestConditionWarmStart:
 
     @pytest.fixture(scope="class")
     def counted_run(self):
-        tally = {"lu": 0, "k": 0}
+        tally = {"solves": 0, "k": 0}
         estimate = fem.condition_estimate
 
         def counted(system, *args, **kwargs):
-            lu, matrix = system.lu, system.matrix
-            system._lu, system.matrix = Counting(lu), Counting(matrix)
+            factor, matrix = system.factor, system.matrix
+            system._factor, system.matrix = Counting(factor), Counting(matrix)
             try:
                 return estimate(system, *args, **kwargs)
             finally:
-                tally["lu"] += system._lu.calls
+                tally["solves"] += system._factor.calls
                 tally["k"] += system.matrix.calls
-                system._lu, system.matrix = lu, matrix
+                system._factor, system.matrix = factor, matrix
 
         problem = builtin_problem("mitchell-multi")
         with pytest.MonkeyPatch.context() as mp:
@@ -263,10 +263,10 @@ class TestConditionWarmStart:
         return problem, result, tally
 
     def test_lu_solves_within_budget(self, counted_run):
-        # started cold, the inverse iterations made 671 LU solves; lambda_max
+        # started cold, the inverse iterations made 671 solves; lambda_max
         # comes from the run's one bound, with no K product per estimate
         _, _, tally = counted_run
-        assert tally["lu"] <= 200
+        assert tally["solves"] <= 200
         assert tally["k"] == 0
 
     def test_repeat_run_same_estimates(self, counted_run):
@@ -382,14 +382,14 @@ class FactorLedger:
 
         def factoring(*args, **kwargs):
             self.factorizations += 1
-            self.overlapping += any(s._lu is not None for s in self.systems)
+            self.overlapping += any(s._factor is not None for s in self.systems)
 
         monkeypatch.setattr(fem, "analyze", recorded)
-        wrap_splu(monkeypatch, factoring)
+        wrap_factorization(monkeypatch, factoring)
 
 
 class TestOneFactorization:
-    """A run holds at most one sparse factorization at a time."""
+    """A run holds at most one factorization at a time."""
 
     @pytest.mark.parametrize("make", [
         lambda: small_problem(extra_q=True),
@@ -404,7 +404,7 @@ class TestOneFactorization:
         assert result.fea_count > analyses * len(problem.boundary.load_cases())
         assert ledger.factorizations == analyses
         assert ledger.overlapping == 0
-        assert result.analysis.system._lu is None
+        assert result.analysis.system._factor is None
 
     def test_result_holds_no_factorization(self, monkeypatch):
         ledger = FactorLedger(monkeypatch)
@@ -412,7 +412,7 @@ class TestOneFactorization:
             target_vf=0.9, track_condition=False)))
         # the run ends on its newest analysis, and releases that one too
         assert result.analysis.system is ledger.systems[-1]
-        assert result.analysis.system._lu is None
+        assert result.analysis.system._factor is None
 
     @pytest.mark.parametrize("make, refactors", [
         # each backtrack to the full domain rebuilds its field with an
