@@ -115,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_verify()
     except (ConfigError, ValueError, OSError,
             SingularSystemError, SolveError, TopologyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: " + " ".join(str(exc).splitlines()), file=sys.stderr)  # one line
         return 1
 
 

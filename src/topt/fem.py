@@ -3,10 +3,11 @@
 Void elements are removed from the assembly entirely (no ersatz stiffness)
 and fixed DOFs are eliminated by reduction, so the assembled matrix is
 symmetric positive definite and its condition number is physically
-meaningful. Assembly sums element matrices through the per-mesh slot table
-of ``Mesh.stiffness_pattern``, in its narrowest-band order, and a matrix is
-factored in the order it is given, by LAPACK's banded Cholesky on one BLAS
-thread, so the factor's bytes do not depend on the thread count. Stress and
+meaningful. Assembly sums each element's lower triangle, through the tables
+of ``Mesh.stiffness_pattern``, straight into LAPACK's lower band in the
+mesh's narrowest-band order, and the band is factored in place by LAPACK's
+banded Cholesky on one BLAS thread, so the factor's bytes do not depend on
+the thread count. Products with K are made element by element. Stress and
 strain are recovered at element centroids, one value per element; the shear
 entries stored in tensor fields are the *tensor* components
 (eps_xy = gamma_xy / 2, sigma_xy).
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
@@ -144,20 +144,6 @@ def one_blas_thread():
             setter(count)
 
 
-def lower_band(matrix: sp.csr_matrix) -> np.ndarray:
-    """LAPACK's lower band storage of a symmetric CSR matrix with sorted
-    columns: ``ab[i - j, j] = K[i, j]`` for ``0 <= i - j <= kd``, Fortran
-    order, where kd is the largest ``i - j`` of a stored entry."""
-    n = matrix.shape[0]
-    start = matrix.indptr[:-1]
-    kd = int((np.arange(n) - matrix.indices[start]).max())  # first column is a row's least
-    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
-    lower = np.flatnonzero(matrix.indices <= rows)
-    flat = np.zeros(n * (kd + 1))
-    flat[matrix.indices[lower].astype(np.intp) * kd + rows[lower]] = matrix.data[lower]
-    return flat.reshape((kd + 1, n), order="F")
-
-
 class BandCholesky:
     """Banded Cholesky factor of an SPD matrix (LAPACK ``pbtrf``), made in
     place in the band it is given."""
@@ -178,31 +164,63 @@ class BandCholesky:
 
 
 class SystemMatrix:
-    """Reduced SPD stiffness matrix with a cached banded Cholesky factor.
+    """Reduced SPD stiffness matrix of the active elements in the order of
+    ``active.free_dofs``, held only as LAPACK's lower band until the first use
+    of ``factor`` factors that band in place, without pivoting. The factor
+    lives until ``release()``; ``factor`` then builds and factors the band
+    again, to the same result. Products with K are made element by element.
+    The condition estimate stays cached."""
 
-    The matrix is factored without pivoting in the order it is given, which
-    ``assemble`` makes the narrowest-band order of the mesh. The factor is
-    made on first use of ``factor`` and lives until ``release()``; ``factor``
-    then factors again on demand, to the same result. The condition estimate
-    stays cached.
-    """
-
-    def __init__(self, matrix: sp.csr_matrix, active: ActiveMesh):
-        self.matrix = matrix
+    def __init__(self, active: ActiveMesh, ke: np.ndarray):
         self.active = active
-        self.n = matrix.shape[0]
+        self.ke = ke
+        self.n = active.n_free
+        self._band = self._build_band()
         self._factor = None
         self._condition = None
+
+    def _build_band(self) -> np.ndarray:
+        """``ab[i - j, j] = K[i, j]`` for ``0 <= i - j <= kd``, Fortran order,
+        kd being the largest ``i - j`` of an element's pair of free DOFs. Each
+        entry sums its element terms in element order."""
+        pattern = self.active.mesh.stiffness_pattern()
+        red = np.full(self.active.mesh.n_dofs, -1)
+        red[self.active.free_dofs] = np.arange(self.n)
+        red = red[pattern.dof_order]  # reduced index of each rank, -1 if eliminated
+        ids = self.active.element_ids
+        rows, cols = red[pattern.rows[ids]], red[pattern.cols[ids]]
+        eliminated = np.minimum(rows, cols) < 0
+        offset = rows - cols
+        offset[eliminated] = 0
+        kd = int(offset.max())
+        # (i, j) is at j * kd + i of the flat band; eliminated pairs land past its end
+        end = self.n * (kd + 1)
+        cols *= kd
+        cols += rows
+        cols[eliminated] = end
+        flat = np.bincount(cols.ravel(), weights=self.ke.ravel()[pattern.pairs[ids]].ravel(),
+                           minlength=end + 1)
+        return flat[:end].reshape((kd + 1, self.n), order="F")
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """K x for a vector over the free DOFs, summed over the active elements."""
+        dofs, edofs = self.active.free_dofs, self.active.edofs
+        u = np.zeros(self.active.mesh.n_dofs)
+        u[dofs] = x
+        return np.bincount(edofs.ravel(), weights=(u[edofs] @ self.ke).ravel(),
+                           minlength=len(u))[dofs]
 
     @property
     def factor(self) -> BandCholesky:
         if self._factor is None:
-            self._factor = BandCholesky(lower_band(self.matrix))
+            band = self._build_band() if self._band is None else self._band
+            self._band = None  # the factor overwrites it
+            self._factor = BandCholesky(band)
         return self._factor
 
     def release(self) -> None:
-        """Drop the factor, n * (kd + 1) doubles."""
-        self._factor = None
+        """Drop the factor, or the band not yet factored: n * (kd + 1) doubles."""
+        self._band = self._factor = None
 
     def condition(self, lam_max: float,
                   start: np.ndarray | None = None) -> tuple[float, bool, np.ndarray]:
@@ -223,33 +241,10 @@ class SystemMatrix:
 
 
 def assemble(active: ActiveMesh, material: Material) -> SystemMatrix:
-    """Assemble the reduced stiffness matrix over the active elements.
-
-    Rows and columns follow ``active.free_dofs``. Each entry sums its element
-    contributions in element order, so the matrix is exactly symmetric, and
-    only nonzero entries are stored.
-    """
+    """Assemble the reduced stiffness band over the active elements."""
     if len(active.element_ids) == 0:
         raise ValueError("cannot assemble an empty active mesh")
-    mesh = active.mesh
-    pattern = mesh.stiffness_pattern()
-    ke = element_stiffness(material, mesh.h)
-    slots = pattern.slots[active.element_ids].ravel()
-    vals = np.bincount(slots, weights=np.tile(ke.ravel(), len(active.element_ids)),
-                       minlength=len(pattern.cols))
-    # reduced index of each rank, -1 when eliminated
-    red = np.full(mesh.n_dofs, -1, dtype=np.intc)
-    red[active.free_dofs] = np.arange(active.n_free, dtype=np.intc)
-    red = red[pattern.dof_order]
-    free = red >= 0
-    cols = red[pattern.cols]
-    # entries no active element touches are zero, as are exact cancellations
-    keep = (vals != 0.0) & np.repeat(free, np.diff(pattern.indptr)) & (cols >= 0)
-    kept = np.flatnonzero(keep)
-    # eliminated rows keep no entry, so each free row starts where its rank's row did
-    indptr = np.searchsorted(kept, pattern.indptr[np.append(np.flatnonzero(free), mesh.n_dofs)])
-    K = sp.csr_matrix((vals[kept], cols[kept], indptr), shape=(active.n_free, active.n_free))
-    return SystemMatrix(K, active)
+    return SystemMatrix(active, element_stiffness(material, active.mesh.h))
 
 
 def solve(system: SystemMatrix, rhs: np.ndarray) -> np.ndarray:
@@ -269,7 +264,7 @@ def solve(system: SystemMatrix, rhs: np.ndarray) -> np.ndarray:
     x = system.factor.solve(r)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("solution contains non-finite values (singular system)")
-    residual = np.linalg.norm(system.matrix @ x - r) / fnorm
+    residual = np.linalg.norm(system.product(x) - r) / fnorm
     if residual > RESIDUAL_TOL:
         raise SolveError(f"singular stiffness system: relative residual {residual:.3e} "
                          f"exceeds {RESIDUAL_TOL}; the supports likely leave a rigid-body mode")
@@ -323,17 +318,18 @@ def compliance(loads: np.ndarray, u: np.ndarray) -> float:
     return float(np.dot(loads, u))
 
 
-def lambda_max_bound(matrix: sp.csr_matrix) -> float:
-    """Upper bound on the largest eigenvalue of a symmetric matrix: the Lanczos
+def lambda_max_bound(system: SystemMatrix) -> float:
+    """Upper bound on the largest eigenvalue of a system's matrix: the Lanczos
     Ritz value theta plus its residual ||Kv - theta v||, from the fixed start
     1 + i/n (ARPACK's default start is random). By Weyl monotonicity and Cauchy
     interlacing, the full domain's bound holds for every topology of a run."""
-    n = matrix.shape[0]
+    n = system.n
     if n == 1:
-        return float(matrix.diagonal()[0])
+        return float(system.product(np.ones(1))[0])
+    K = spla.LinearOperator((n, n), matvec=system.product, dtype=float)
     with one_blas_thread():  # ARPACK's threaded BLAS is slower here, and sums in another order
-        theta, v = spla.eigsh(matrix, k=1, which="LA", tol=1e-4, v0=1.0 + np.arange(n) / n)
-        return float(theta[0] + np.linalg.norm(matrix @ v[:, 0] - theta[0] * v[:, 0]))
+        theta, v = spla.eigsh(K, k=1, which="LA", tol=1e-4, v0=1.0 + np.arange(n) / n)
+        return float(theta[0] + np.linalg.norm(system.product(v[:, 0]) - theta[0] * v[:, 0]))
 
 
 def condition_estimate(system: SystemMatrix, lam_max: float, tol: float = 1e-4,

@@ -138,18 +138,19 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class StiffnessPattern:
-    """Sparsity of the full-mesh stiffness matrix in narrowest-band order.
+    """Lower triangle of each element's stiffness in narrowest-band order.
 
-    ``dof_order[r]`` is the mesh DOF of rank r. ``indptr`` and ``cols`` are
-    the CSR structure of the pattern in rank numbering, columns ascending
-    in each row, and ``slots[e, 8 * a + b]`` is the pattern entry to which
-    element e adds its stiffness ``ke[a, b]``.
+    ``dof_order[r]`` is the mesh DOF of rank r. Each element has 36 DOF
+    pairs, one per unordered pair of its 8 DOFs, each with its row rank at
+    least its column rank: element e adds ``ke.flat[pairs[e, k]]``, that is
+    ``ke[a, b]`` at ``8 * a + b``, to the entry ``(rows[e, k], cols[e, k])``
+    of the matrix in rank numbering.
     """
 
     dof_order: np.ndarray  # (n_dofs,)
-    indptr: np.ndarray     # (n_dofs + 1,)
-    cols: np.ndarray       # (nnz,)
-    slots: np.ndarray      # (n_elements, 64)
+    rows: np.ndarray       # (n_elements, 36)
+    cols: np.ndarray       # (n_elements, 36)
+    pairs: np.ndarray      # (n_elements, 36)
 
 
 class Mesh:
@@ -252,20 +253,21 @@ class Mesh:
         return int((rank.max(axis=1) - rank.min(axis=1)).max())
 
     def stiffness_pattern(self) -> StiffnessPattern:
-        """DOF order, stiffness pattern and element slot table, built once per
+        """DOF order and per-element lower-triangle tables, built once per
         mesh. Nodes are listed in the first of ``band_orders`` with the
         narrowest band, and both DOFs of a node get adjacent ranks."""
         if self._stiffness_pattern is None:
             nodes = min(self.band_orders(), key=self.node_band)
             dof_order = (2 * nodes[:, None] + [X, Y]).ravel()
-            r = np.argsort(dof_order)[self.edofs]
-            keys = (r[:, :, None] * self.n_dofs + r[:, None, :]).ravel()
-            entries, slots = np.unique(keys, return_inverse=True)
-            rows, cols = np.divmod(entries, self.n_dofs)
-            pattern = StiffnessPattern(dof_order, np.searchsorted(rows, np.arange(self.n_dofs + 1)),
-                                       cols, slots.reshape(self.n_elements, 64))
-            for a in (pattern.dof_order, pattern.indptr, pattern.cols, pattern.slots):
-                a.flags.writeable = False
+            rank = np.argsort(dof_order)[self.edofs]
+            a, b = np.tril_indices(8)
+            upper = rank[:, a] < rank[:, b]  # such a pair is entered as (b, a)
+            pattern = StiffnessPattern(dof_order,
+                                       np.where(upper, rank[:, b], rank[:, a]),
+                                       np.where(upper, rank[:, a], rank[:, b]),
+                                       np.where(upper, 8 * b + a, 8 * a + b))
+            for arr in (pattern.dof_order, pattern.rows, pattern.cols, pattern.pairs):
+                arr.flags.writeable = False
             self._stiffness_pattern = pattern
         return self._stiffness_pattern
 

@@ -184,17 +184,17 @@ class _Run:
             # structural fields participate permanently; remote fields ramp
             # in linearly over the activation window so their suppression can
             # balance right where the constraint binds
+            g = np.maximum(g_raw, -window)  # saturated: a huge slack cannot overflow
             ramp = np.ones(len(self.constraints))
             for i in range(len(self.constraints)):
                 if not self.structural[i]:
-                    ramp[i] = min(max((window + g_raw[i]) / window, 0.0), 1.0)
+                    ramp[i] = (window + min(g[i], 0.0)) / window
             engaged = [i for i in range(len(self.constraints)) if ramp[i] > 0.0]
             cf = sensitivity.constraint_fields(
                 analysis, [self.constraints[i] for i in engaged],
                 [self.references[i] for i in engaged], self.material,
                 self.boundary, self.include, self.case_index)
             self.fea_count += cf.adjoint_solves
-            g = np.maximum(g_raw, -window)
             combos = [(ramp[i] * f, g[i], al.mu[i], al.gamma[i])
                       for i, f in zip(engaged, cf.fields)]
             t_obj = sensitivity.sensitivity_volume(self.mesh.n_elements)
@@ -294,7 +294,7 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
                              f"initial value {ref}; orient its direction along the "
                              "actual initial displacement")
     state.j0 = list(analysis.compliances)
-    lam_max = fem.lambda_max_bound(analysis.system.matrix) if config.track_condition else None
+    lam_max = fem.lambda_max_bound(analysis.system) if config.track_condition else None
 
     al = auglag.ALState.initial(len(state.constraints), config.mu0, config.gamma0)
     delta_v = config.delta_v

@@ -3,8 +3,9 @@
 Each oracle takes a route disjoint from the production code: the element
 stiffness comes from the published closed-form coefficient vector, the
 topological sensitivity is checked against literal hole drilling with
-re-solves, eigenvalues against dense decompositions, and the array-based
-grid operations against the per-element loops they replaced. The condition
+re-solves, eigenvalues against dense decompositions, the assembled band
+against COO triplets summed entry by entry, and the array-based grid
+operations against the per-element loops they replaced. The condition
 estimate's inverse iteration is checked against the loop it replaced, which
 solved twice per step. The skin extension, the connectivity repair,
 the protected patch and the support-box matching are checked against the
@@ -43,22 +44,45 @@ def closed_form_ke(E: float, nu: float) -> np.ndarray:
 
 def assemble_coo(active, material) -> sp.csr_matrix:
     """Reduced stiffness matrix with rows and columns in ascending free-DOF
-    order, from COO triplets summed by the CSR conversion and symmetrized."""
+    order, from COO triplets. Each entry sums its element terms in element
+    order, one term per pass (scipy's conversion sums duplicates in an
+    unspecified order), so K - K^T is exactly zero; exact cancellations are
+    not stored."""
     ke = fem.element_stiffness(material, active.mesh.h)
+    n = active.n_free
     reduced_index = np.full(active.mesh.n_dofs, -1, dtype=np.int64)
-    reduced_index[np.sort(active.free_dofs)] = np.arange(active.n_free)
+    reduced_index[np.sort(active.free_dofs)] = np.arange(n)
     red = reduced_index[active.edofs]  # (n_active, 8)
 
     rows = np.repeat(red, 8, axis=1).ravel()
     cols = np.tile(red, (1, 8)).ravel()
     vals = np.tile(ke.ravel(), len(active.element_ids))
     keep = (rows >= 0) & (cols >= 0)
-    K = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                      shape=(active.n_free, active.n_free)).tocsr()
-    # duplicate summation order differs between (i,j) and (j,i); symmetrize
-    # so K - K^T is exactly zero
-    K = (K + K.T) * 0.5
-    return K.tocsr()
+    key, vals = rows[keep] * n + cols[keep], vals[keep]
+    order = np.argsort(key, kind="stable")  # an entry's terms stay in element order
+    key, vals = key[order], vals[order]
+    entries, first, entry = np.unique(key, return_index=True, return_inverse=True)
+    term = np.arange(len(key)) - first[entry]  # position of a term within its entry
+    sums = np.zeros(len(entries))
+    for k in range(term.max(initial=-1) + 1):
+        sums[entry[term == k]] += vals[term == k]
+    K = sp.csr_matrix((sums, np.divmod(entries, n)), shape=(n, n))
+    K.eliminate_zeros()
+    return K
+
+
+def lower_band(matrix: sp.csr_matrix) -> np.ndarray:
+    """LAPACK's lower band storage of a symmetric CSR matrix with sorted
+    columns: ``ab[i - j, j] = K[i, j]`` for ``0 <= i - j <= kd``, Fortran
+    order, where kd is the largest ``i - j`` of a stored entry."""
+    n = matrix.shape[0]
+    start = matrix.indptr[:-1]
+    kd = int((np.arange(n) - matrix.indices[start]).max())  # first column is a row's least
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    lower = np.flatnonzero(matrix.indices <= rows)
+    flat = np.zeros(n * (kd + 1))
+    flat[matrix.indices[lower].astype(np.intp) * kd + rows[lower]] = matrix.data[lower]
+    return flat.reshape((kd + 1, n), order="F")
 
 
 def hole_drilling(mesh, boundary, material, elements) -> np.ndarray:

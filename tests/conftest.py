@@ -76,15 +76,16 @@ def uniaxial_element(material=None, h=1.0, sigma=1.0):
 
 
 class Counting:
-    """Delegates one operator to the wrapped object and counts applications."""
+    """Delegates one operator to the wrapped object and counts applications:
+    a call (a K product such as ``SystemMatrix.product``) or ``solve``."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
 
-    def __matmul__(self, v):
+    def __call__(self, v):
         self.calls += 1
-        return self.inner @ v
+        return self.inner(v)
 
     def solve(self, v):
         self.calls += 1

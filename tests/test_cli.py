@@ -280,3 +280,81 @@ class TestRandomProblems:
             assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
         else:
             assert err == "" and out.startswith("problem: ")
+
+
+LBRACKET = """[domain]
+width = 1.0
+height = 1.0
+nx = 12
+ny = 12
+mask = 0.4 0.4 1.0 1.0
+
+[material]
+e = 200000000000.0
+nu = 0.33
+
+[supports]
+fix = 0.0 1.0 0.4 1.0 xy
+
+[loads]
+load = 1 1.0 0.2 0.0 -1.0 1.0
+
+[constraints]
+displacement = 1 1.0 0.2 0.0 -1.0 1.5
+stress = 1 1000.0 8
+
+[optimizer]
+delta_v = 0.1
+max_inner_iters = 2
+max_total_fea = 12
+filter = on
+track_condition = on
+"""
+
+# extreme and malformed replacements for one value token
+_TOKENS = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", "-0.0", "3", "0.5", "2",
+           "1e400", "x", "xy", "on", ";", "", "0.4 0.4", "1 2"]
+
+
+@st.composite
+def _mutated_lbrackets(draw):
+    """The 12 x 12 L-bracket document with one or two edits: one or two of
+    its value tokens replaced, or a line or a section duplicated or dropped."""
+    lines = LBRACKET.splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["field", "field", "field", "line", "section"]))
+        if kind == "field":
+            fields = [(i, k) for i, line in enumerate(lines) if " = " in line
+                      for k in range(len(line.split(" = ", 1)[1].split()))]
+            i, k = draw(st.sampled_from(fields))
+            key, value = lines[i].split(" = ", 1)
+            tokens = value.split()
+            tokens[k] = draw(st.sampled_from(_TOKENS))
+            lines[i] = f"{key} = {' '.join(tokens)}"
+        elif kind == "line":
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i:i + 1] = [lines[i]] * draw(st.sampled_from([0, 2]))
+        else:
+            heads = [i for i, line in enumerate(lines) if line.startswith("[")] + [len(lines)]
+            s = draw(st.integers(0, len(heads) - 2))
+            block = lines[heads[s]:heads[s + 1]]
+            lines[heads[s]:heads[s + 1]] = block * draw(st.sampled_from([0, 2]))
+    return "\n".join(lines) + "\n"
+
+
+class TestMutatedDocuments:
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(_mutated_lbrackets())
+    def test_documented_exit(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "problem.ini"
+            cfg.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+        else:
+            assert err == "" and out.startswith("problem: ")

@@ -14,23 +14,39 @@ from topt.mesh import (DomainSpec, PointLoad, TopologyError, TopologyState, acti
                        build_mesh, repair_connectivity)
 from topt.problems import BUILTIN_NAMES, builtin_problem
 
-from _oracles import assemble_coo, closed_form_ke, condition_estimate_two_apply
+from _oracles import assemble_coo, closed_form_ke, condition_estimate_two_apply, lower_band
 from conftest import Counting, make_cantilever, topology_draws, uniaxial_element, wrap_factorization
 
 
 def assert_matches_coo(active, material):
-    """The assembled matrix is the COO assembly's, renumbered by free_dofs:
-    the same stored entries, values within round-off, exactly symmetric."""
-    K = fem.assemble(active, material).matrix
+    """The assembled band is the lower band of the COO assembly, renumbered
+    by free_dofs, bit for bit, and its element-by-element product is the
+    COO matrix's within round-off."""
+    system = fem.assemble(active, material)
+    expected = oracle_matrix(active, material)
+    assert (expected != expected.T).nnz == 0
+    assert np.array_equal(system._band, lower_band(expected))
+    x = np.random.default_rng(active.n_free).normal(size=active.n_free)
+    assert np.linalg.norm(system.product(x) - expected @ x) <= 1e-14 * np.linalg.norm(expected @ x)
+
+
+def oracle_matrix(active, material):
+    """The COO assembly renumbered by ``active.free_dofs``, columns sorted."""
     at = np.searchsorted(np.sort(active.free_dofs), active.free_dofs)
-    expected = assemble_coo(active, material)[at][:, at].tocsr()
-    expected.sort_indices()
-    # equal to the sorted oracle, so K's own column indices are sorted too
-    assert np.array_equal(K.indptr, expected.indptr)
-    assert np.array_equal(K.indices, expected.indices)
-    scale = np.max(np.abs(expected.data))
-    assert np.max(np.abs(K.data - expected.data)) <= 1e-14 * scale
-    assert (K != K.T).nnz == 0
+    K = assemble_coo(active, material)[at][:, at].tocsr()
+    K.sort_indices()
+    return K
+
+
+def dense(system):
+    """The full symmetric matrix of a system's (unfactored) band."""
+    band = system._band
+    kd, n = band.shape[0] - 1, band.shape[1]
+    K = np.zeros((n, n))
+    for d in range(kd + 1):
+        i = np.arange(d, n)
+        K[i, i - d] = K[i - d, i] = band[d, :n - d]
+    return K
 
 
 class TestMaterial:
@@ -87,16 +103,18 @@ class TestAssemble:
         boundary.point_loads.append(PointLoad(1, 3, (0.0, -1.0), 1.0))
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         system = fem.assemble(active, fem.Material())
-        assert system.matrix.shape == (5, 5)
-        eig = np.linalg.eigvalsh(system.matrix.toarray())
+        assert system.n == 5 and system._band.shape[1] == 5
+        eig = np.linalg.eigvalsh(dense(system))
         assert eig.min() > 0
 
     def test_exact_symmetry(self):
+        # the band is the lower triangle of K and, transposed, its upper one
         mesh, boundary, _ = make_cantilever(6, 3)
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         system = fem.assemble(active, fem.Material())
-        diff = (system.matrix - system.matrix.T)
-        assert np.max(np.abs(diff.toarray())) == 0.0
+        expected = oracle_matrix(active, fem.Material())
+        assert np.array_equal(system._band, lower_band(expected))
+        assert np.array_equal(system._band, lower_band(expected.T.tocsr()))
 
     def test_spd_on_two_element_patch(self):
         mesh, boundary = build_mesh(DomainSpec(1.0, 0.5, 2, 1))
@@ -105,7 +123,7 @@ class TestAssemble:
                 boundary.fix_node(n, "xy")
         boundary.point_loads.append(PointLoad(1, 5, (0.0, -1.0), 1.0))
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
-        K = fem.assemble(active, fem.Material()).matrix.toarray()
+        K = dense(fem.assemble(active, fem.Material()))
         assert np.linalg.eigvalsh(K).min() > 0  # dense eigendecomposition oracle
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -166,7 +184,8 @@ class TestSolve:
         _, _, _, analysis = cantilever_analysis
         f = analysis.loads[0]
         u = analysis.displacements[0]
-        r = analysis.system.matrix @ u[analysis.active.free_dofs] - f[analysis.active.free_dofs]
+        K = oracle_matrix(analysis.active, fem.Material())
+        r = K @ u[analysis.active.free_dofs] - f[analysis.active.free_dofs]
         assert np.linalg.norm(r) / np.linalg.norm(f) <= 1e-8
 
     def test_fixed_dofs_stay_zero(self, cantilever_analysis):
@@ -237,7 +256,7 @@ class TestCompliance:
         f = analysis.loads[0]
         u = analysis.displacements[0]
         ur = u[analysis.active.free_dofs]
-        utku = float(ur @ (analysis.system.matrix @ ur))
+        utku = float(ur @ (oracle_matrix(analysis.active, fem.Material()) @ ur))
         assert np.isclose(fem.compliance(f, u), utku, rtol=1e-8)
 
     def test_adding_material_stiffens(self):
@@ -255,14 +274,22 @@ class TestCompliance:
         assert j_full < j_thin
 
 
-def _bound(matrix) -> float:
-    return fem.lambda_max_bound(sp.csr_matrix(matrix))
+class OracleSystem:
+    """Stand-in for a ``SystemMatrix`` over an arbitrary SPD matrix: its
+    size, the banded Cholesky factor of its oracle band, and its product."""
+
+    def __init__(self, matrix):
+        K = sp.csr_matrix(matrix)
+        K.sort_indices()
+        self.n = K.shape[0]
+        self.factor = fem.BandCholesky(lower_band(K))
+        self.product = lambda x: K @ x
 
 
 class TestConditionEstimate:
     def _estimate(self, matrix):
-        return fem.condition_estimate(fem.SystemMatrix(sp.csr_matrix(matrix), active=None),
-                                      _bound(matrix))
+        system = OracleSystem(matrix)
+        return fem.condition_estimate(system, fem.lambda_max_bound(system))
 
     def test_identity(self):
         cond, ok, _ = self._estimate(np.eye(6))
@@ -288,28 +315,36 @@ class TestLambdaMaxBound:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_tight_upper_bound_on_full_domain(self, name):
         problem = builtin_problem(name)
-        K = fem.assemble(active_submesh(problem.mesh, TopologyState.full(problem.mesh),
-                                        problem.boundary), problem.material).matrix
+        active = active_submesh(problem.mesh, TopologyState.full(problem.mesh),
+                                problem.boundary)
+        system = fem.assemble(active, problem.material)
+        K = oracle_matrix(active, problem.material)
         true = spla.eigsh(K, k=1, which="LA", tol=1e-10, return_eigenvectors=False)[0]
-        bound = fem.lambda_max_bound(K)
+        bound = fem.lambda_max_bound(system)
         assert true <= bound <= true * (1 + 1e-3)
         # ARPACK's default start is random; the bound's is fixed
-        assert fem.lambda_max_bound(K) == bound
+        assert fem.lambda_max_bound(system) == bound
 
     def test_one_by_one(self):
-        assert fem.lambda_max_bound(sp.csr_matrix([[3.0]])) == 3.0
+        assert fem.lambda_max_bound(OracleSystem([[3.0]])) == 3.0
+        # a single free DOF: its bound is its diagonal entry
+        mesh, boundary = build_mesh(DomainSpec(1.0, 1.0, 1, 1))
+        boundary.fixed_dofs = {(n, d) for n in range(4) for d in (0, 1)} - {(3, 1)}
+        system = fem.assemble(active_submesh(mesh, TopologyState.full(mesh), boundary),
+                              fem.Material())
+        assert system.n == 1 and fem.lambda_max_bound(system) == system._band[0, 0]
 
     def test_bounds_every_topology(self):
         # a topology's matrix is a principal submatrix of the full domain's
         # less PSD element terms
         full = _cantilever_system()
-        bound = fem.lambda_max_bound(full.matrix)
+        bound = fem.lambda_max_bound(full)
         mesh = full.active.mesh
         rng = np.random.default_rng(3)
         for _ in range(5):
             # holes away from the loaded tip
             solid = (rng.random(mesh.n_elements) < 0.9) | (mesh.element_grid[:, 0] > 8)
-            smaller = _cantilever_system(solid).matrix.toarray()
+            smaller = dense(_cantilever_system(solid))
             assert np.linalg.eigvalsh(smaller).max() <= bound
 
 
@@ -321,10 +356,10 @@ def _seeded_spd(seed: int) -> np.ndarray:
 
 
 def _counted_system(matrix):
-    """A SystemMatrix whose K products and factor solves are counted."""
-    system = fem.SystemMatrix(sp.csr_matrix(matrix), active=None)
-    system._factor = Counting(system.factor)
-    system.matrix = Counting(system.matrix)
+    """An ``OracleSystem`` whose K products and factor solves are counted."""
+    system = OracleSystem(matrix)
+    system.factor = Counting(system.factor)
+    system.product = Counting(system.product)
     return system
 
 
@@ -345,13 +380,13 @@ class TestConditionEstimateExactness:
 
     @pytest.mark.parametrize("matrix", _SYSTEMS.values(), ids=_SYSTEMS.keys())
     def test_equals_two_apply(self, matrix):
-        system = fem.SystemMatrix(sp.csr_matrix(matrix), active=None)
-        lam_max = _bound(matrix)
+        system = OracleSystem(matrix)
+        lam_max = fem.lambda_max_bound(system)
         assert fem.condition_estimate(system, lam_max)[:2] == \
             condition_estimate_two_apply(system, lam_max)
 
     def test_capped_equals_two_apply(self):
-        system = fem.SystemMatrix(sp.csr_matrix(np.diag([1.0, 4.0, 10.0])), active=None)
+        system = OracleSystem(np.diag([1.0, 4.0, 10.0]))
         out = fem.condition_estimate(system, 10.0, max_iters=3)[:2]
         assert out == condition_estimate_two_apply(system, 10.0, max_iters=3)
         assert out[1] is False
@@ -364,14 +399,14 @@ class TestConditionEstimateExactness:
         new = _counted_system(matrix)
         assert fem.condition_estimate(new, 1.0)[1]
         # the two-solve loop makes two solves per step
-        assert new._factor.calls == old._factor.calls // 2 + 1
-        assert new.matrix.calls == 0
+        assert new.factor.calls == old.factor.calls // 2 + 1
+        assert new.product.calls == 0
 
     def test_condition_computed_once(self, monkeypatch):
         system = _cantilever_system()
-        lam_max = fem.lambda_max_bound(system.matrix)
+        lam_max = fem.lambda_max_bound(system)
         system._factor = Counting(system.factor)
-        system.matrix = Counting(system.matrix)
+        system.product = Counting(system.product)
         calls = []
         estimate = fem.condition_estimate
         # the method resolves condition_estimate through the module, so a
@@ -382,7 +417,7 @@ class TestConditionEstimateExactness:
         solves = system._factor.calls
         # a system restored by a backtrack keeps its estimate, whatever the start
         assert system.condition(2 * lam_max, np.ones(system.active.mesh.n_dofs)) is first
-        assert system._factor.calls == solves and system.matrix.calls == 0
+        assert system._factor.calls == solves and system.product.calls == 0
         assert calls == [system]
         assert first[:2] == condition_estimate_two_apply(system, lam_max)
 
@@ -396,13 +431,13 @@ class TestConditionWarmStart:
         system = _counted_system(matrix)
         low = np.linalg.eigh(matrix)[1][:, 0]
         _, ok, mode = fem.condition_estimate(system, 1.0, start=low)
-        assert ok and system._factor.calls <= 3
+        assert ok and system.factor.calls <= 3
         assert abs(mode @ low) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf])
     @pytest.mark.parametrize("seed", range(5))
     def test_degenerate_start_is_cold(self, seed, fill):
-        system = fem.SystemMatrix(sp.csr_matrix(_seeded_spd(seed)), active=None)
+        system = OracleSystem(_seeded_spd(seed))
         cold = fem.condition_estimate(system, 1.0)
         warm = fem.condition_estimate(system, 1.0, start=np.full(system.n, fill))
         assert warm[:2] == cold[:2] == condition_estimate_two_apply(system, 1.0)
@@ -410,14 +445,14 @@ class TestConditionWarmStart:
 
     def test_mode_carried_through_free_dofs(self):
         full = _cantilever_system()
-        lam_max = fem.lambda_max_bound(full.matrix)
+        lam_max = fem.lambda_max_bound(full)
         _, _, mode = full.condition(lam_max)
         mesh = full.active.mesh
         off = np.ones(mesh.n_dofs, dtype=bool)
         off[full.active.free_dofs] = False
         assert mode.shape == (mesh.n_dofs,) and not mode[off].any()
         # the same matrix restarted from its own mode, given on the full mesh
-        again = fem.SystemMatrix(full.matrix, full.active)
+        again = fem.SystemMatrix(full.active, full.ke)
         again._factor = Counting(full.factor)
         assert again.condition(lam_max, mode)[1] and again._factor.calls <= 3
         # a system with a few elements removed restarts from it in fewer steps
@@ -451,7 +486,7 @@ class TestRelease:
 
     def test_condition_of_released_system_is_cached(self, monkeypatch):
         system = _cantilever_system()
-        first = system.condition(fem.lambda_max_bound(system.matrix))
+        first = system.condition(fem.lambda_max_bound(system))
         system.release()
         calls = []
         wrap_factorization(monkeypatch, lambda *a, **k: calls.append(a))
@@ -490,29 +525,31 @@ class TestFactorization:
         problem = builtin_problem("l-bracket-single", mesh_scale=2)
         active = active_submesh(problem.mesh, TopologyState.full(problem.mesh),
                                 problem.boundary)
-        return fem.assemble(active, problem.material).matrix
+        return active, problem.material
 
     def test_in_place_band_factor(self, lbracket_scale2, monkeypatch):
         calls = []
         wrap_factorization(monkeypatch, lambda *a, **k: calls.append((a, k)))
-        factor = fem.SystemMatrix(lbracket_scale2, active=None).factor
+        system = fem.assemble(*lbracket_scale2)
+        held = system._band
+        factor = system.factor
         [(args, kwargs)] = calls
         assert kwargs == {"lower": True, "overwrite_ab": True, "check_finite": False}
         band = args[0]
-        n = lbracket_scale2.shape[0]
-        assert band.shape == (184, n)  # kd = 183
-        # LAPACK wrote the factor over the band it was given, not a copy
+        n = system.n
+        assert band is held and band.shape == (184, n)  # kd = 183
+        # LAPACK wrote the factor over the band assembly built, not a copy
         assert factor.band.flags.f_contiguous and np.shares_memory(factor.band, band)
+        assert system._band is None
         f = np.ones(n)
         x = factor.solve(f)
-        assert np.linalg.norm(lbracket_scale2 @ x - f) / np.linalg.norm(f) <= 1e-10
-
+        K = oracle_matrix(*lbracket_scale2)
+        assert np.linalg.norm(K @ x - f) / np.linalg.norm(f) <= 1e-10
 
     def test_factor_bytes_independent_of_blas_threads(self, lbracket_scale2):
         # a threaded pbtrf sums in another order; the factor runs on one thread
         src = str(Path(fem.__file__).resolve().parents[1])
-        digests = {hashlib.sha256(
-            fem.SystemMatrix(lbracket_scale2, active=None).factor.band.tobytes()).hexdigest()}
+        digests = {hashlib.sha256(fem.assemble(*lbracket_scale2).factor.band.tobytes()).hexdigest()}
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
             out = subprocess.run([sys.executable, "-c", _FACTOR_DIGEST], env=env,

@@ -196,7 +196,7 @@ class TestStiffnessPattern:
                 chosen = mesh.node_band(order[0::2] // 2)
                 assert chosen == min(mesh.node_band(o) for o in mesh.band_orders())
                 active = active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
-                band = fem.lower_band(fem.assemble(active, problem.material).matrix)
+                band = fem.assemble(active, problem.material)._band
                 assert band.shape[0] - 1 == 2 * chosen + 1 == kd[scale][name.rsplit("-", 1)[0]]
 
     @pytest.mark.parametrize("name", ["l-bracket-single", "cantilever-single"])
@@ -230,14 +230,31 @@ class TestStiffnessPattern:
         active = active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
         fem.assemble(active, problem.material)
         pattern = mesh.stiffness_pattern()
-        arrays = (pattern.dof_order, pattern.indptr, pattern.cols, pattern.slots)
+        arrays = (pattern.dof_order, pattern.rows, pattern.cols, pattern.pairs)
         fem.assemble(active, problem.material)
         again = mesh.stiffness_pattern()
         assert again is pattern
         assert all(a is b for a, b in zip(
-            (again.dof_order, again.indptr, again.cols, again.slots), arrays))
+            (again.dof_order, again.rows, again.cols, again.pairs), arrays))
         assert not any(a.flags.writeable for a in arrays)
-        assert pattern.slots.shape == (mesh.n_elements, 64)
+
+    @pytest.mark.parametrize("name", ["l-bracket-single", "mitchell-multi"])
+    def test_lower_triangle_of_each_element(self, name):
+        # 36 pairs per element, row rank >= column rank, each unordered pair
+        # of the element's DOFs once, and the ke index of each names that pair
+        mesh = builtin_problem(name).mesh
+        pattern = mesh.stiffness_pattern()
+        shape = (mesh.n_elements, 36)
+        assert pattern.rows.shape == pattern.cols.shape == pattern.pairs.shape == shape
+        assert np.all(pattern.rows >= pattern.cols)
+        rank = np.argsort(pattern.dof_order)[mesh.edofs]  # (n_elements, 8)
+        a, b = np.divmod(pattern.pairs, 8)
+        assert np.array_equal(np.take_along_axis(rank, a, axis=1), pattern.rows)
+        assert np.array_equal(np.take_along_axis(rank, b, axis=1), pattern.cols)
+        local = np.sort(np.stack([a, b]), axis=0)
+        key = np.sort(local[0] * 8 + local[1], axis=1)
+        lower = np.tril_indices(8)
+        assert np.array_equal(key, np.broadcast_to(np.sort(lower[1] * 8 + lower[0]), key.shape))
 
 
 class TestSupportConnected:
