@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import configparser
 import math
+from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dc_fields, replace
 
 import numpy as np
@@ -74,18 +76,6 @@ class LoadEntry:
 
 
 @dataclass(frozen=True)
-class ConstraintEntry:
-    kind: str
-    case: int
-    bound: float
-    x: float = 0.0
-    y: float = 0.0
-    dx: float = 0.0
-    dy: float = 0.0
-    p: int = 8
-
-
-@dataclass(frozen=True)
 class ProblemConfig:
     """Serializable mirror of one configuration document."""
 
@@ -98,7 +88,7 @@ class ProblemConfig:
     nu: float = 0.33
     supports: tuple[SupportBox, ...] = ()
     loads: tuple[LoadEntry, ...] = ()
-    constraints: tuple[ConstraintEntry, ...] = ()
+    constraints: tuple[ConstraintSpec, ...] = ()  # nodes unresolved (-1)
     optimizer: tuple[tuple[str, str], ...] = ()  # raw key-value overrides
     name: str = "problem"
 
@@ -127,32 +117,50 @@ class ProblemSpec:
 
 
 def finalize_problem(name: str, mesh: Mesh, boundary: BoundarySpec,
-                     material: Material, constraints: list[ConstraintSpec],
+                     material: Material, constraints: Iterable[ConstraintSpec],
                      config: OptimizerConfig,
                      source: ProblemConfig | None = None) -> ProblemSpec:
-    """Resolve constraint points to nodes and register them as monitored."""
-    resolved = [c.resolved(mesh) for c in constraints]
-    for c in resolved:
-        if c.kind == KIND_DISPLACEMENT:
-            boundary.monitor_nodes.add(c.node)
+    """Check each constraint, resolve its point to a node, and register that
+    node as monitored; errors name the constraint's configuration key."""
+    resolved = []
+    for c in constraints:
+        with _named(f"[constraints] {_CONSTRAINT_KEYS[c.kind]}"):
+            resolved.append(c.resolved(mesh))
+    boundary.monitor_nodes.update(c.node for c in resolved if c.kind == KIND_DISPLACEMENT)
     return ProblemSpec(name=name, mesh=mesh, boundary=boundary, material=material,
                        constraints=resolved, config=config, source=source)
 
 
-_OPTIMIZER_KEYS = {f.name for f in dc_fields(OptimizerConfig)} | {"filter"}
+_CONSTRAINT_KEYS = {KIND_DISPLACEMENT: "displacement", KIND_PNORM_STRESS: "stress",
+                    KIND_COMPLIANCE: "compliance"}
+_SECTION_KEYS = {
+    "domain": {"width", "height", "nx", "ny", "mask"},
+    "material": {"e", "nu"},
+    "supports": {"fix"},
+    "loads": {"load"},
+    "constraints": set(_CONSTRAINT_KEYS.values()),
+    "optimizer": {f.name for f in dc_fields(OptimizerConfig)} | {"filter"},
+}
 _INT_KEYS = {"max_inner_iters", "max_total_fea"}
 _BOOL_KEYS = {"filter_enabled", "filter", "track_condition"}
 _STR_KEYS = {"multiplier_rule"}
+
+
+@contextmanager
+def _named(where: str):
+    """Re-raise a ValueError of the block as a ConfigError naming ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _floats(text: str, n: int, where: str) -> list[float]:
     parts = text.split()
     if len(parts) != n:
         raise ConfigError(f"{where}: expected {n} values, got {len(parts)} in {text!r}")
-    try:
+    with _named(where):
         return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _entries(value: str) -> list[str]:
@@ -173,10 +181,8 @@ def _unit(dx: float, dy: float, where: str) -> tuple[float, float]:
 
 def _case(value: float | str, where: str) -> int:
     """Load case number; a non-integral value is an error, not truncated."""
-    try:
+    with _named(where):
         number = float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
     if not number.is_integer():
         raise ConfigError(f"{where}: load case must be an integer, got {value!r}")
     return int(number)
@@ -191,18 +197,17 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
     except configparser.Error as exc:
         raise ConfigError(f"parse error: {exc}") from exc
 
-    known_sections = {"domain", "material", "supports", "loads", "constraints", "optimizer"}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown section [{section}]")
+        for key in parser[section]:
+            if key not in _SECTION_KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
     for required in ("domain", "supports", "loads"):
         if not parser.has_section(required):
             raise ConfigError(f"missing required section [{required}]")
 
     dom = parser["domain"]
-    for key in dom:
-        if key not in {"width", "height", "nx", "ny", "mask"}:
-            raise ConfigError(f"unknown key {key!r} in [domain]")
     try:
         width, height = float(dom["width"]), float(dom["height"])
         nx, ny = int(dom["nx"]), int(dom["ny"])
@@ -216,20 +221,13 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
     e_mod, nu = 2e11, 0.33
     if parser.has_section("material"):
         mat = parser["material"]
-        for key in mat:
-            if key not in {"e", "nu"}:
-                raise ConfigError(f"unknown key {key!r} in [material]")
         if "e" in mat:
             [e_mod] = _floats(mat["e"], 1, "[material] e")
         if "nu" in mat:
             [nu] = _floats(mat["nu"], 1, "[material] nu")
 
-    sup = parser["supports"]
-    for key in sup:
-        if key != "fix":
-            raise ConfigError(f"unknown key {key!r} in [supports]")
     supports = []
-    for e in _entries(sup.get("fix", "")):
+    for e in _entries(parser["supports"].get("fix", "")):
         parts = e.split()
         if len(parts) != 5:
             raise ConfigError(f"[supports] fix: expected 'xmin ymin xmax ymax dirs', got {e!r}")
@@ -241,12 +239,8 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
     if not supports:
         raise ConfigError("[supports] defines no fixed region")
 
-    lod = parser["loads"]
-    for key in lod:
-        if key != "load":
-            raise ConfigError(f"unknown key {key!r} in [loads]")
     loads = []
-    for e in _entries(lod.get("load", "")):
+    for e in _entries(parser["loads"].get("load", "")):
         case, x, y, dx, dy, mag = _floats(e, 6, "[loads] load")
         dx, dy = _unit(dx, dy, "[loads] load")
         loads.append(LoadEntry(case=_case(case, "[loads] load"), x=x, y=y, dx=dx, dy=dy,
@@ -254,46 +248,37 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
     if not loads:
         raise ConfigError("[loads] defines no point load")
 
+    # range checks wait for the build step (ConstraintSpec.resolved)
     constraints = []
-    if parser.has_section("constraints"):
-        con = parser["constraints"]
-        for key in con:
-            if key not in {"displacement", "stress", "compliance"}:
-                raise ConfigError(f"unknown key {key!r} in [constraints]")
-        for e in _entries(con.get("displacement", "")):
-            case, x, y, dx, dy, bound = _floats(e, 6, "[constraints] displacement")
-            dx, dy = _unit(dx, dy, "[constraints] displacement")
-            constraints.append(ConstraintEntry(
-                kind=KIND_DISPLACEMENT, case=_case(case, "[constraints] displacement"),
-                bound=bound, x=x, y=y, dx=dx, dy=dy))
-        for e in _entries(con.get("stress", "")):
-            parts = e.split()
-            if len(parts) not in (2, 3):
-                raise ConfigError(f"[constraints] stress: expected 'case bound [p]', got {e!r}")
-            try:
-                bound = float(parts[1])
-                p = int(parts[2]) if len(parts) == 3 else 8
-            except ValueError as exc:
-                raise ConfigError(f"[constraints] stress: {exc}") from exc
-            constraints.append(ConstraintEntry(
-                kind=KIND_PNORM_STRESS, case=_case(parts[0], "[constraints] stress"),
-                bound=bound, p=p))
-        for e in _entries(con.get("compliance", "")):
-            case, bound = _floats(e, 2, "[constraints] compliance")
-            constraints.append(ConstraintEntry(
-                kind=KIND_COMPLIANCE, case=_case(case, "[constraints] compliance"), bound=bound))
+    con = parser["constraints"] if parser.has_section("constraints") else {}
+    where = "[constraints] displacement"
+    for e in _entries(con.get("displacement", "")):
+        case, x, y, dx, dy, bound = _floats(e, 6, where)
+        with _named(where):
+            point = Point2(x, y)
+        constraints.append(ConstraintSpec(KIND_DISPLACEMENT, _case(case, where), bound,
+                                          point=point, direction=_unit(dx, dy, where)))
+    where = "[constraints] stress"
+    for e in _entries(con.get("stress", "")):
+        parts = e.split()
+        if len(parts) not in (2, 3):
+            raise ConfigError(f"{where}: expected 'case bound [p]', got {e!r}")
+        with _named(where):
+            bound = float(parts[1])
+            p = int(parts[2]) if len(parts) == 3 else 8
+        constraints.append(ConstraintSpec(KIND_PNORM_STRESS, _case(parts[0], where), bound,
+                                          p_exponent=p))
+    where = "[constraints] compliance"
+    for e in _entries(con.get("compliance", "")):
+        case, bound = _floats(e, 2, where)
+        constraints.append(ConstraintSpec(KIND_COMPLIANCE, _case(case, where), bound))
 
-    optimizer: list[tuple[str, str]] = []
-    if parser.has_section("optimizer"):
-        for key, value in parser["optimizer"].items():
-            if key not in _OPTIMIZER_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [optimizer]")
-            optimizer.append((key, value))
+    optimizer = tuple(parser["optimizer"].items()) if parser.has_section("optimizer") else ()
 
     return ProblemConfig(width=width, height=height, nx=nx, ny=ny, masks=masks,
                          e_modulus=e_mod, nu=nu, supports=tuple(supports),
                          loads=tuple(loads), constraints=tuple(constraints),
-                         optimizer=tuple(optimizer), name=name)
+                         optimizer=optimizer, name=name)
 
 
 def _optimizer_config(overrides: tuple[tuple[str, str], ...]) -> OptimizerConfig:
@@ -312,10 +297,8 @@ def _optimizer_config(overrides: tuple[tuple[str, str], ...]) -> OptimizerConfig
         elif key in _STR_KEYS:
             kwargs[key] = value.strip()
         else:
-            try:
+            with _named(f"[optimizer] {key}"):
                 kwargs[key] = int(value) if key in _INT_KEYS else float(value)
-            except ValueError as exc:
-                raise ConfigError(f"[optimizer] {key}: {exc}") from exc
     try:
         return OptimizerConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -348,22 +331,11 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
             boundary.fix_node(n, box.directions)
 
     for entry in cfg.loads:
-        node = locate_node(mesh, Point2(entry.x, entry.y))
+        with _named("[loads] load"):
+            node = locate_node(mesh, Point2(entry.x, entry.y))
         boundary.point_loads.append(
             PointLoad(case=entry.case, node=node,
                       direction=(entry.dx, entry.dy), magnitude=entry.magnitude))
-
-    constraints = []
-    for c in cfg.constraints:
-        if c.kind == KIND_DISPLACEMENT:
-            constraints.append(ConstraintSpec(
-                kind=c.kind, case=c.case, bound=c.bound,
-                point=Point2(c.x, c.y), direction=(c.dx, c.dy)))
-        elif c.kind == KIND_PNORM_STRESS:
-            constraints.append(ConstraintSpec(kind=c.kind, case=c.case,
-                                              bound=c.bound, p_exponent=c.p))
-        else:
-            constraints.append(ConstraintSpec(kind=c.kind, case=c.case, bound=c.bound))
 
     material = Material(E=cfg.e_modulus, nu=cfg.nu)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -372,7 +344,7 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
         raise ConfigError(f"[material] e = {cfg.e_modulus!r} gives a non-finite element stiffness")
     opt = _optimizer_config(cfg.optimizer)
     try:
-        return finalize_problem(cfg.name, mesh, boundary, material, constraints, opt,
+        return finalize_problem(cfg.name, mesh, boundary, material, cfg.constraints, opt,
                                 source=cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -380,6 +352,16 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
 
 def parse_problem(text: str, name: str = "problem", mesh_scale: int = 1) -> ProblemSpec:
     return build_problem(parse_problem_config(text, name=name), mesh_scale=mesh_scale)
+
+
+def _constraint_text(c: ConstraintSpec) -> str:
+    """One [constraints] entry, without its key."""
+    if c.kind == KIND_DISPLACEMENT:
+        return (f"{c.case} {c.point.x!r} {c.point.y!r} {c.direction[0]!r} "
+                f"{c.direction[1]!r} {c.bound!r}")
+    if c.kind == KIND_PNORM_STRESS:
+        return f"{c.case} {c.bound!r} {c.p_exponent}"
+    return f"{c.case} {c.bound!r}"
 
 
 def serialize_problem_config(cfg: ProblemConfig) -> str:
@@ -401,20 +383,12 @@ def serialize_problem_config(cfg: ProblemConfig) -> str:
               "load = " + " ; ".join(
                   f"{p.case} {p.x!r} {p.y!r} {p.dx!r} {p.dy!r} {p.magnitude!r}"
                   for p in cfg.loads)]
-    disp = [c for c in cfg.constraints if c.kind == KIND_DISPLACEMENT]
-    stress = [c for c in cfg.constraints if c.kind == KIND_PNORM_STRESS]
-    comp = [c for c in cfg.constraints if c.kind == KIND_COMPLIANCE]
-    if disp or stress or comp:
+    if cfg.constraints:
         lines += ["", "[constraints]"]
-        if disp:
-            lines.append("displacement = " + " ; ".join(
-                f"{c.case} {c.x!r} {c.y!r} {c.dx!r} {c.dy!r} {c.bound!r}" for c in disp))
-        if stress:
-            lines.append("stress = " + " ; ".join(
-                f"{c.case} {c.bound!r} {c.p}" for c in stress))
-        if comp:
-            lines.append("compliance = " + " ; ".join(
-                f"{c.case} {c.bound!r}" for c in comp))
+    for kind, key in _CONSTRAINT_KEYS.items():
+        entries = [_constraint_text(c) for c in cfg.constraints if c.kind == kind]
+        if entries:
+            lines.append(f"{key} = " + " ; ".join(entries))
     if cfg.optimizer:
         lines += ["", "[optimizer]"]
         lines += [f"{k} = {v}" for k, v in cfg.optimizer]

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .config import (ConstraintEntry, LoadEntry, ProblemConfig, ProblemSpec,
-                     SupportBox, build_problem)
-from .mesh import BoundarySpec, Rect
-from .sensitivity import KIND_DISPLACEMENT, KIND_PNORM_STRESS
+from .config import LoadEntry, ProblemConfig, ProblemSpec, SupportBox, build_problem
+from .mesh import BoundarySpec, Point2, Rect
+from .sensitivity import KIND_DISPLACEMENT, KIND_PNORM_STRESS, ConstraintSpec
 
 BUILTIN_NAMES = ("l-bracket-single", "l-bracket-multi", "cantilever-single",
                  "cantilever-multi", "mitchell-multi")
@@ -29,12 +28,11 @@ RIGHT = (1.0, 0.0)
 
 
 def _disp(case, x, y, d, bound):
-    return ConstraintEntry(kind=KIND_DISPLACEMENT, case=case, bound=bound,
-                           x=x, y=y, dx=d[0], dy=d[1])
+    return ConstraintSpec(KIND_DISPLACEMENT, case, bound, point=Point2(x, y), direction=d)
 
 
 def _stress(case, bound, p):
-    return ConstraintEntry(kind=KIND_PNORM_STRESS, case=case, bound=bound, p=p)
+    return ConstraintSpec(KIND_PNORM_STRESS, case, bound, p_exponent=p)
 
 
 def builtin_config(name: str, delta_max: float | None = None,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fem
-from .mesh import BoundarySpec, Mesh, Point2
+from .mesh import BoundarySpec, Mesh, Point2, locate_node
 
 PROTECTED_VALUE = 2.0
 
@@ -33,7 +33,8 @@ CONSTRAINT_KINDS = (KIND_DISPLACEMENT, KIND_PNORM_STRESS, KIND_COMPLIANCE)
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """One inequality constraint, bounded relative to its initial value."""
+    """One inequality constraint, bounded relative to its initial value. A
+    configuration holds it unchecked with node -1; ``resolved`` checks it."""
 
     kind: str
     case: int
@@ -41,27 +42,25 @@ class ConstraintSpec:
     point: Point2 | None = None
     direction: tuple[float, float] | None = None
     p_exponent: int = 8
-    node: int = -1  # resolved by the problem builder
+    node: int = -1  # set by resolved()
 
     def __post_init__(self):
         if self.kind not in CONSTRAINT_KINDS:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.bound <= 0:
-            raise ValueError(f"constraint bound must be positive, got {self.bound}")
-        if self.kind == KIND_DISPLACEMENT:
-            if self.point is None or self.direction is None:
-                raise ValueError("displacement constraints need a point and direction")
-            dx, dy = self.direction
-            if abs(np.hypot(dx, dy) - 1.0) > 1e-9:
-                raise ValueError(f"constraint direction {self.direction} is not a unit vector")
-        if self.kind == KIND_PNORM_STRESS:
-            if self.p_exponent < 2 or self.p_exponent % 2:
-                raise ValueError(f"p exponent must be even and >= 2, got {self.p_exponent}")
 
     def resolved(self, mesh: Mesh) -> "ConstraintSpec":
+        """Checked copy, with a displacement constraint's node located at its
+        point. Parsing checks syntax only; the value ranges are checked here."""
+        if not 0 < self.bound < np.inf:
+            raise ValueError(f"constraint bound must be positive and finite, got {self.bound}")
+        if self.kind == KIND_PNORM_STRESS and (self.p_exponent < 2 or self.p_exponent % 2):
+            raise ValueError(f"p exponent must be even and >= 2, got {self.p_exponent}")
         if self.kind != KIND_DISPLACEMENT:
             return self
-        from .mesh import locate_node
+        if self.point is None or self.direction is None:
+            raise ValueError("displacement constraints need a point and direction")
+        if abs(np.hypot(*self.direction) - 1.0) > 1e-9:
+            raise ValueError(f"constraint direction {self.direction} is not a unit vector")
         return replace(self, node=locate_node(mesh, self.point))
 
 

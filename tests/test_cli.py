@@ -97,8 +97,13 @@ class TestRunCommand:
         ("[optimizer]", "stress = 0.5 1000.0\n[optimizer]", "[constraints] stress"),
         ("[optimizer]", "compliance = 2.5 1.5\n[optimizer]", "[constraints] compliance"),
         ("[optimizer]", "stress = 1 1000.0 8.5\n[optimizer]", "[constraints] stress"),
+        ("-1.0 1.5", "-1.0 -1.5", "[constraints] displacement"),
+        ("[optimizer]", "stress = 1 1000.0 7\n[optimizer]", "[constraints] stress"),
+        ("[optimizer]", "stress = 1 1000.0 0\n[optimizer]", "[constraints] stress"),
+        ("[optimizer]", "compliance = 1 0\n[optimizer]", "[constraints] compliance"),
     ], ids=["load-case", "displacement-case", "stress-case", "compliance-case",
-            "stress-exponent"])
+            "stress-exponent", "displacement-bound", "stress-odd-exponent",
+            "stress-zero-exponent", "compliance-bound"])
     def test_non_integral_number_exit_one(self, tmp_path, capsys, old, new, where):
         cfg = write_config(tmp_path, CONFIG.replace(old, new, 1))
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -125,7 +130,15 @@ class TestRunCommand:
         ("height = 1.0", "height = inf", "[domain] height"),
         ("[supports]", "[material]\ne = inf\n\n[supports]", "[material] e"),
         ("[supports]", "[material]\ne = 1e308\n\n[supports]", "[material] e"),
-    ], ids=["width-inf", "height-inf", "e-inf", "e-overflow"])
+        ("-1.0 1.5", "-1.0 nan", "[constraints] displacement"),
+        ("-1.0 1.5", "-1.0 inf", "[constraints] displacement"),
+        ("displacement = 1 2.0", "displacement = 1 nan", "[constraints] displacement"),
+        ("displacement = 1 2.0", "displacement = 1 2.5", "[constraints] displacement"),
+        ("load = 1 2.0", "load = 1 nan", "[loads] load"),
+        ("load = 1 2.0", "load = 1 2.5", "[loads] load"),
+    ], ids=["width-inf", "height-inf", "e-inf", "e-overflow", "bound-nan", "bound-inf",
+            "constraint-point-nan", "constraint-point-outside", "load-point-nan",
+            "load-point-outside"])
     def test_non_finite_input_names_key(self, tmp_path, capsys, old, new, where):
         # rejected before any array work, so numpy has nothing to warn about
         cfg = write_config(tmp_path, CONFIG.replace(old, new, 1))

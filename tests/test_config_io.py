@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from topt import optimizer, outputs
 from topt.config import (ConfigError, build_problem, parse_problem, parse_problem_config,
                          serialize_problem, serialize_problem_config, with_overrides)
 from topt.problems import BUILTIN_NAMES, builtin_config, builtin_problem
+from topt.sensitivity import KIND_DISPLACEMENT
 
 from _oracles import support_dofs_by_loop
 
@@ -208,6 +210,16 @@ class TestBuiltinProblems:
         p = build_problem(cfg, mesh_scale=scale)
         assert p.boundary.fixed_dofs == support_dofs_by_loop(cfg, p.mesh)
         assert all(type(n) is int for n, _ in p.boundary.fixed_dofs)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_constraints_handed_over_unchanged(self, name):
+        # the document's constraints reach the run as they are, with only
+        # their nodes resolved, and every displacement node is monitored
+        cfg = builtin_config(name)
+        p = build_problem(cfg)
+        assert [replace(c, node=-1) for c in p.constraints] == list(cfg.constraints)
+        assert all(c.node in p.boundary.monitor_nodes
+                   for c in p.constraints if c.kind == KIND_DISPLACEMENT)
 
     def test_mitchell_element_count(self):
         p = builtin_problem("mitchell-multi")

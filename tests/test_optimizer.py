@@ -327,6 +327,20 @@ class TestConditionBound:
         assert conds[1] == pytest.approx(conds[0], rel=1e-6)
 
 
+class TestBuiltinAnswers:
+    @pytest.mark.parametrize("name, fea_count, vf", [
+        ("l-bracket-single", 63, 0.4793388429752066),
+        ("l-bracket-multi", 199, 0.5692148760330579),
+        ("cantilever-single", 86, 0.53857421875),
+        ("cantilever-multi", 102, 0.638671875),
+        ("mitchell-multi", 153, 0.51123046875),
+    ])
+    def test_scale_one_answer(self, builtin_run, name, fea_count, vf):
+        # unchanged since the seed; a move here is a change of the answer
+        _, result = builtin_run(name)
+        assert (result.fea_count, result.topology.volume_fraction) == (fea_count, vf)
+
+
 class TestResultField:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_field_recuts_to_final_design(self, name, builtin_run):
