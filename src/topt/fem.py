@@ -3,8 +3,8 @@
 Void elements are removed from the assembly entirely (no ersatz stiffness)
 and fixed DOFs are eliminated by reduction, so the assembled matrix is
 symmetric positive definite and its condition number is physically
-meaningful. Assembly sums each element's lower triangle, through the tables
-of ``Mesh.stiffness_pattern``, straight into LAPACK's lower band in the
+meaningful. Assembly sums each element's lower triangle, through the DOF
+ranks of ``Mesh.stiffness_pattern``, straight into LAPACK's lower band in the
 mesh's narrowest-band order, and the band is factored in place by LAPACK's
 banded Cholesky on one BLAS thread, so the factor's bytes do not depend on
 the thread count. Products with K are made element by element. Stress and
@@ -92,8 +92,9 @@ def centroid_b_matrix(h: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def element_stiffness(material: Material, h: float) -> np.ndarray:
-    """8x8 stiffness of one square bilinear quad, 2x2 Gauss quadrature (exact).
-    Computed once per material and size, so the array is read-only."""
+    """8x8 stiffness of one square bilinear quad, 2x2 Gauss quadrature (exact),
+    symmetric bit for bit. Computed once per material and size, so the array
+    is read-only."""
     C = material.constitutive()
     det_j = (h / 2.0) ** 2
     K = np.zeros((8, 8))
@@ -187,18 +188,20 @@ class SystemMatrix:
         red = np.full(self.active.mesh.n_dofs, -1)
         red[self.active.free_dofs] = np.arange(self.n)
         red = red[pattern.dof_order]  # reduced index of each rank, -1 if eliminated
-        ids = self.active.element_ids
-        rows, cols = red[pattern.rows[ids]], red[pattern.cols[ids]]
-        eliminated = np.minimum(rows, cols) < 0
-        offset = rows - cols
-        offset[eliminated] = 0
-        kd = int(offset.max())
-        # (i, j) is at j * kd + i of the flat band; eliminated pairs land past its end
+        r8 = red[pattern.ranks[self.active.element_ids]]
+        # widest span of one element's free DOFs, 0 if none has two
+        kd = max(0, int((r8.max(axis=1) - np.where(r8 < 0, self.n, r8).min(axis=1)).max()))
+        # red is monotone in rank, so the pair (a, b) enters at (max, min) of
+        # its reduced indices, with ke[a, b], which is bitwise ke[b, a]. (i, j)
+        # is at j * kd + i of the flat band; eliminated pairs land past its end
+        a, b = np.tril_indices(8)
         end = self.n * (kd + 1)
-        cols *= kd
-        cols += rows
-        cols[eliminated] = end
-        flat = np.bincount(cols.ravel(), weights=self.ke.ravel()[pattern.pairs[ids]].ravel(),
+        at = np.minimum(r8[:, a], r8[:, b])
+        eliminated = at < 0
+        at *= kd
+        at += np.maximum(r8[:, a], r8[:, b])
+        at[eliminated] = end
+        flat = np.bincount(at.ravel(), weights=np.tile(self.ke[a, b], len(r8)),
                            minlength=end + 1)
         return flat[:end].reshape((kd + 1, self.n), order="F")
 

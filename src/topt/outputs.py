@@ -26,8 +26,7 @@ def write_density_pgm(problem: ProblemSpec, result: OptimizationResult, path: Pa
     gi, gj = mesh.element_grid[:, 0], mesh.element_grid[:, 1]
     grid[gj, gi] = np.where(result.topology.solid, 255, 0)
     lines = ["P2", f"{nx} {ny}", "255"]
-    for j in range(ny - 1, -1, -1):
-        lines.append(" ".join(str(v) for v in grid[j]))
+    lines += [" ".join(map(str, row)) for row in grid[::-1].tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -42,9 +41,9 @@ def write_vtk(problem: ProblemSpec, result: OptimizationResult, path: Path) -> N
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_nodes} double",
     ]
-    lines += [f"{float(x)!r} {float(y)!r} 0.0" for x, y in mesh.nodes]
+    lines += [f"{x!r} {y!r} 0.0" for x, y in mesh.nodes.tolist()]
     lines.append(f"CELLS {mesh.n_elements} {5 * mesh.n_elements}")
-    lines += ["4 " + " ".join(str(n) for n in quad) for quad in mesh.elements]
+    lines += ["4 %d %d %d %d" % tuple(quad) for quad in mesh.elements.tolist()]
     lines.append(f"CELL_TYPES {mesh.n_elements}")
     lines += ["9"] * mesh.n_elements
 
@@ -59,7 +58,7 @@ def write_vtk(problem: ProblemSpec, result: OptimizationResult, path: Path) -> N
     for name, data in (("density", density), ("von_mises", vm), ("T_L", t_l)):
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines += [repr(float(v)) for v in data]
+        lines += map(repr, data.tolist())
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -38,6 +38,15 @@ def oracle_matrix(active, material):
     return K
 
 
+def pairwise_band_width(active):
+    """Largest ``i - j`` over the pairs of free DOFs of one element, 0 when
+    no element has two."""
+    position = np.full(active.mesh.n_dofs, -1)
+    position[active.free_dofs] = np.arange(active.n_free)
+    return max((p - q for dofs in active.edofs.tolist() for p in position[dofs].tolist()
+                for q in position[dofs].tolist() if q >= 0 and p >= q), default=0)
+
+
 def dense(system):
     """The full symmetric matrix of a system's (unfactored) band."""
     band = system._band
@@ -94,6 +103,14 @@ class TestElementStiffness:
         m = fem.Material(E=1e9, nu=0.3)
         assert np.allclose(fem.element_stiffness(m, 1.0), fem.element_stiffness(m, 0.01))
 
+    def test_bitwise_symmetric(self):
+        # assembly enters ke[a, b] for the pair (b, a) too
+        for E in (1.0, 3.7e9, 2e11):
+            for nu in (0.0, 0.1, 0.3, 0.33, 0.45, 0.499):
+                for h in (1.0, 0.23, 0.05, 1.0 / 44):
+                    ke = fem.element_stiffness(fem.Material(E=E, nu=nu), h)
+                    assert ke.tobytes() == np.ascontiguousarray(ke.T).tobytes()
+
 
 class TestAssemble:
     def test_single_element_reduced_size(self):
@@ -125,6 +142,35 @@ class TestAssemble:
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         K = dense(fem.assemble(active, fem.Material()))
         assert np.linalg.eigvalsh(K).min() > 0  # dense eigendecomposition oracle
+
+    @pytest.mark.parametrize("fixed, n_free, kd", [
+        ((0, 1, 4, 5), 8, 7),        # the first element has every DOF fixed
+        ((0, 1, 2, 4, 5, 6), 4, 3),  # the first two elements have every DOF fixed
+    ])
+    def test_band_width_with_fixed_elements(self, fixed, n_free, kd):
+        # kd is the largest distance between two free DOFs of one element,
+        # and an element without a pair of free DOFs does not widen it
+        mesh, boundary = build_mesh(DomainSpec(3.0, 1.0, 3, 1))
+        for node in fixed:
+            boundary.fix_node(node, "xy")
+        boundary.point_loads.append(PointLoad(1, 7, (0.0, -1.0), 1.0))
+        active = active_submesh(mesh, TopologyState.full(mesh), boundary)
+        assert active.n_free == n_free
+        assert fem.assemble(active, fem.Material())._band.shape == (kd + 1, n_free)
+        assert kd == pairwise_band_width(active)
+        assert_matches_coo(active, fem.Material())
+
+    def test_band_width_with_one_free_dof(self):
+        mesh, boundary = build_mesh(DomainSpec(2.0, 1.0, 2, 1))
+        for node in range(mesh.n_nodes):
+            boundary.fix_node(node, "xy")
+        boundary.fixed_dofs.discard((2, 1))  # one free DOF, in the second element only
+        boundary.point_loads.append(PointLoad(1, 2, (0.0, -1.0), 1.0))
+        active = active_submesh(mesh, TopologyState.full(mesh), boundary)
+        system = fem.assemble(active, fem.Material())
+        assert system._band.shape == (1, 1) and pairwise_band_width(active) == 0
+        ke = fem.element_stiffness(fem.Material(), mesh.h)
+        assert system._band[0, 0] == ke[3, 3]  # node 2 is the second element's second node
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_full_domain_matches_coo(self, name):

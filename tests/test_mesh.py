@@ -1,3 +1,9 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -230,31 +236,87 @@ class TestStiffnessPattern:
         active = active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
         fem.assemble(active, problem.material)
         pattern = mesh.stiffness_pattern()
-        arrays = (pattern.dof_order, pattern.rows, pattern.cols, pattern.pairs)
+        arrays = (pattern.dof_order, pattern.ranks)
         fem.assemble(active, problem.material)
         again = mesh.stiffness_pattern()
         assert again is pattern
-        assert all(a is b for a, b in zip(
-            (again.dof_order, again.rows, again.cols, again.pairs), arrays))
+        assert all(a is b for a, b in zip((again.dof_order, again.ranks), arrays))
         assert not any(a.flags.writeable for a in arrays)
 
     @pytest.mark.parametrize("name", ["l-bracket-single", "mitchell-multi"])
     def test_lower_triangle_of_each_element(self, name):
-        # 36 pairs per element, row rank >= column rank, each unordered pair
-        # of the element's DOFs once, and the ke index of each names that pair
+        # the ranks are the element DOFs' positions in dof_order, and the 36
+        # tril_indices(8) pairs, entered as (max, min), give each unordered
+        # pair of the element's DOFs once with row rank >= column rank
         mesh = builtin_problem(name).mesh
         pattern = mesh.stiffness_pattern()
-        shape = (mesh.n_elements, 36)
-        assert pattern.rows.shape == pattern.cols.shape == pattern.pairs.shape == shape
-        assert np.all(pattern.rows >= pattern.cols)
-        rank = np.argsort(pattern.dof_order)[mesh.edofs]  # (n_elements, 8)
-        a, b = np.divmod(pattern.pairs, 8)
-        assert np.array_equal(np.take_along_axis(rank, a, axis=1), pattern.rows)
-        assert np.array_equal(np.take_along_axis(rank, b, axis=1), pattern.cols)
-        local = np.sort(np.stack([a, b]), axis=0)
-        key = np.sort(local[0] * 8 + local[1], axis=1)
-        lower = np.tril_indices(8)
-        assert np.array_equal(key, np.broadcast_to(np.sort(lower[1] * 8 + lower[0]), key.shape))
+        assert pattern.ranks.shape == (mesh.n_elements, 8)
+        assert np.array_equal(pattern.ranks, np.argsort(pattern.dof_order)[mesh.edofs])
+        assert np.array_equal(pattern.dof_order[pattern.ranks], mesh.edofs)
+        a, b = np.tril_indices(8)
+        ra, rb = pattern.ranks[:, a], pattern.ranks[:, b]
+        rows, cols = np.maximum(ra, rb), np.minimum(ra, rb)
+        assert np.all(rows >= cols)
+        assert np.all(np.diff(np.sort(pattern.ranks, axis=1), axis=1) > 0)  # distinct
+        # local DOF of each pair's row and column, found back from the mesh DOFs
+        match = [pattern.dof_order[r][:, :, None] == mesh.edofs[:, None, :] for r in (rows, cols)]
+        assert all(m.sum(axis=2).min() == m.sum(axis=2).max() == 1 for m in match)
+        at = [m.argmax(axis=2) for m in match]
+        key = np.sort(np.minimum(*at) * 8 + np.maximum(*at), axis=1)
+        assert np.array_equal(key, np.broadcast_to(np.sort(b * 8 + a), key.shape))
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_holds_only_order_and_ranks(self, name):
+        # no (n_elements, 36) table: one int64 per DOF and eight per element
+        mesh = builtin_problem(name, mesh_scale=2).mesh
+        pattern = mesh.stiffness_pattern()
+        assert [f.name for f in dataclasses.fields(pattern)] == ["dof_order", "ranks"]
+        assert (pattern.dof_order.nbytes + pattern.ranks.nbytes
+                == 8 * mesh.n_dofs + 64 * mesh.n_elements)
+
+
+class TestConeFilter:
+    @pytest.mark.parametrize("name", ["l-bracket-single", "mitchell-multi"])
+    def test_matches_all_pairs(self, name):
+        # every pair of centroids within the radius, its weight from the same
+        # formula, and each row summed by numpy's segment sum: bit for bit
+        mesh = builtin_problem(name).mesh
+        factors = (1.0, np.sqrt(2.0), 1.5, 2.0, 2.5, 3.0, 4.0)
+        rows = {k: [] for k in factors}
+        for e in range(mesh.n_elements):
+            d = np.linalg.norm(mesh.centroids[e] - mesh.centroids, axis=1)
+            for k in factors:
+                near = np.flatnonzero(d <= k * mesh.h)
+                rows[k].append((near, np.maximum(0.0, 1.0 - d[near] / (k * mesh.h))))
+        for k in factors:
+            H, Hs = mesh.cone_filter(k * mesh.h)
+            indptr = np.cumsum([0] + [len(j) for j, _ in rows[k]])
+            data = np.concatenate([w for _, w in rows[k]])
+            assert np.array_equal(H.indptr, indptr)
+            assert np.array_equal(H.indices, np.concatenate([j for j, _ in rows[k]]))
+            assert H.data.tobytes() == data.tobytes()
+            assert Hs.tobytes() == np.add.reduceat(data, indptr[:-1]).tobytes()
+
+    def test_built_once_and_read_only(self):
+        mesh = builtin_problem("cantilever-single").mesh
+        H, Hs = mesh.cone_filter(1.5 * mesh.h)
+        assert mesh.cone_filter(1.5 * mesh.h)[0] is H
+        assert not any(a.flags.writeable for a in (H.data, H.indices, H.indptr, Hs))
+
+    def test_radius_beyond_the_domain(self):
+        # every element reaches every other; the offsets stop at the grid's edge
+        mesh = build_mesh(DomainSpec(1.0, 0.5, 4, 2))[0]
+        H, _ = mesh.cone_filter(10.0)
+        d = np.linalg.norm(mesh.centroids[:, None] - mesh.centroids[None], axis=2)
+        assert np.array_equal(H.toarray(), 1.0 - d / 10.0)
+
+    def test_import_leaves_out_scipy_spatial(self):
+        src = str(Path(mesh_module.__file__).resolve().parents[1])
+        code = ("import sys, topt, topt.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSupportConnected:

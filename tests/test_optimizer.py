@@ -6,10 +6,10 @@ import scipy.sparse.linalg as spla
 
 from topt import fem, levelset, optimizer, sensitivity
 from topt import mesh as mesh_module
-from topt.config import finalize_problem
+from topt.config import build_problem, finalize_problem, with_overrides
 from topt.mesh import Point2, PointLoad, TopologyState
 from topt.optimizer import OptimizerConfig
-from topt.problems import BUILTIN_NAMES, builtin_problem
+from topt.problems import BUILTIN_NAMES, builtin_config, builtin_problem
 from topt.sensitivity import KIND_DISPLACEMENT, KIND_PNORM_STRESS, ConstraintSpec
 
 from _oracles import assemble_coo
@@ -339,6 +339,12 @@ class TestBuiltinAnswers:
         # unchanged since the seed; a move here is a change of the answer
         _, result = builtin_run(name)
         assert (result.fea_count, result.topology.volume_fraction) == (fea_count, vf)
+
+    def test_filtered_cantilever_answer(self):
+        # the cantilever-filter benchmark workload: the filter runs every step
+        cfg = with_overrides(builtin_config("cantilever-single"), filter=True)
+        result = optimizer.run(build_problem(cfg))
+        assert (result.fea_count, result.topology.volume_fraction) == (80, 0.54833984375)
 
 
 class TestResultField:
