@@ -8,7 +8,8 @@
 (adjoint identities, tau cut exactness) on the acceptance suite's inputs.
 
 Exit codes: 0 on feasible completion (or all checks passing), 2 when the
-problem is infeasible at the full domain, 1 on any error or failed check.
+problem is infeasible at the full domain, 1 on any error (running out of
+memory included) or failed check.
 """
 
 from __future__ import annotations
@@ -115,8 +116,11 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_verify()
     except (ConfigError, ValueError, OSError,
             SingularSystemError, SolveError, TopologyError) as exc:
-        print("error: " + " ".join(str(exc).splitlines()), file=sys.stderr)  # one line
-        return 1
+        message = str(exc)
+    except MemoryError as exc:  # numpy's says what it failed to allocate
+        message = f"out of memory ({exc})" if str(exc) else "out of memory"
+    print("error: " + " ".join(message.splitlines()), file=sys.stderr)  # one line
+    return 1
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ One pass of the outer loop evaluates the constraints on the current
 down to the next target volume (feasible) or restores the last feasible
 topology and halves the volume decrement (violated). The run terminates
 when the decrement falls below ``min_delta_v``, the target volume fraction
-is reached, or the FEA budget is exhausted.
+is reached, or the FEA budget is exhausted; each outer pass records its
+outcome as a ``HistoryRecord.event``, and the last one says which.
 """
 
 from __future__ import annotations
@@ -82,6 +83,11 @@ class HistoryRecord:
     gamma: tuple[float, ...]
     fea_count: int
     cond_estimate: float | None = None
+    islands: int = 0  # solid elements cut off from the supports, not analyzed
+    restored: int | None = None  # inner rows: elements the repair put back
+    event: str | None = None  # outer rows: "accept" or a key of _MESSAGES
+    inner_converged: bool | None = None  # outer rows that ran the inner loop
+    cond_converged: bool | None = None  # outer rows, when tracking the condition
 
     @property
     def feasible(self) -> bool:
@@ -90,6 +96,20 @@ class HistoryRecord:
     @property
     def max_rel_compliance(self) -> float:
         return max(self.rel_compliance)
+
+
+# outcome of an outer pass -> the run's message when the pass ends the run
+# ("accept" never does; a pass that spends the FEA budget is "budget")
+_MESSAGES = {
+    "backtrack-violated": "volume decrement below minimum",
+    "backtrack-blocked": "volume decrement below minimum (removal blocked)",
+    "topology-error": "volume decrement below minimum ({error})",
+    "budget": "FEA budget exhausted",
+    "target": "target volume fraction reached",
+    "floor": "schedule floor reached (protected elements)",
+    "infeasible": "infeasible at the full domain: {violated}",
+}
+_BACKTRACKS = ("backtrack-violated", "backtrack-blocked", "topology-error")
 
 
 @dataclass
@@ -125,7 +145,6 @@ class _Run:
         self.history: list[HistoryRecord] = []
         self.relaxed: np.ndarray | None = None
         self.skin_weight = 1.0
-        self.reuse_field = False
         # the last estimate's lowest mode (full-mesh DOFs) starts the next
         self.low_mode: np.ndarray | None = None
         self.structural = [sensitivity.is_structural(c, self.mesh, self.boundary)
@@ -161,7 +180,7 @@ class _Run:
         return tuple(j / j0 for j, j0 in zip(analysis.compliances, self.j0))
 
     def record(self, step: int, target: float, analysis: fem.Analysis,
-               g: np.ndarray, al: auglag.ALState, cond: float | None = None) -> None:
+               g: np.ndarray, al: auglag.ALState, **facts) -> HistoryRecord:
         self.history.append(HistoryRecord(
             step=step,
             target_vf=target,
@@ -171,8 +190,10 @@ class _Run:
             mu=tuple(float(x) for x in al.mu),
             gamma=tuple(float(x) for x in al.gamma),
             fea_count=self.fea_count,
-            cond_estimate=cond,
+            islands=analysis.topology.count() - len(analysis.active.element_ids),
+            **facts,
         ))
+        return self.history[-1]
 
     def build_field(self, analysis: fem.Analysis, al: auglag.ALState) -> np.ndarray:
         """Augmented level-set of the current state (adjoint solves counted)."""
@@ -217,47 +238,38 @@ class _Run:
 
 
 def fixed_point_step(run: _Run, topo: TopologyState, analysis: fem.Analysis,
-                     target_vf: float, al: auglag.ALState,
-                     step: int) -> tuple[TopologyState, fem.Analysis, bool]:
+                     target_vf: float, al: auglag.ALState, step: int,
+                     retry: bool = False) -> tuple[TopologyState, fem.Analysis, bool]:
     """Inner iteration at a fixed target volume: solve, rebuild fields, cut,
     repeat until the relative compliance change stays below the tolerance
     for two consecutive iterations (or the topology reaches a fixed point).
+
+    A ``retry`` (after a backtrack) makes one cut of the level-set that gave
+    the last accepted topology: the smaller decrement then gives a strictly
+    nested, hence milder, perturbation, which reshuffling would undo.
 
     Returns (topology, analysis, converged); on non-convergence the stiffest
     iterate seen is returned.
     """
     config = run.config
-    n = run.mesh.n_elements
-    if round(target_vf * n) >= topo.count():
+    if round(target_vf * run.mesh.n_elements) >= topo.count():
         return topo, analysis, True  # nothing to remove: already a fixed point
     best = (topo, analysis)
     best_j = max(run.rel_compliance(analysis))
     small_changes = 0
     prev_j = np.array(analysis.compliances)
-    retry = run.reuse_field
-    run.reuse_field = False
     for it in range(config.max_inner_iters):
         if run.fea_count + run.solves_per_inner() > config.max_total_fea:
             break
-        if it == 0 and retry:
-            # backtracked retry: re-cut the level-set that produced the last
-            # accepted topology, so the smaller decrement gives a strictly
-            # nested (hence strictly milder) perturbation
-            field = run.relaxed
-        else:
-            field = run.build_field(analysis, al)
-        tau = levelset.find_tau(field, target_vf)
-        new_topo = levelset.extract_domain(field, tau, run.protected)
-        new_topo = repair_connectivity(run.mesh, new_topo, topo, run.boundary)
+        field = run.relaxed if it == 0 and retry else run.build_field(analysis, al)
+        cut = levelset.extract_domain(field, levelset.find_tau(field, target_vf), run.protected)
+        new_topo = repair_connectivity(run.mesh, cut, topo, run.boundary)
         if np.array_equal(new_topo.solid, topo.solid):
             return topo, analysis, True
-        analysis = run.analyze(new_topo)
-        topo = new_topo
-        g = run.evaluate(analysis)
-        run.record(step, target_vf, analysis, g, al)
+        topo, analysis = new_topo, run.analyze(new_topo)
+        run.record(step, target_vf, analysis, run.evaluate(analysis), al,
+                   restored=new_topo.count() - cut.count())
         if retry:
-            # a retry is a trim-and-verify pass; reshuffling at this scale
-            # would reintroduce the jump the halved decrement avoids
             return topo, analysis, True
         rel_j = max(run.rel_compliance(analysis))
         if rel_j < best_j:
@@ -300,30 +312,7 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
     delta_v = config.delta_v
     snapshot: tuple[TopologyState, fem.Analysis, np.ndarray | None] | None = None
     floor_vf = (int(state.protected.sum()) + 1) / state.mesh.n_elements
-    step = 0
-
-    def backtrack() -> bool:
-        """Restore the last feasible state and halve the decrement; returns
-        False when the decrement has fallen below the minimum."""
-        nonlocal topo, analysis, delta_v
-        topo, analysis, state.relaxed = snapshot
-        state.work_from(analysis)
-        state.reuse_field = state.relaxed is not None
-        delta_v *= 0.5
-        state.skin_weight = delta_v / config.delta_v
-        return delta_v >= config.min_delta_v
-
-    def finish(t: TopologyState, a: fem.Analysis, field: np.ndarray | None, feasible: bool,
-               msg: str) -> OptimizationResult:
-        state.work_from(None)  # the result holds no factorization
-        raws = state.raws(a)
-        return OptimizationResult(
-            topology=t, history=state.history, feasible=feasible, message=msg,
-            fea_count=state.fea_count, analysis=a, field=field,
-            references=list(state.references),
-            constraint_values=[r / ref for r, ref in zip(raws, state.references)],
-            rel_compliance=list(state.rel_compliance(a)),
-        )
+    step, retry, error = 0, False, None
 
     while True:
         g = state.evaluate(analysis)
@@ -331,55 +320,63 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
         g_sat = np.maximum(g, -config.slack_saturation)
         al = auglag.update_multipliers(al, g_sat, config.multiplier_rule)
         al = auglag.update_penalties(al, g, config.sigma_constant, config.eta)
-        cond = None
+        cond = cond_converged = None
         if config.track_condition:
-            cond, _, state.low_mode = analysis.system.condition(lam_max, state.low_mode)
-        state.record(step, topo.volume_fraction, analysis, g, al, cond)
+            cond, cond_converged, state.low_mode = analysis.system.condition(
+                lam_max, state.low_mode)
+        row = state.record(step, topo.volume_fraction, analysis, g, al,
+                           cond_estimate=cond, cond_converged=cond_converged)
 
-        if np.all(g <= 0.0):
+        feasible = bool(np.all(g <= 0.0))
+        if feasible:
             snapshot = (topo, analysis, state.relaxed)
-            if config.target_vf is not None and \
-                    topo.volume_fraction <= config.target_vf + 1e-12:
-                message = "target volume fraction reached"
-                break
-            target = topo.volume_fraction - delta_v
-            if config.target_vf is not None:
-                target = max(target, config.target_vf)
-            if target < floor_vf:
-                message = "schedule floor reached (protected elements)"
-                break
-            if state.fea_count + state.solves_per_inner() > config.max_total_fea:
-                message = "FEA budget exhausted"
-                break
-            try:
-                before = topo.count()
-                topo, analysis, _converged = fixed_point_step(
-                    state, topo, analysis, target, al, step)
-                if topo.count() >= before:
-                    # protection or connectivity repair undid the removal:
-                    # the decrement is blocked at this scale
-                    if not backtrack():
-                        message = "volume decrement below minimum (removal blocked)"
-                        break
-            except TopologyError as exc:
-                # removal broke a load path: treat like a violated pass
-                if not backtrack():
-                    message = f"volume decrement below minimum ({exc})"
-                    break
+        target = max(topo.volume_fraction - delta_v, config.target_vf or 0.0)
+        if not feasible:
+            event = "infeasible" if snapshot is None else "backtrack-violated"
+        elif config.target_vf is not None and topo.volume_fraction <= config.target_vf + 1e-12:
+            event = "target"
+        elif target < floor_vf:
+            event = "floor"
+        elif state.fea_count + state.solves_per_inner() > config.max_total_fea:
+            event = "budget"
         else:
-            if snapshot is None:
-                return finish(topo, analysis, None, False,
-                              "infeasible at the full domain: " + ", ".join(
-                                  f"g_{i + 1}={gi:.4f}" for i, gi in enumerate(g) if gi > 0))
-            if not backtrack():
-                message = "volume decrement below minimum"
-                break
-        step += 1
-        if state.fea_count >= config.max_total_fea:
-            message = "FEA budget exhausted"
-            break
+            before = topo.count()
+            try:
+                topo, analysis, row.inner_converged = fixed_point_step(
+                    state, topo, analysis, target, al, step, retry)
+                # protection or connectivity repair may undo the removal:
+                # the decrement is then blocked at this scale
+                event = "accept" if topo.count() < before else "backtrack-blocked"
+            except TopologyError as exc:  # removal broke a load path
+                event, error = "topology-error", exc
 
-    # every pass that ends the loop follows a feasible one; the snapshot's
+        if event in _BACKTRACKS:
+            # restore the last feasible state and halve the decrement
+            topo, analysis, state.relaxed = snapshot
+            state.work_from(analysis)
+            delta_v *= 0.5
+            state.skin_weight = delta_v / config.delta_v
+            stop = delta_v < config.min_delta_v
+        else:
+            stop = event != "accept"
+        if not stop and state.fea_count >= config.max_total_fea:
+            event, stop = "budget", True
+        row.event = event
+        if stop:
+            break
+        retry = event != "accept" and state.relaxed is not None
+        step += 1
+
+    # every end but "infeasible" follows a feasible pass; the snapshot's
     # level-set is the one whose cut gave its design
-    topo, analysis, field = snapshot
-    return finish(topo, analysis, field, True, message)
+    topo, analysis, field = snapshot or (topo, analysis, None)
+    state.work_from(None)  # the result holds no factorization
+    message = _MESSAGES[event].format(error=error, violated=", ".join(
+        f"g_{i + 1}={gi:.4f}" for i, gi in enumerate(g) if gi > 0))
+    return OptimizationResult(
+        topology=topo, history=state.history, feasible=snapshot is not None,
+        message=message, fea_count=state.fea_count, analysis=analysis, field=field,
+        references=list(state.references),
+        constraint_values=[r / ref for r, ref in zip(state.raws(analysis), state.references)],
+        rel_compliance=list(state.rel_compliance(analysis)),
+    )

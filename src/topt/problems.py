@@ -31,12 +31,12 @@ def _disp(case, x, y, d, bound):
     return ConstraintSpec(KIND_DISPLACEMENT, case, bound, point=Point2(x, y), direction=d)
 
 
-def _stress(case, bound, p):
-    return ConstraintSpec(KIND_PNORM_STRESS, case, bound, p_exponent=p)
+def _stress(case, bound):
+    return ConstraintSpec(KIND_PNORM_STRESS, case, bound)
 
 
 def builtin_config(name: str, delta_max: float | None = None,
-                   sigma_max: float | None = None, p_exponent: int = 8) -> ProblemConfig:
+                   sigma_max: float | None = None) -> ProblemConfig:
     """Configuration of one built-in benchmark; ``delta_max`` / ``sigma_max``
     override every displacement / stress bound."""
     if name not in BUILTIN_NAMES:
@@ -52,7 +52,7 @@ def builtin_config(name: str, delta_max: float | None = None,
             loads=(LoadEntry(1, 1.0, 0.2, *DOWN, 1.0),),
             constraints=(
                 _disp(1, 1.0, 0.2, DOWN, d),
-                _stress(1, 1000.0 if sigma_max is None else sigma_max, p_exponent),
+                _stress(1, 1000.0 if sigma_max is None else sigma_max),
             ))
     if name == "l-bracket-multi":
         return ProblemConfig(
@@ -64,8 +64,8 @@ def builtin_config(name: str, delta_max: float | None = None,
             constraints=(
                 _disp(1, 1.0, 0.2, DOWN, d),
                 _disp(2, 1.0, 0.2, RIGHT, d),
-                _stress(1, s, p_exponent),
-                _stress(2, s, p_exponent),
+                _stress(1, s),
+                _stress(2, s),
             ))
     if name == "cantilever-single":
         return ProblemConfig(
@@ -96,17 +96,15 @@ def builtin_config(name: str, delta_max: float | None = None,
         constraints=(
             _disp(1, 1.0, 0.0, DOWN, d),
             _disp(2, 1.0, 0.0, RIGHT, d),
-            _stress(1, s, p_exponent),
-            _stress(2, s, p_exponent),
+            _stress(1, s),
+            _stress(2, s),
         ))
 
 
 def builtin_problem(name: str, delta_max: float | None = None,
-                    sigma_max: float | None = None, mesh_scale: int = 1,
-                    p_exponent: int = 8) -> ProblemSpec:
-    cfg = builtin_config(name, delta_max=delta_max, sigma_max=sigma_max,
-                         p_exponent=p_exponent)
-    return build_problem(cfg, mesh_scale=mesh_scale)
+                    sigma_max: float | None = None, mesh_scale: int = 1) -> ProblemSpec:
+    return build_problem(builtin_config(name, delta_max=delta_max, sigma_max=sigma_max),
+                         mesh_scale=mesh_scale)
 
 
 def scale_loads(problem: ProblemSpec, factor: float) -> ProblemSpec:

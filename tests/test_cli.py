@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topt import checks
+from topt import checks, cli
 from topt.cli import main
 
 CONFIG = """
@@ -178,6 +178,26 @@ class TestBenchCommand:
         code = main(["bench", "nope", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "l-bracket-single" in capsys.readouterr().err
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("detail", [
+        "", "Unable to allocate 14.6 TiB for an array with shape (2000002000001, 4) "
+            "and data type int64"], ids=["empty", "numpy"])
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_one_line_exit_one(self, tmp_path, capsys, monkeypatch, command, detail):
+        # raised where the document becomes a mesh; nothing large is allocated
+        def exhausted(*args, **kwargs):
+            raise MemoryError(detail)
+        monkeypatch.setattr(cli, "parse_problem", exhausted)
+        monkeypatch.setattr(cli, "build_problem", exhausted)
+        args = (["run", "--config", str(write_config(tmp_path))] if command == "run"
+                else ["bench", "l-bracket-single"])
+        code = main([*args, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert detail in err
 
 
 class TestVerifyCommand:

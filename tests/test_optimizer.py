@@ -116,6 +116,114 @@ class TestRunBasics:
         assert 0.3 < res.topology.volume_fraction < 0.9
 
 
+# every way a run can end: (problem keywords, optimizer settings, repair off,
+# message, feasible, solves, history rows, last event)
+RUN_ENDS = [
+    ({}, {"max_total_fea": 12}, False, "FEA budget exhausted", True, 11, 16, "budget"),
+    ({}, {"max_total_fea": 13}, False, "FEA budget exhausted", True, 12, 17, "budget"),
+    ({"nx": 8, "ny": 4, "bound": 3.0}, {"delta_v": 0.3, "min_delta_v": 0.05}, False,
+     "volume decrement below minimum (removal blocked)", True, 16, 24, "backtrack-blocked"),
+    ({"nx": 6, "ny": 3, "bound": 5.0, "extra_q": True}, {"delta_v": 0.4, "min_delta_v": 0.1},
+     False, "volume decrement below minimum", True, 24, 29, "backtrack-violated"),
+    ({"bound": 0.9}, {}, False, "infeasible at the full domain: g_1=0.1000", False, 1, 1,
+     "infeasible"),
+    ({"nx": 8, "ny": 4, "bound": 50.0}, {"delta_v": 0.5, "min_delta_v": 0.1}, False,
+     "schedule floor reached (protected elements)", True, 6, 7, "floor"),
+    # with the connectivity repair off, a cut orphans the loaded node
+    ({"nx": 8, "ny": 4, "bound": 3.0}, {"delta_v": 0.3, "min_delta_v": 0.05}, True,
+     "volume decrement below minimum (node 26 carries a load or constraint but "
+     "touches no solid element)", True, 10, 14, "topology-error"),
+]
+RUN_END_IDS = ["budget-12", "budget-13", "blocked", "violated", "infeasible", "floor",
+               "topology-error"]
+
+
+def _no_repair(mesh, topo, previous, boundary):
+    return topo
+
+
+def run_end(monkeypatch, kwargs, settings, unrepaired):
+    if unrepaired:
+        monkeypatch.setattr(optimizer, "repair_connectivity", _no_repair)
+    return optimizer.run(small_problem(**kwargs, config=OptimizerConfig(
+        track_condition=False, **settings)))
+
+
+class TestRunEnds:
+    """Every way a run can end, with its message, solves and history rows."""
+
+    @pytest.mark.parametrize("kwargs, settings, unrepaired, message, feasible, solves, rows, "
+                             "event", RUN_ENDS, ids=RUN_END_IDS)
+    def test_end(self, monkeypatch, kwargs, settings, unrepaired, message, feasible,
+                 solves, rows, event):
+        res = run_end(monkeypatch, kwargs, settings, unrepaired)
+        assert (res.message, res.feasible, res.fea_count, len(res.history)) == \
+            (message, feasible, solves, rows)
+
+    @pytest.mark.parametrize("kwargs, settings, unrepaired, message, feasible, solves, rows, "
+                             "event", RUN_ENDS, ids=RUN_END_IDS)
+    def test_last_event(self, monkeypatch, kwargs, settings, unrepaired, message, feasible,
+                        solves, rows, event):
+        # the message is the last outer pass's; every earlier pass went on
+        res = run_end(monkeypatch, kwargs, settings, unrepaired)
+        events = [h.event for h in res.history if h.event is not None]
+        assert res.history[0].event is not None
+        assert events[-1] == event
+        assert set(events) <= {"accept", *optimizer._MESSAGES}
+        assert all(e in ("accept", "backtrack-violated", "backtrack-blocked", "topology-error")
+                   for e in events[:-1])
+
+
+class TestStepRecord:
+    """One record per analysis, plus one per outer pass carrying its event."""
+
+    BLOCKED = ({"nx": 8, "ny": 4, "bound": 3.0}, {"delta_v": 0.3, "min_delta_v": 0.05})
+
+    def test_backtracking_events(self, monkeypatch):
+        res = run_end(monkeypatch, *self.BLOCKED, False)
+        events = [h.event for h in res.history if h.event is not None]
+        assert events == ["accept", "backtrack-violated", *["accept"] * 5,
+                          "backtrack-violated", "backtrack-blocked"]
+        # a violated pass runs no inner loop; a blocked one ran it to convergence
+        outer = [h for h in res.history if h.event is not None]
+        assert [h.inner_converged for h in outer] == [
+            None if e == "backtrack-violated" else True for e in events]
+        assert all(h.cond_converged is None and h.cond_estimate is None for h in outer)
+
+    def test_restored_counts_repair(self, monkeypatch):
+        calls = []
+        repair = optimizer.repair_connectivity
+
+        def spy(mesh, topo, previous, boundary):
+            out = repair(mesh, topo, previous, boundary)
+            calls.append((out.count() - topo.count(), out, previous))
+            return out
+        monkeypatch.setattr(optimizer, "repair_connectivity", spy)
+        res = run_end(monkeypatch, *self.BLOCKED, False)
+        # a repair whose result equals the topology it started from ends the
+        # inner loop at a fixed point; every other one gives an analyzed row
+        analyzed = [(d, out) for d, out, prev in calls if not np.array_equal(out.solid, prev.solid)]
+        inner = [h for h in res.history if h.event is None]
+        assert [h.restored for h in inner] == [d for d, _ in analyzed]
+        assert [h.achieved_vf for h in inner] == [out.volume_fraction for _, out in analyzed]
+        assert sum(h.restored for h in inner) == 24
+        assert all(h.restored is None for h in res.history if h.event is not None)
+
+    def test_islands_are_unanalyzed_solids(self, monkeypatch):
+        analyses = []
+        analyze = fem.analyze
+
+        def recorded(*args, **kwargs):
+            analyses.append(analyze(*args, **kwargs))
+            return analyses[-1]
+        monkeypatch.setattr(fem, "analyze", recorded)
+        res = optimizer.run(builtin_problem("cantilever-multi"))
+        rows = [h for i, h in enumerate(res.history) if i == 0 or h.event is None]
+        assert [h.islands for h in rows] == [
+            a.topology.count() - len(a.active.element_ids) for a in analyses]
+        assert max(h.islands for h in rows) > 0
+
+
 class TestInnerLoop:
     def test_converged_state_is_fixed_point(self):
         p = small_problem(constrained=False,
@@ -327,6 +435,17 @@ class TestConditionBound:
         assert conds[1] == pytest.approx(conds[0], rel=1e-6)
 
 
+# analyses, those holding solid elements cut off from the supports, and the
+# most such elements in one analysis (the ROADMAP's island table)
+ISLANDS = {
+    "l-bracket-single": (63, 18, 5),
+    "l-bracket-multi": (92, 44, 17),
+    "cantilever-single": (70, 20, 9),
+    "cantilever-multi": (51, 18, 11),
+    "mitchell-multi": (75, 29, 27),
+}
+
+
 class TestBuiltinAnswers:
     @pytest.mark.parametrize("name, fea_count, vf", [
         ("l-bracket-single", 63, 0.4793388429752066),
@@ -339,6 +458,15 @@ class TestBuiltinAnswers:
         # unchanged since the seed; a move here is a change of the answer
         _, result = builtin_run(name)
         assert (result.fea_count, result.topology.volume_fraction) == (fea_count, vf)
+        # the analyses are the first row and the inner rows
+        rows = [h for i, h in enumerate(result.history) if i == 0 or h.event is None]
+        islands = [h.islands for h in rows]
+        assert (len(rows), sum(c > 0 for c in islands), max(islands)) == ISLANDS[name]
+        # every inner loop and condition estimate converged; no repair restored
+        outer = [h for h in result.history if h.event is not None]
+        assert {h.inner_converged for h in outer} == {True, None}
+        assert all(h.cond_converged is True for h in outer)
+        assert all(h.restored == 0 for h in rows[1:])
 
     def test_filtered_cantilever_answer(self):
         # the cantilever-filter benchmark workload: the filter runs every step
