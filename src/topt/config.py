@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dc_fields, replace
@@ -305,6 +306,21 @@ def _optimizer_config(overrides: tuple[tuple[str, str], ...]) -> OptimizerConfig
         raise ConfigError(f"[optimizer]: {exc}") from exc
 
 
+def band_bytes_bound(nx: int, ny: int) -> int:
+    """Bytes of the full domain's stiffness band on an nx-by-ny grid, at
+    most: the sweep along the shorter side is always a candidate order, and
+    its DOF band is kd = 2 min(nx, ny) + 5 over 2 (nx + 1)(ny + 1) DOFs."""
+    return 8 * 2 * (nx + 1) * (ny + 1) * (2 * min(nx, ny) + 6)
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the host does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
     """Materialize a configuration into a runnable problem."""
     if mesh_scale < 1:
@@ -316,6 +332,15 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
         domain = DomainSpec(width=cfg.width, height=cfg.height,
                             nx=cfg.nx * mesh_scale, ny=cfg.ny * mesh_scale,
                             masked_regions=cfg.masks)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    band, memory = band_bytes_bound(domain.nx, domain.ny), _physical_memory()
+    if memory is not None and band > memory:
+        raise ConfigError(
+            f"[domain] nx = {cfg.nx} and ny = {cfg.ny} at mesh scale {mesh_scale} give a "
+            f"stiffness band of up to {band / 2**30:.4g} GiB, more than the "
+            f"{memory / 2**30:.4g} GiB of physical memory")
+    try:
         mesh, boundary = build_mesh(domain)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

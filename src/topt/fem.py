@@ -3,14 +3,14 @@
 Void elements are removed from the assembly entirely (no ersatz stiffness)
 and fixed DOFs are eliminated by reduction, so the assembled matrix is
 symmetric positive definite and its condition number is physically
-meaningful. Assembly sums each element's lower triangle, through the DOF
-ranks of ``Mesh.stiffness_pattern``, straight into LAPACK's lower band in the
-mesh's narrowest-band order, and the band is factored in place by LAPACK's
-banded Cholesky on one BLAS thread, so the factor's bytes do not depend on
-the thread count. Products with K are made element by element. Stress and
-strain are recovered at element centroids, one value per element; the shear
-entries stored in tensor fields are the *tensor* components
-(eps_xy = gamma_xy / 2, sigma_xy).
+meaningful. When a system is first factored, its elements' lower triangles
+are summed, through the DOF ranks of ``Mesh.stiffness_pattern``, straight
+into LAPACK's lower band in the mesh's narrowest-band order, and the band is
+factored in place by LAPACK's banded Cholesky on one BLAS thread, so the
+factor's bytes do not depend on the thread count. Products with K are made
+element by element. Stress and strain are recovered at element centroids,
+one value per element; the shear entries stored in tensor fields are the
+*tensor* components (eps_xy = gamma_xy / 2, sigma_xy).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from .mesh import ActiveMesh, BoundarySpec, Mesh, TopologyState, active_submesh
 
 RESIDUAL_TOL = 1e-8
+_CHUNK = 512  # elements scattered into the band at a time
 _GAUSS = 1.0 / np.sqrt(3.0)
 
 
@@ -166,24 +167,24 @@ class BandCholesky:
 
 class SystemMatrix:
     """Reduced SPD stiffness matrix of the active elements in the order of
-    ``active.free_dofs``, held only as LAPACK's lower band until the first use
-    of ``factor`` factors that band in place, without pivoting. The factor
+    ``active.free_dofs``. Products with K are made element by element, so the
+    matrix is held only as a factor: the first use of ``factor`` builds
+    LAPACK's lower band and factors it in place, without pivoting. The factor
     lives until ``release()``; ``factor`` then builds and factors the band
-    again, to the same result. Products with K are made element by element.
-    The condition estimate stays cached."""
+    again, to the same result. The condition estimate stays cached."""
 
     def __init__(self, active: ActiveMesh, ke: np.ndarray):
         self.active = active
         self.ke = ke
         self.n = active.n_free
-        self._band = self._build_band()
         self._factor = None
         self._condition = None
 
     def _build_band(self) -> np.ndarray:
         """``ab[i - j, j] = K[i, j]`` for ``0 <= i - j <= kd``, Fortran order,
         kd being the largest ``i - j`` of an element's pair of free DOFs. Each
-        entry sums its element terms in element order."""
+        entry sums its element terms in element order, scattered ``_CHUNK``
+        elements at a time so that no index table spans every element."""
         pattern = self.active.mesh.stiffness_pattern()
         red = np.full(self.active.mesh.n_dofs, -1)
         red[self.active.free_dofs] = np.arange(self.n)
@@ -195,14 +196,18 @@ class SystemMatrix:
         # its reduced indices, with ke[a, b], which is bitwise ke[b, a]. (i, j)
         # is at j * kd + i of the flat band; eliminated pairs land past its end
         a, b = np.tril_indices(8)
+        weights = np.tile(self.ke[a, b], min(_CHUNK, len(r8)))
         end = self.n * (kd + 1)
-        at = np.minimum(r8[:, a], r8[:, b])
-        eliminated = at < 0
-        at *= kd
-        at += np.maximum(r8[:, a], r8[:, b])
-        at[eliminated] = end
-        flat = np.bincount(at.ravel(), weights=np.tile(self.ke[a, b], len(r8)),
-                           minlength=end + 1)
+        flat = np.zeros(end + 1)
+        for start in range(0, len(r8), _CHUNK):
+            ra, rb = r8[start:start + _CHUNK, a], r8[start:start + _CHUNK, b]
+            at = np.minimum(ra, rb)
+            eliminated = at < 0
+            at *= kd
+            at += np.maximum(ra, rb, out=ra)
+            at[eliminated] = end
+            # np.add.at adds in index order: each entry's terms in element order
+            np.add.at(flat, at.ravel(), weights[:at.size])
         return flat[:end].reshape((kd + 1, self.n), order="F")
 
     def product(self, x: np.ndarray) -> np.ndarray:
@@ -216,14 +221,12 @@ class SystemMatrix:
     @property
     def factor(self) -> BandCholesky:
         if self._factor is None:
-            band = self._build_band() if self._band is None else self._band
-            self._band = None  # the factor overwrites it
-            self._factor = BandCholesky(band)
+            self._factor = BandCholesky(self._build_band())
         return self._factor
 
     def release(self) -> None:
-        """Drop the factor, or the band not yet factored: n * (kd + 1) doubles."""
-        self._band = self._factor = None
+        """Drop the factor: n * (kd + 1) doubles."""
+        self._factor = None
 
     def condition(self, lam_max: float,
                   start: np.ndarray | None = None) -> tuple[float, bool, np.ndarray]:
@@ -244,7 +247,8 @@ class SystemMatrix:
 
 
 def assemble(active: ActiveMesh, material: Material) -> SystemMatrix:
-    """Assemble the reduced stiffness band over the active elements."""
+    """The reduced stiffness system of the active elements; its band is built
+    when it is first factored."""
     if len(active.element_ids) == 0:
         raise ValueError("cannot assemble an empty active mesh")
     return SystemMatrix(active, element_stiffness(material, active.mesh.h))
@@ -380,12 +384,15 @@ class Analysis:
 
 
 def analyze(mesh: Mesh, boundary: BoundarySpec, material: Material,
-            topo: TopologyState, cases: list[int] | None = None) -> Analysis:
-    """Assemble and solve every load case on the given topology."""
+            topo: TopologyState, cases: list[int] | None = None,
+            system: SystemMatrix | None = None) -> Analysis:
+    """Assemble, unless given the topology's ``system``, and solve every load
+    case on the given topology."""
     if cases is None:
         cases = boundary.load_cases()
-    active = active_submesh(mesh, topo, boundary)
-    system = assemble(active, material)
+    if system is None:
+        system = assemble(active_submesh(mesh, topo, boundary), material)
+    active = system.active
     loads, disp, tensors, vms, comps = [], [], [], [], []
     for case in cases:
         f = load_vector(mesh, boundary, case)

@@ -12,6 +12,7 @@ outcome as a ``HistoryRecord.event``, and the last one says which.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
@@ -161,9 +162,11 @@ class _Run:
             self.live.system.release()
         self.live = analysis
 
-    def analyze(self, topo: TopologyState) -> fem.Analysis:
+    def analyze(self, topo: TopologyState,
+                system: fem.SystemMatrix | None = None) -> fem.Analysis:
         self.work_from(None)  # before the next factorization, never after
-        self.live = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases)
+        self.live = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases,
+                                system)
         self.fea_count += self.live.n_solves
         return self.live
 
@@ -233,8 +236,10 @@ class _Run:
         self.relaxed = out
         return out
 
-    def solves_per_inner(self) -> int:
-        return len(self.cases) + len(self.constraints)
+    def out_of_budget(self) -> bool:
+        """Whether one more inner iteration could exceed the FEA budget."""
+        solves = len(self.cases) + len(self.constraints)
+        return self.fea_count + solves > self.config.max_total_fea
 
 
 def fixed_point_step(run: _Run, topo: TopologyState, analysis: fem.Analysis,
@@ -259,7 +264,7 @@ def fixed_point_step(run: _Run, topo: TopologyState, analysis: fem.Analysis,
     small_changes = 0
     prev_j = np.array(analysis.compliances)
     for it in range(config.max_inner_iters):
-        if run.fea_count + run.solves_per_inner() > config.max_total_fea:
+        if run.out_of_budget():
             break
         field = run.relaxed if it == 0 and retry else run.build_field(analysis, al)
         cut = levelset.extract_domain(field, levelset.find_tau(field, target_vf), run.protected)
@@ -294,7 +299,18 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
 
     state = _Run(problem, config)
     topo = TopologyState.full(state.mesh)
-    analysis = state.analyze(topo)
+    system = fem.assemble(fem.active_submesh(state.mesh, topo, state.boundary), state.material)
+    # the bound needs only K products, so it is taken before the full domain's
+    # band, the run's largest, exists. What it warns or raises is held until
+    # the analysis and its checks have passed, so that theirs come first
+    lam_max = bound_error = None
+    with warnings.catch_warnings(record=True) as bound_warnings:
+        if config.track_condition:
+            try:
+                lam_max = fem.lambda_max_bound(system)
+            except Exception as exc:  # re-raised unchanged below
+                bound_error = exc
+    analysis = state.analyze(topo, system)
     for case, j in zip(state.cases, analysis.compliances):
         if j <= 0:
             raise ValueError(f"load case {case} does no work on the full domain; its "
@@ -306,7 +322,10 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
                              f"initial value {ref}; orient its direction along the "
                              "actual initial displacement")
     state.j0 = list(analysis.compliances)
-    lam_max = fem.lambda_max_bound(analysis.system) if config.track_condition else None
+    for w in bound_warnings:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    if bound_error is not None:
+        raise bound_error
 
     al = auglag.ALState.initial(len(state.constraints), config.mu0, config.gamma0)
     delta_v = config.delta_v
@@ -337,16 +356,22 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
             event = "target"
         elif target < floor_vf:
             event = "floor"
-        elif state.fea_count + state.solves_per_inner() > config.max_total_fea:
+        elif state.out_of_budget():
             event = "budget"
         else:
             before = topo.count()
             try:
                 topo, analysis, row.inner_converged = fixed_point_step(
                     state, topo, analysis, target, al, step, retry)
-                # protection or connectivity repair may undo the removal:
-                # the decrement is then blocked at this scale
-                event = "accept" if topo.count() < before else "backtrack-blocked"
+                if topo.count() < before:
+                    event = "accept"
+                elif not row.inner_converged and state.out_of_budget():
+                    # the budget ran out before an iterate beat the start
+                    event = "budget"
+                else:
+                    # protection or connectivity repair may undo the removal:
+                    # the decrement is then blocked at this scale
+                    event = "backtrack-blocked"
             except TopologyError as exc:  # removal broke a load path
                 event, error = "topology-error", exc
 

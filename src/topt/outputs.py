@@ -15,6 +15,7 @@ from .optimizer import OptimizationResult
 from .sensitivity import KIND_DISPLACEMENT, KIND_PNORM_STRESS
 
 ACTIVE_MARGIN = 0.02  # |g| below this counts as an active constraint
+_BLOCK = 1000  # lines of result.vtk formatted and written at a time
 
 
 def write_density_pgm(problem: ProblemSpec, result: OptimizationResult, path: Path) -> None:
@@ -30,23 +31,19 @@ def write_density_pgm(problem: ProblemSpec, result: OptimizationResult, path: Pa
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_rows(fh, rows: np.ndarray, line: str) -> None:
+    """``line % row`` and a newline for each row, from the row's Python
+    values, formatted and written ``_BLOCK`` rows at a time, so no string
+    spans the whole array."""
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start:start + _BLOCK]
+        fh.write((line + "\n") * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_vtk(problem: ProblemSpec, result: OptimizationResult, path: Path) -> None:
     """Legacy ASCII VTK unstructured grid with density, von Mises (envelope
     over load cases), and the final combined level-set as cell data."""
     mesh = problem.mesh
-    lines = [
-        "# vtk DataFile Version 2.0",
-        f"topt result: {problem.name}",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
-    ]
-    lines += [f"{x!r} {y!r} 0.0" for x, y in mesh.nodes.tolist()]
-    lines.append(f"CELLS {mesh.n_elements} {5 * mesh.n_elements}")
-    lines += ["4 %d %d %d %d" % tuple(quad) for quad in mesh.elements.tolist()]
-    lines.append(f"CELL_TYPES {mesh.n_elements}")
-    lines += ["9"] * mesh.n_elements
-
     density = result.topology.solid.astype(float)
     if result.analysis is not None and result.analysis.vonmises:
         vm = np.maximum.reduce(result.analysis.vonmises)
@@ -54,12 +51,20 @@ def write_vtk(problem: ProblemSpec, result: OptimizationResult, path: Path) -> N
         vm = np.zeros(mesh.n_elements)
     t_l = result.field if result.field is not None else np.zeros(mesh.n_elements)
 
-    lines.append(f"CELL_DATA {mesh.n_elements}")
-    for name, data in (("density", density), ("von_mises", vm), ("T_L", t_l)):
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines += map(repr, data.tolist())
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write("# vtk DataFile Version 2.0\n"
+                 f"topt result: {problem.name}\n"
+                 "ASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\n"
+                 f"POINTS {mesh.n_nodes} double\n")
+        _write_rows(fh, mesh.nodes, "%r %r 0.0")
+        fh.write(f"CELLS {mesh.n_elements} {5 * mesh.n_elements}\n")
+        _write_rows(fh, mesh.elements, "4 %d %d %d %d")
+        fh.write(f"CELL_TYPES {mesh.n_elements}\n" + "9\n" * mesh.n_elements
+                 + f"CELL_DATA {mesh.n_elements}\n")
+        for name, data in (("density", density), ("von_mises", vm), ("T_L", t_l)):
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            _write_rows(fh, data, "%r")
 
 
 def write_history_csv(result: OptimizationResult, path: Path) -> None:

@@ -4,14 +4,16 @@ Each oracle takes a route disjoint from the production code: the element
 stiffness comes from the published closed-form coefficient vector, the
 topological sensitivity is checked against literal hole drilling with
 re-solves, eigenvalues against dense decompositions, the assembled band
-against COO triplets summed entry by entry, and the array-based grid
-operations against the per-element loops they replaced. The condition
+against COO triplets summed entry by entry and against the one-shot
+``bincount`` that built it before the chunked scatter, and the array-based
+grid operations against the per-element loops they replaced. The condition
 estimate's inverse iteration is checked against the loop it replaced, which
 solved twice per step. The skin extension, the connectivity repair,
 the protected patch and the support-box matching are checked against the
 grid-rolling, grid-walking, set-based and per-node versions they replaced.
 The field normalization and the augmented-Lagrangian combination are checked
-against their first form, which always copied the field before changing it.
+against their first form, which always copied the field before changing it,
+and the block-by-block VTK writer against the one that held every line.
 """
 
 from collections import deque
@@ -83,6 +85,59 @@ def lower_band(matrix: sp.csr_matrix) -> np.ndarray:
     flat = np.zeros(n * (kd + 1))
     flat[matrix.indices[lower].astype(np.intp) * kd + rows[lower]] = matrix.data[lower]
     return flat.reshape((kd + 1, n), order="F")
+
+
+def band_by_bincount(system) -> np.ndarray:
+    """A system's lower band from one ``bincount`` over the 36 lower pairs of
+    every active element at once, as assembly scattered it before it went
+    chunk by chunk: ``ab[i - j, j] = K[i, j]``, Fortran order, each entry's
+    element terms summed in element order."""
+    pattern = system.active.mesh.stiffness_pattern()
+    red = np.full(system.active.mesh.n_dofs, -1)
+    red[system.active.free_dofs] = np.arange(system.n)
+    r8 = red[pattern.dof_order][pattern.ranks[system.active.element_ids]]
+    kd = max(0, int((r8.max(axis=1) - np.where(r8 < 0, system.n, r8).min(axis=1)).max()))
+    a, b = np.tril_indices(8)
+    end = system.n * (kd + 1)
+    at = np.minimum(r8[:, a], r8[:, b])
+    eliminated = at < 0
+    at = at * kd + np.maximum(r8[:, a], r8[:, b])
+    at[eliminated] = end
+    flat = np.bincount(at.ravel(), weights=np.tile(system.ke[a, b], len(r8)),
+                       minlength=end + 1)
+    return flat[:end].reshape((kd + 1, system.n), order="F")
+
+
+def write_vtk_at_once(problem, result, path) -> None:
+    """``result.vtk`` from every line held at once and written as one joined
+    text, as the writer did before it went block by block."""
+    mesh = problem.mesh
+    lines = [
+        "# vtk DataFile Version 2.0",
+        f"topt result: {problem.name}",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {mesh.n_nodes} double",
+    ]
+    lines += [f"{x!r} {y!r} 0.0" for x, y in mesh.nodes.tolist()]
+    lines.append(f"CELLS {mesh.n_elements} {5 * mesh.n_elements}")
+    lines += ["4 %d %d %d %d" % tuple(quad) for quad in mesh.elements.tolist()]
+    lines.append(f"CELL_TYPES {mesh.n_elements}")
+    lines += ["9"] * mesh.n_elements
+
+    density = result.topology.solid.astype(float)
+    if result.analysis is not None and result.analysis.vonmises:
+        vm = np.maximum.reduce(result.analysis.vonmises)
+    else:
+        vm = np.zeros(mesh.n_elements)
+    t_l = result.field if result.field is not None else np.zeros(mesh.n_elements)
+
+    lines.append(f"CELL_DATA {mesh.n_elements}")
+    for name, data in (("density", density), ("von_mises", vm), ("T_L", t_l)):
+        lines.append(f"SCALARS {name} double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines += map(repr, data.tolist())
+    path.write_text("\n".join(lines) + "\n")
 
 
 def hole_drilling(mesh, boundary, material, elements) -> np.ndarray:

@@ -200,6 +200,33 @@ class TestOutOfMemory:
         assert detail in err
 
 
+class TestErrorPrecedence:
+    """The full domain's lambda_max bound is taken before its first
+    factorization, yet an input that fails the first analysis fails with that
+    analysis's line alone: nothing the bound raised or warned shows."""
+
+    # a warning is shown, or raised as an error (as under python -W error)
+    @pytest.mark.parametrize("action", ["always", "error"])
+    @pytest.mark.parametrize("edit, line", [
+        ({}, "factorization failed (234-th leading minor not positive definite)"),
+        # K products overflow in the bound; the factorization does not fail
+        ({"e = 200000000000.0": "e = 1e300"}, "relative residual 2.960e+00 exceeds 1e-08"),
+    ], ids=["rigid-body-mode", "overflowing-bound"])
+    def test_first_analysis_error_alone(self, tmp_path, capsys, edit, line, action):
+        text = LBRACKET.replace("fix = 0.0 1.0 0.4 1.0 xy", "fix = 0.0 1.0 0.4 1.0 x")
+        for old, new in edit.items():
+            text = text.replace(old, new)
+        assert "track_condition = on" in text
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert (code, out, caught) == (1, "", [])
+        assert err == (f"error: singular stiffness system: {line}; the supports likely "
+                       "leave a rigid-body mode\n")
+
+
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):
         code = main(["verify"])
@@ -346,7 +373,7 @@ track_condition = on
 
 # extreme and malformed replacements for one value token
 _TOKENS = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e-308", "-0.0", "3", "0.5", "2",
-           "1e400", "x", "xy", "on", ";", "", "0.4 0.4", "1 2"]
+           "1e400", "x", "xy", "on", ";", "", "0.4 0.4", "1 2", "1000000000"]
 
 
 @st.composite

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topt import optimizer, outputs
-from topt.config import (ConfigError, build_problem, parse_problem, parse_problem_config,
-                         serialize_problem, serialize_problem_config, with_overrides)
+from topt import config as config_module, fem, optimizer, outputs
+from topt.config import (ConfigError, band_bytes_bound, build_problem, parse_problem,
+                         parse_problem_config, serialize_problem, serialize_problem_config,
+                         with_overrides)
+from topt.mesh import TopologyState, active_submesh
+from topt.optimizer import OptimizationResult
 from topt.problems import BUILTIN_NAMES, builtin_config, builtin_problem
 from topt.sensitivity import KIND_DISPLACEMENT
 
-from _oracles import support_dofs_by_loop
+from _oracles import support_dofs_by_loop, write_vtk_at_once
 
 MINIMAL = """
 [domain]
@@ -238,6 +241,42 @@ class TestBuiltinProblems:
         assert p.constraints[1].bound == 1.1
 
 
+class TestBandPreflight:
+    """A grid whose stiffness band cannot fit in physical memory is refused
+    before the mesh is built."""
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_bound_holds_the_full_domain_band(self, name, scale):
+        p = builtin_problem(name, mesh_scale=scale)
+        active = active_submesh(p.mesh, TopologyState.full(p.mesh), p.boundary)
+        band = fem.assemble(active, p.material)._build_band()
+        nx, ny = p.mesh.grid_shape
+        assert band.nbytes <= band_bytes_bound(nx, ny)
+
+    def test_scale_four_lbracket_bound(self):
+        assert band_bytes_bound(220, 220) == 348_529_376  # the band itself: 180 MB
+
+    @pytest.mark.parametrize("cfg, scale", [
+        (builtin_config("l-bracket-single"), 64),
+        (parse_problem_config(MINIMAL.replace("nx = 8", "nx = 2000000")
+                              .replace("ny = 4", "ny = 1000000")), 1),
+    ], ids=["l-bracket-scale-64", "huge-grid"])
+    def test_refused_naming_keys_and_scale(self, monkeypatch, cfg, scale):
+        monkeypatch.setattr(config_module, "_physical_memory", lambda: 8 * 2**30)
+        monkeypatch.setattr(config_module, "build_mesh", None)  # never reached
+        with pytest.raises(ConfigError) as err:
+            build_problem(cfg, mesh_scale=scale)
+        message = str(err.value)
+        assert message.startswith(f"[domain] nx = {cfg.nx} and ny = {cfg.ny} at mesh "
+                                  f"scale {scale} give a stiffness band of up to ")
+        assert message.endswith(" more than the 8 GiB of physical memory")
+
+    def test_unknown_memory_is_not_checked(self, monkeypatch):
+        monkeypatch.setattr(config_module, "_physical_memory", lambda: None)
+        assert build_problem(builtin_config("l-bracket-single")).mesh.n_elements == 1936
+
+
 @pytest.fixture(scope="module")
 def small_result():
     text = MINIMAL + "\n[optimizer]\ntrack_condition = off\n"
@@ -318,6 +357,27 @@ class TestOutputs:
         parsed = [[float(tok) for tok in line.split()] for line in points]
         assert all(len(xyz) == 3 for xyz in parsed)
         assert [xyz[:2] for xyz in parsed] == p.mesh.nodes.tolist()
+
+    @pytest.mark.parametrize("case", ["scale-1", "scale-2", "no-analysis-no-field"])
+    def test_vtk_blocks_equal_one_shot(self, builtin_run, tmp_path, case):
+        # written a block of lines at a time, the bytes are those of every
+        # line joined and written at once
+        if case == "scale-1":
+            p, res = builtin_run("l-bracket-single")
+        else:
+            p = builtin_problem("l-bracket-single", mesh_scale=2 if case == "scale-2" else 1)
+            rng = np.random.default_rng(7)
+            solid = rng.random(p.mesh.n_elements) < 0.6
+            analysis = (fem.analyze(p.mesh, p.boundary, p.material, TopologyState.full(p.mesh))
+                        if case == "scale-2" else None)
+            res = OptimizationResult(
+                topology=TopologyState(solid), history=[], feasible=True, message="t",
+                fea_count=0, analysis=analysis,
+                field=rng.normal(size=p.mesh.n_elements) if case == "scale-2" else None)
+        assert p.mesh.n_nodes > outputs._BLOCK or case != "scale-2"
+        outputs.write_vtk(p, res, tmp_path / "blocks.vtk")
+        write_vtk_at_once(p, res, tmp_path / "at_once.vtk")
+        assert (tmp_path / "blocks.vtk").read_bytes() == (tmp_path / "at_once.vtk").read_bytes()
 
     def test_summary_mentions_bounds(self, small_result, tmp_path):
         p, res = small_result

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from topt.mesh import (DomainSpec, PointLoad, TopologyError, TopologyState, acti
                        build_mesh, repair_connectivity)
 from topt.problems import BUILTIN_NAMES, builtin_problem
 
-from _oracles import assemble_coo, closed_form_ke, condition_estimate_two_apply, lower_band
+from _oracles import (assemble_coo, band_by_bincount, closed_form_ke,
+                      condition_estimate_two_apply, lower_band)
 from conftest import Counting, make_cantilever, topology_draws, uniaxial_element, wrap_factorization
 
 
@@ -25,7 +27,7 @@ def assert_matches_coo(active, material):
     system = fem.assemble(active, material)
     expected = oracle_matrix(active, material)
     assert (expected != expected.T).nnz == 0
-    assert np.array_equal(system._band, lower_band(expected))
+    assert np.array_equal(system._build_band(), lower_band(expected))
     x = np.random.default_rng(active.n_free).normal(size=active.n_free)
     assert np.linalg.norm(system.product(x) - expected @ x) <= 1e-14 * np.linalg.norm(expected @ x)
 
@@ -48,8 +50,8 @@ def pairwise_band_width(active):
 
 
 def dense(system):
-    """The full symmetric matrix of a system's (unfactored) band."""
-    band = system._band
+    """The full symmetric matrix of a system's band."""
+    band = system._build_band()
     kd, n = band.shape[0] - 1, band.shape[1]
     K = np.zeros((n, n))
     for d in range(kd + 1):
@@ -68,6 +70,63 @@ class TestMaterial:
     def test_constitutive_symmetric(self):
         C = fem.Material(E=2e11, nu=0.33).constitutive()
         assert np.array_equal(C, C.T)
+
+
+class TestChunkedScatter:
+    """The band scattered ``fem._CHUNK`` elements at a time is bit for bit the
+    one-shot ``bincount`` over every element, with a smaller transient."""
+
+    @staticmethod
+    def assert_bincount_band(system):
+        band, expected = system._build_band(), band_by_bincount(system)
+        assert band.shape == expected.shape and band.flags.f_contiguous
+        assert band.tobytes(order="F") == expected.tobytes(order="F")
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_full_domain(self, name):
+        problem = builtin_problem(name)
+        active = active_submesh(problem.mesh, TopologyState.full(problem.mesh),
+                                problem.boundary)
+        self.assert_bincount_band(fem.assemble(active, problem.material))
+
+    @pytest.mark.parametrize("name", ["l-bracket-single", "mitchell-multi"])
+    def test_random_topologies(self, name):
+        problem = builtin_problem(name)
+        checked = 0
+        for solid, _, _, _ in topology_draws(problem.mesh, seed=5, count=40):
+            try:
+                active = active_submesh(problem.mesh, TopologyState(solid), problem.boundary)
+            except TopologyError:
+                continue
+            self.assert_bincount_band(fem.assemble(active, problem.material))
+            checked += 1
+        assert checked >= 10
+
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (73, 7), (32, 16), (27, 19), (32, 32)],
+                             ids=["1", "511", "512", "513", "1024"])
+    def test_around_chunk_boundaries(self, nx, ny):
+        assert fem._CHUNK == 512
+        mesh, boundary, _ = make_cantilever(nx, ny, width=float(nx), height=float(ny))
+        active = active_submesh(mesh, TopologyState.full(mesh), boundary)
+        assert len(active.element_ids) == nx * ny
+        self.assert_bincount_band(fem.assemble(active, fem.Material()))
+
+    def test_build_peak_is_the_band(self):
+        # the full scale-2 L-bracket: a 22 MiB band, and no (n_elements, 36)
+        # index table (7 MiB) beside it
+        problem = builtin_problem("l-bracket-single", mesh_scale=2)
+        active = active_submesh(problem.mesh, TopologyState.full(problem.mesh),
+                                problem.boundary)
+        system = fem.assemble(active, problem.material)
+        system._build_band()  # the mesh's stiffness pattern is built once, here
+        tracemalloc.start()
+        try:
+            band = system._build_band()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert band.nbytes == 184 * system.n * 8
+        assert peak <= band.nbytes + 2 * 2**20
 
 
 class TestElementStiffness:
@@ -120,7 +179,7 @@ class TestAssemble:
         boundary.point_loads.append(PointLoad(1, 3, (0.0, -1.0), 1.0))
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         system = fem.assemble(active, fem.Material())
-        assert system.n == 5 and system._band.shape[1] == 5
+        assert system.n == 5 and system._build_band().shape[1] == 5
         eig = np.linalg.eigvalsh(dense(system))
         assert eig.min() > 0
 
@@ -130,8 +189,9 @@ class TestAssemble:
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         system = fem.assemble(active, fem.Material())
         expected = oracle_matrix(active, fem.Material())
-        assert np.array_equal(system._band, lower_band(expected))
-        assert np.array_equal(system._band, lower_band(expected.T.tocsr()))
+        band = system._build_band()
+        assert np.array_equal(band, lower_band(expected))
+        assert np.array_equal(band, lower_band(expected.T.tocsr()))
 
     def test_spd_on_two_element_patch(self):
         mesh, boundary = build_mesh(DomainSpec(1.0, 0.5, 2, 1))
@@ -156,7 +216,8 @@ class TestAssemble:
         boundary.point_loads.append(PointLoad(1, 7, (0.0, -1.0), 1.0))
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         assert active.n_free == n_free
-        assert fem.assemble(active, fem.Material())._band.shape == (kd + 1, n_free)
+        band = fem.assemble(active, fem.Material())._build_band()
+        assert band.shape == (kd + 1, n_free)
         assert kd == pairwise_band_width(active)
         assert_matches_coo(active, fem.Material())
 
@@ -167,10 +228,10 @@ class TestAssemble:
         boundary.fixed_dofs.discard((2, 1))  # one free DOF, in the second element only
         boundary.point_loads.append(PointLoad(1, 2, (0.0, -1.0), 1.0))
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
-        system = fem.assemble(active, fem.Material())
-        assert system._band.shape == (1, 1) and pairwise_band_width(active) == 0
+        band = fem.assemble(active, fem.Material())._build_band()
+        assert band.shape == (1, 1) and pairwise_band_width(active) == 0
         ke = fem.element_stiffness(fem.Material(), mesh.h)
-        assert system._band[0, 0] == ke[3, 3]  # node 2 is the second element's second node
+        assert band[0, 0] == ke[3, 3]  # node 2 is the second element's second node
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_full_domain_matches_coo(self, name):
@@ -378,7 +439,7 @@ class TestLambdaMaxBound:
         boundary.fixed_dofs = {(n, d) for n in range(4) for d in (0, 1)} - {(3, 1)}
         system = fem.assemble(active_submesh(mesh, TopologyState.full(mesh), boundary),
                               fem.Material())
-        assert system.n == 1 and fem.lambda_max_bound(system) == system._band[0, 0]
+        assert system.n == 1 and fem.lambda_max_bound(system) == system._build_band()[0, 0]
 
     def test_bounds_every_topology(self):
         # a topology's matrix is a principal submatrix of the full domain's
@@ -576,17 +637,21 @@ class TestFactorization:
     def test_in_place_band_factor(self, lbracket_scale2, monkeypatch):
         calls = []
         wrap_factorization(monkeypatch, lambda *a, **k: calls.append((a, k)))
+        built = []
+        build = fem.SystemMatrix._build_band
+        monkeypatch.setattr(fem.SystemMatrix, "_build_band",
+                            lambda self: built.append(build(self)) or built[-1])
         system = fem.assemble(*lbracket_scale2)
-        held = system._band
+        assert built == [] and system._factor is None  # assembly builds no band
         factor = system.factor
         [(args, kwargs)] = calls
         assert kwargs == {"lower": True, "overwrite_ab": True, "check_finite": False}
         band = args[0]
         n = system.n
-        assert band is held and band.shape == (184, n)  # kd = 183
-        # LAPACK wrote the factor over the band assembly built, not a copy
+        assert len(built) == 1 and band is built[0] and band.shape == (184, n)  # kd = 183
+        # LAPACK wrote the factor over the band just built, not a copy
         assert factor.band.flags.f_contiguous and np.shares_memory(factor.band, band)
-        assert system._band is None
+        assert system.factor is factor and len(built) == 1
         f = np.ones(n)
         x = factor.solve(f)
         K = oracle_matrix(*lbracket_scale2)

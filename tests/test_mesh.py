@@ -202,7 +202,7 @@ class TestStiffnessPattern:
                 chosen = mesh.node_band(order[0::2] // 2)
                 assert chosen == min(mesh.node_band(o) for o in mesh.band_orders())
                 active = active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
-                band = fem.assemble(active, problem.material)._band
+                band = fem.assemble(active, problem.material)._build_band()
                 assert band.shape[0] - 1 == 2 * chosen + 1 == kd[scale][name.rsplit("-", 1)[0]]
 
     @pytest.mark.parametrize("name", ["l-bracket-single", "cantilever-single"])

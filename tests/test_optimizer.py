@@ -119,8 +119,8 @@ class TestRunBasics:
 # every way a run can end: (problem keywords, optimizer settings, repair off,
 # message, feasible, solves, history rows, last event)
 RUN_ENDS = [
-    ({}, {"max_total_fea": 12}, False, "FEA budget exhausted", True, 11, 16, "budget"),
-    ({}, {"max_total_fea": 13}, False, "FEA budget exhausted", True, 12, 17, "budget"),
+    ({}, {"max_total_fea": 12}, False, "FEA budget exhausted", True, 11, 15, "budget"),
+    ({}, {"max_total_fea": 13}, False, "FEA budget exhausted", True, 12, 16, "budget"),
     ({"nx": 8, "ny": 4, "bound": 3.0}, {"delta_v": 0.3, "min_delta_v": 0.05}, False,
      "volume decrement below minimum (removal blocked)", True, 16, 24, "backtrack-blocked"),
     ({"nx": 6, "ny": 3, "bound": 5.0, "extra_q": True}, {"delta_v": 0.4, "min_delta_v": 0.1},
@@ -189,6 +189,17 @@ class TestStepRecord:
         assert [h.inner_converged for h in outer] == [
             None if e == "backtrack-violated" else True for e in events]
         assert all(h.cond_converged is None and h.cond_estimate is None for h in outer)
+
+    @pytest.mark.parametrize("budget", [12, 13])
+    def test_budget_ends_the_pass_that_spends_it(self, monkeypatch, budget):
+        # the inner loop runs out of budget before an iterate beats its start:
+        # nothing blocked the removal, so the pass ends the run on the budget
+        res = run_end(monkeypatch, {}, {"max_total_fea": budget}, False)
+        outer = [h for h in res.history if h.event is not None]
+        assert [h.event for h in outer] == ["accept"] * 4 + ["budget"]
+        assert [h.inner_converged for h in outer] == [True] * 4 + [False]
+        # the design is the snapshot taken at the start of that pass
+        assert res.topology.volume_fraction == outer[-1].achieved_vf
 
     def test_restored_counts_repair(self, monkeypatch):
         calls = []
@@ -414,6 +425,25 @@ class TestConditionBound:
         assert len(kappas) >= 20
         for cond, kappa in kappas:
             assert kappa * (1 - 1e-3) <= cond <= kappa * 1.05
+
+    def test_bound_taken_before_any_band(self, monkeypatch):
+        # the bound needs only K products: the full domain's band, the run's
+        # largest, is built after it, and the bound's bits do not move
+        built, seen = [], []
+        build, bound = fem.SystemMatrix._build_band, fem.lambda_max_bound
+        monkeypatch.setattr(fem.SystemMatrix, "_build_band",
+                            lambda self: built.append(self) or build(self))
+        monkeypatch.setattr(fem, "lambda_max_bound",
+                            lambda system: seen.append((len(built), system._factor, system))
+                            or bound(system))
+        problem = small_problem()
+        result = optimizer.run(problem)
+        [(bands, factor, system)] = seen
+        assert bands == 0 and factor is None
+        assert built[0] is system and len(system.active.element_ids) == problem.mesh.n_elements
+        full = fem.analyze(problem.mesh, problem.boundary, problem.material,
+                           TopologyState.full(problem.mesh))
+        assert result.history[0].cond_estimate == full.system.condition(bound(full.system))[0]
 
     def test_mirror_image_same_estimate(self, builtin_run):
         # mirrored about mid-height, the final design's matrix is a
