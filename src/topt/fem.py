@@ -325,6 +325,17 @@ def compliance(loads: np.ndarray, u: np.ndarray) -> float:
     return float(np.dot(loads, u))
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``, or ``max|x| * ||x / max|x|||`` when the sum of
+    squares over- or underflows (a modulus near the float range's ends)."""
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(x)
+        if 0.0 < norm < np.inf:
+            return norm
+        scale = np.max(np.abs(x))
+        return scale * np.linalg.norm(x / scale) if 0.0 < scale < np.inf else scale
+
+
 def lambda_max_bound(system: SystemMatrix) -> float:
     """Upper bound on the largest eigenvalue of a system's matrix: the Lanczos
     Ritz value theta plus its residual ||Kv - theta v||, from the fixed start
@@ -336,7 +347,7 @@ def lambda_max_bound(system: SystemMatrix) -> float:
     K = spla.LinearOperator((n, n), matvec=system.product, dtype=float)
     with one_blas_thread():  # ARPACK's threaded BLAS is slower here, and sums in another order
         theta, v = spla.eigsh(K, k=1, which="LA", tol=1e-4, v0=1.0 + np.arange(n) / n)
-        return float(theta[0] + np.linalg.norm(system.product(v[:, 0]) - theta[0] * v[:, 0]))
+        return float(theta[0] + _norm(system.product(v[:, 0]) - theta[0] * v[:, 0]))
 
 
 def condition_estimate(system: SystemMatrix, lam_max: float, tol: float = 1e-4,
@@ -351,13 +362,13 @@ def condition_estimate(system: SystemMatrix, lam_max: float, tol: float = 1e-4,
     low_mode), low_mode being the unit approximation to the lowest
     eigenvector; converged is False when the iteration cap is hit.
     """
-    if start is None or not 0.0 < np.linalg.norm(start) < np.inf:
+    if start is None or not 0.0 < _norm(start) < np.inf:
         start = 1.0 + np.arange(system.n) / system.n
     inv_min, converged = 0.0, False
     with one_blas_thread():  # norms and dot products too
-        w = system.factor.solve(start / np.linalg.norm(start))
+        w = system.factor.solve(start / _norm(start))
         for _ in range(max_iters):
-            v = w / np.linalg.norm(w)
+            v = w / _norm(w)
             w = system.factor.solve(v)
             previous, inv_min = inv_min, float(v @ w)
             if abs(inv_min - previous) <= tol * abs(inv_min):

@@ -104,13 +104,15 @@ class HistoryRecord:
 _MESSAGES = {
     "backtrack-violated": "volume decrement below minimum",
     "backtrack-blocked": "volume decrement below minimum (removal blocked)",
+    "backtrack-unconverged": "volume decrement below minimum (inner loop unconverged)",
     "topology-error": "volume decrement below minimum ({error})",
     "budget": "FEA budget exhausted",
     "target": "target volume fraction reached",
     "floor": "schedule floor reached (protected elements)",
     "infeasible": "infeasible at the full domain: {violated}",
 }
-_BACKTRACKS = ("backtrack-violated", "backtrack-blocked", "topology-error")
+_BACKTRACKS = ("backtrack-violated", "backtrack-blocked", "backtrack-unconverged",
+               "topology-error")
 
 
 @dataclass
@@ -365,9 +367,10 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
                     state, topo, analysis, target, al, step, retry)
                 if topo.count() < before:
                     event = "accept"
-                elif not row.inner_converged and state.out_of_budget():
-                    # the budget ran out before an iterate beat the start
-                    event = "budget"
+                elif not row.inner_converged:
+                    # the budget or max_inner_iters ran out before an iterate
+                    # beat the start
+                    event = "budget" if state.out_of_budget() else "backtrack-unconverged"
                 else:
                     # protection or connectivity repair may undo the removal:
                     # the decrement is then blocked at this scale

@@ -13,7 +13,9 @@ the protected patch and the support-box matching are checked against the
 grid-rolling, grid-walking, set-based and per-node versions they replaced.
 The field normalization and the augmented-Lagrangian combination are checked
 against their first form, which always copied the field before changing it,
-and the block-by-block VTK writer against the one that held every line.
+the block-by-block VTK writer against the one that held every line and
+called ``repr`` for every value, and the PGM writer against the one that
+called ``str`` for every pixel.
 """
 
 from collections import deque
@@ -137,6 +139,19 @@ def write_vtk_at_once(problem, result, path) -> None:
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
         lines += map(repr, data.tolist())
+    path.write_text("\n".join(lines) + "\n")
+
+
+def write_density_pgm_per_pixel(problem, result, path) -> None:
+    """``density.pgm`` from an integer grid, ``str`` called for every pixel,
+    as the writer did before it looked pixels up."""
+    mesh = problem.mesh
+    nx, ny = mesh.grid_shape
+    grid = np.zeros((ny, nx), dtype=int)
+    gi, gj = mesh.element_grid[:, 0], mesh.element_grid[:, 1]
+    grid[gj, gi] = np.where(result.topology.solid, 255, 0)
+    lines = ["P2", f"{nx} {ny}", "255"]
+    lines += [" ".join(map(str, row)) for row in grid[::-1].tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -225,6 +226,29 @@ class TestErrorPrecedence:
         assert (code, out, caught) == (1, "", [])
         assert err == (f"error: singular stiffness system: {line}; the supports likely "
                        "leave a rigid-body mode\n")
+
+
+class TestHugeModulus:
+    """A modulus near the top of the float range: the condition estimate's
+    norms rescale where their sums of squares overflow or underflow."""
+
+    def test_finite_condition_nothing_warned(self, tmp_path, capsys):
+        runs = {}
+        for e in ("200000000000.0", "1e300"):
+            text = LBRACKET.replace("e = 200000000000.0", f"e = {e}")
+            out = tmp_path / e
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # as under python -W error
+                code = main(["run", "--config", str(write_config(tmp_path, text)),
+                             "--out", str(out)])
+            assert (code, capsys.readouterr().err) == (0, "")
+            rows = (out / "history.csv").read_text().splitlines()
+            conds = [row.split(",")[-1] for row in rows[1:]]
+            runs[e] = [float(c) for c in conds if c], (out / "density.pgm").read_bytes()
+        big, small = runs["1e300"], runs["200000000000.0"]
+        assert len(big[0]) == len(small[0]) > 1 and all(map(math.isfinite, big[0]))
+        assert big[0][0] == pytest.approx(small[0][0], rel=1e-11)
+        assert big[1] == small[1]
 
 
 class TestVerifyCommand:

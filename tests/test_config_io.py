@@ -1,5 +1,8 @@
+import io
 import math
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from topt.optimizer import OptimizationResult
 from topt.problems import BUILTIN_NAMES, builtin_config, builtin_problem
 from topt.sensitivity import KIND_DISPLACEMENT
 
-from _oracles import support_dofs_by_loop, write_vtk_at_once
+from _oracles import support_dofs_by_loop, write_density_pgm_per_pixel, write_vtk_at_once
 
 MINIMAL = """
 [domain]
@@ -378,6 +381,75 @@ class TestOutputs:
         outputs.write_vtk(p, res, tmp_path / "blocks.vtk")
         write_vtk_at_once(p, res, tmp_path / "at_once.vtk")
         assert (tmp_path / "blocks.vtk").read_bytes() == (tmp_path / "at_once.vtk").read_bytes()
+
+    def test_vtk_special_values_equal_one_shot(self, tmp_path):
+        # each value's text is made once, keyed by its bits: both zeros, NaNs
+        # of either sign and another payload, both infinities, the smallest
+        # subnormal, both notations of repr and its longest texts (24
+        # characters), each occurring many times
+        p = builtin_problem("l-bracket-single")
+        payload = np.array([0x7FF8000000000001]).view(np.float64)[0]
+        values = np.array([-0.0, 0.0, np.nan, -np.nan, payload, np.inf, -np.inf, 5e-324,
+                           -5e-324, 1e16, 1e-5, 1e-4, 0.1, 1 / 3, 2.0**53, -7.25,
+                           -2.2250738585072014e-308, -1.7976931348623157e308])
+        rng = np.random.default_rng(3)
+        n = p.mesh.n_elements
+        res = OptimizationResult(
+            topology=TopologyState(rng.random(n) < 0.5), history=[], feasible=True,
+            message="t", fea_count=0, field=rng.choice(values, n),
+            analysis=SimpleNamespace(vonmises=[rng.choice(values, n)]))
+        outputs.write_vtk(p, res, tmp_path / "blocks.vtk")
+        write_vtk_at_once(p, res, tmp_path / "at_once.vtk")
+        text = (tmp_path / "blocks.vtk").read_bytes()
+        assert text == (tmp_path / "at_once.vtk").read_bytes()
+        lines = set(text.decode().splitlines())
+        assert {"-0.0", "0.0", "nan", "inf", "-inf", "5e-324", "1e+16", "1e-05",
+                "-2.2250738585072014e-308"} <= lines
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=300),
+           st.integers(1, 2 * outputs._BLOCK + 3), st.sampled_from([1, 2]))
+    def test_rows_are_repr_per_value(self, values, n_rows, width):
+        # the drawn values recur, cyclically, over rows spanning several blocks
+        data = np.resize(np.array(values), (n_rows, width))
+        line = "%s %s 0.0" if width == 2 else "%s"
+        fh = io.BytesIO()
+        outputs._write_rows(fh, data if width == 2 else data[:, 0], line.encode())
+        assert fh.getvalue().decode() == "".join(line % tuple(map(repr, row)) + "\n"
+                                        for row in data.tolist())
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    @pytest.mark.parametrize("design", ["full", "random"])
+    def test_pgm_equals_per_pixel(self, tmp_path, scale, design):
+        # the masked L-bracket: masked cells are void in both
+        p = builtin_problem("l-bracket-single", mesh_scale=scale)
+        topo = (TopologyState.full(p.mesh) if design == "full" else
+                TopologyState(np.random.default_rng(scale).random(p.mesh.n_elements) < 0.5))
+        res = OptimizationResult(topology=topo, history=[], feasible=True, message="t",
+                                 fea_count=0)
+        outputs.write_density_pgm(p, res, tmp_path / "lookup.pgm")
+        write_density_pgm_per_pixel(p, res, tmp_path / "per_pixel.pgm")
+        assert (tmp_path / "lookup.pgm").read_bytes() == (tmp_path / "per_pixel.pgm").read_bytes()
+
+    def test_writing_keeps_the_peak(self, tmp_path):
+        # the scale-2 artifacts are written without raising the peak: at most
+        # 3 MiB is allocated above the problem and result they come from
+        p = builtin_problem("l-bracket-single", mesh_scale=2)
+        analysis = fem.analyze(p.mesh, p.boundary, p.material, TopologyState.full(p.mesh))
+        analysis.system.release()
+        rng = np.random.default_rng(5)
+        res = OptimizationResult(
+            topology=TopologyState(rng.random(p.mesh.n_elements) < 0.6), history=[],
+            feasible=True, message="t", fea_count=1, analysis=analysis,
+            field=rng.normal(size=p.mesh.n_elements), references=[1.0, 1.0],
+            constraint_values=[1.0, 1.0], rel_compliance=[1.0])
+        tracemalloc.start()
+        try:
+            outputs.write_outputs(p, res, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
     def test_summary_mentions_bounds(self, small_result, tmp_path):
         p, res = small_result

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 from topt import fem, levelset, optimizer, sensitivity
 from topt import mesh as mesh_module
-from topt.config import build_problem, finalize_problem, with_overrides
+from topt.config import build_problem, finalize_problem, parse_problem, with_overrides
 from topt.mesh import Point2, PointLoad, TopologyState
 from topt.optimizer import OptimizerConfig
 from topt.problems import BUILTIN_NAMES, builtin_config, builtin_problem
@@ -14,6 +14,7 @@ from topt.sensitivity import KIND_DISPLACEMENT, KIND_PNORM_STRESS, ConstraintSpe
 
 from _oracles import assemble_coo
 from conftest import Counting, make_cantilever, wrap_factorization
+from test_cli import LBRACKET
 
 
 def small_problem(nx=20, ny=10, bound=1.5, constrained=True, config=None,
@@ -133,9 +134,13 @@ RUN_ENDS = [
     ({"nx": 8, "ny": 4, "bound": 3.0}, {"delta_v": 0.3, "min_delta_v": 0.05}, True,
      "volume decrement below minimum (node 26 carries a load or constraint but "
      "touches no solid element)", True, 10, 14, "topology-error"),
+    # one inner iteration never beats the start, so every pass backtracks
+    ({}, {"max_inner_iters": 1}, False,
+     "volume decrement below minimum (inner loop unconverged)", True, 5, 8,
+     "backtrack-unconverged"),
 ]
 RUN_END_IDS = ["budget-12", "budget-13", "blocked", "violated", "infeasible", "floor",
-               "topology-error"]
+               "topology-error", "unconverged"]
 
 
 def _no_repair(mesh, topo, previous, boundary):
@@ -170,8 +175,20 @@ class TestRunEnds:
         assert res.history[0].event is not None
         assert events[-1] == event
         assert set(events) <= {"accept", *optimizer._MESSAGES}
-        assert all(e in ("accept", "backtrack-violated", "backtrack-blocked", "topology-error")
-                   for e in events[:-1])
+        assert all(e in ("accept", "backtrack-violated", "backtrack-blocked",
+                         "backtrack-unconverged", "topology-error") for e in events[:-1])
+
+    def test_unconverged_is_not_blocked(self):
+        # the 12 x 12 L-bracket with one inner iteration: no iterate of the
+        # first five passes beats its start, though nothing blocked the
+        # removal; the sixth pass's decrement rounds to no element
+        text = LBRACKET.replace("max_inner_iters = 2", "max_inner_iters = 1")
+        res = optimizer.run(parse_problem(text, name="l-bracket"))
+        outer = [h for h in res.history if h.event is not None]
+        assert [h.event for h in outer] == ["backtrack-unconverged"] * 5 + ["backtrack-blocked"]
+        assert [h.inner_converged for h in outer] == [False] * 5 + [True]
+        assert (res.message, res.topology.volume_fraction, res.fea_count) == (
+            "volume decrement below minimum (removal blocked)", 1.0, 6)
 
 
 class TestStepRecord:
