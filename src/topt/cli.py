@@ -15,14 +15,13 @@ memory included) or failed check.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import checks, fem, optimizer, outputs
-from .config import (ConfigError, build_problem, parse_problem,
+from .config import (ConfigError, build_problem, parse_problem_config,
                      serialize_problem_config, with_overrides)
 from .fem import SingularSystemError, SolveError
 from .mesh import TopologyError
@@ -69,10 +68,10 @@ def _report(problem, result, out_dir: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    text = Path(args.config).read_text()
-    problem = parse_problem(text, name=Path(args.config).stem, mesh_scale=args.mesh_scale)
+    cfg = parse_problem_config(Path(args.config).read_text(), name=Path(args.config).stem)
     if args.filter:
-        problem.config = dataclasses.replace(problem.config, filter_enabled=True)
+        cfg = with_overrides(cfg, filter_enabled=True)
+    problem = build_problem(cfg, mesh_scale=args.mesh_scale)
     result = optimizer.run(problem)
     return _report(problem, result, args.out)
 

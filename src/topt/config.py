@@ -427,11 +427,15 @@ def serialize_problem(problem: ProblemSpec) -> str:
 
 
 def with_overrides(cfg: ProblemConfig, **optimizer_overrides) -> ProblemConfig:
-    """Config copy with optimizer keys replaced (values stringified)."""
+    """Config copy with optimizer keys replaced (values stringified); the
+    filter setting, under either of its two names, replaces both."""
     table = dict(cfg.optimizer)
     for key, value in optimizer_overrides.items():
         if value is None:
             continue
+        if key in ("filter", "filter_enabled"):
+            table.pop("filter", None)
+            table.pop("filter_enabled", None)
         if isinstance(value, bool):
             table[key] = "on" if value else "off"
         else:

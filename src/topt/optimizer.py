@@ -150,8 +150,12 @@ class _Run:
         self.skin_weight = 1.0
         # the last estimate's lowest mode (full-mesh DOFs) starts the next
         self.low_mode: np.ndarray | None = None
-        self.structural = [sensitivity.is_structural(c, self.mesh, self.boundary)
-                           for c in self.constraints]
+        self.adjoints = sensitivity.constant_adjoints(self.constraints, self.mesh,
+                                                      self.boundary, self.cases)
+        # adjoint from the constraint's own case: a load-path energy density
+        # as field, which stays in the combination (see build_field)
+        self.structural = [isinstance(a, tuple) and a[0] == self.case_index[c.case]
+                           for c, a in zip(self.constraints, self.adjoints)]
         # the analysis the run works from, the only one whose factorization
         # may be alive: every solve and condition estimate is made on it
         self.live: fem.Analysis | None = None
@@ -218,8 +222,8 @@ class _Run:
             engaged = [i for i in range(len(self.constraints)) if ramp[i] > 0.0]
             cf = sensitivity.constraint_fields(
                 analysis, [self.constraints[i] for i in engaged],
-                [self.references[i] for i in engaged], self.material,
-                self.boundary, self.include, self.case_index)
+                [self.adjoints[i] for i in engaged], [self.references[i] for i in engaged],
+                self.material, self.include, self.case_index)
             self.fea_count += cf.adjoint_solves
             combos = [(ramp[i] * f, g[i], al.mu[i], al.gamma[i])
                       for i, f in zip(engaged, cf.fields)]

@@ -12,6 +12,12 @@ handed to the augmented-Lagrangian combination are the derivatives of the
 sensitivity of the raw quantity: they are negative on constraint-critical
 elements, so the combination ``T_obj - sum c_i T_gi`` raises exactly those
 elements above the constant volume field and the threshold cut keeps them.
+
+Adjoints. ``constant_adjoints`` resolves each constraint's adjoint once per
+run: lambda = c * u_j when -dQ/du is c times load case j's force vector (the
+compliance and a displacement at a point of force application), else a
+constant right-hand side solved once per analysis (a remote displacement),
+else None, a right-hand side built from each analysis (p-norm stress).
 """
 
 from __future__ import annotations
@@ -173,8 +179,7 @@ def _load_multiple(rhs: np.ndarray, f: np.ndarray) -> float | None:
     """Factor c with rhs == c * f exactly (same nonzero pattern, one ratio),
     or None when rhs is not an exact multiple of the force vector f."""
     nz = np.flatnonzero(rhs)
-    fnz = np.flatnonzero(f)
-    if len(fnz) != len(nz) or not np.array_equal(fnz, nz):
+    if not nz.size or not np.array_equal(nz, np.flatnonzero(f)):
         return None
     ratio = rhs[nz] / f[nz]
     if np.all(ratio == ratio[0]):
@@ -182,28 +187,38 @@ def _load_multiple(rhs: np.ndarray, f: np.ndarray) -> float | None:
     return None
 
 
-def _self_adjoint_case(rhs: np.ndarray, analysis: fem.Analysis) -> tuple[int, float] | None:
-    """If the adjoint right-hand side is a multiple of one load case's force
-    vector, return (case index, factor) with lambda = factor * u_case."""
-    for j, f in enumerate(analysis.loads):
-        factor = _load_multiple(rhs, f)
-        if factor is not None:
-            return j, factor
-    return None
+Adjoint = tuple[int, float] | np.ndarray | None  # (j, c), a right-hand side, or None
 
 
-def is_structural(spec: ConstraintSpec, mesh: Mesh, boundary: BoundarySpec) -> bool:
-    """Compliance constraints and displacement constraints at a point of
-    force application (of the constraint's own load case) have load-path
-    energy densities as sensitivity fields; they stabilize the combination
-    and stay in it permanently. Remote-point and aggregated-stress fields
-    join only near activation."""
-    if spec.kind == KIND_COMPLIANCE:
-        return True
-    if spec.kind != KIND_DISPLACEMENT:
-        return False
-    rhs = adjoint_rhs_point_displacement(mesh, boundary, spec.node, spec.direction)
-    return _load_multiple(rhs, fem.load_vector(mesh, boundary, spec.case)) is not None
+def constant_adjoints(constraints: list[ConstraintSpec], mesh: Mesh, boundary: BoundarySpec,
+                      cases: list[int]) -> list[Adjoint]:
+    """Each constraint's adjoint, resolved once per run; j indexes ``cases``.
+    The constraint's own case is tried first, then the cases in order. Equal
+    right-hand sides to solve share one array, hence one solve."""
+    loads = [fem.load_vector(mesh, boundary, case) for case in cases]
+    shared: dict[bytes, np.ndarray] = {}
+    table: list[Adjoint] = []
+    for spec in constraints:
+        own = cases.index(spec.case)
+        if spec.kind == KIND_COMPLIANCE:
+            rhs = -loads[own]
+        elif spec.kind == KIND_DISPLACEMENT:
+            rhs = adjoint_rhs_point_displacement(mesh, boundary, spec.node, spec.direction)
+        else:
+            table.append(None)
+            continue
+        for j in (own, *(k for k in range(len(cases)) if k != own)):
+            c = _load_multiple(rhs, loads[j])
+            if c is not None:
+                table.append((j, c))
+                break
+        else:
+            table.append(shared.setdefault(rhs.tobytes(), rhs))
+    return table
+
+
+def _scaled(t: fem.TensorField, c: float) -> fem.TensorField:
+    return fem.TensorField(stress=c * t.stress, strain=c * t.strain)
 
 
 @dataclass
@@ -228,65 +243,42 @@ def constraint_raw(analysis: fem.Analysis, spec: ConstraintSpec,
 
 
 def constraint_fields(analysis: fem.Analysis, constraints: list[ConstraintSpec],
-                      references: list[float], material: fem.Material,
-                      boundary: BoundarySpec, include: np.ndarray,
+                      adjoints: list[Adjoint], references: list[float],
+                      material: fem.Material, include: np.ndarray,
                       case_index: dict[int, int]) -> ConstraintFields:
-    """Build the margin-sensitivity field of every constraint.
-
-    Point-displacement constraints that share a (node, direction) pair share
-    a single adjoint solve regardless of load case; compliance constraints
-    reuse lambda = -u and cost no solve.
-    """
+    """Build the margin-sensitivity field of every constraint from its entry
+    of ``constant_adjoints``: a scaled load case's tensors, or a solve."""
     mesh = analysis.active.mesh
-    nu = material.nu
-    adjoint_cache: dict[tuple, fem.TensorField] = {}
-    solves = 0
+    # by id of the right-hand side, held alive so that no id is reused
+    solved: dict[int, tuple[np.ndarray, fem.TensorField]] = {}
     fields: list[np.ndarray] = []
-    for spec, ref in zip(constraints, references):
-        i = case_index[spec.case]
-        primal = analysis.tensors[i]
-        if spec.kind == KIND_DISPLACEMENT:
-            key = (spec.node, spec.direction)
-            if key not in adjoint_cache:
-                rhs = adjoint_rhs_point_displacement(mesh, boundary, spec.node, spec.direction)
-                shortcut = _self_adjoint_case(rhs, analysis)
-                if shortcut is not None:
-                    # constrained point coincides with a point of force
-                    # application: lambda is a multiple of that case's -u
-                    j, scale = shortcut
-                    t = analysis.tensors[j]
-                    adjoint_cache[key] = fem.TensorField(stress=scale * t.stress,
-                                                         strain=scale * t.strain)
-                else:
-                    lam = fem.solve(analysis.system, rhs)
-                    adjoint_cache[key] = fem.recover(analysis.active, lam, material)
-                    solves += 1
-            adj = adjoint_cache[key]
-        elif spec.kind == KIND_PNORM_STRESS:
-            rhs, degenerate = adjoint_rhs_pnorm(analysis.active, primal, material,
-                                                spec.p_exponent, include)
-            if degenerate:
-                fields.append(np.zeros(mesh.n_elements))
-                continue
-            lam = fem.solve(analysis.system, rhs)
-            adj = fem.recover(analysis.active, lam, material)
-            solves += 1
-        else:  # compliance: lambda = -u, no extra solve
-            u = analysis.displacements[i]
-            adj = fem.recover(analysis.active, -u, material)
-
-        raw = topo_sensitivity(primal, adj, nu)
+    for spec, adjoint, ref in zip(constraints, adjoints, references):
+        primal = analysis.tensors[case_index[spec.case]]
+        if isinstance(adjoint, tuple):
+            j, c = adjoint
+            adj = _scaled(analysis.tensors[j], c)
+        else:
+            rhs = adjoint
+            if rhs is None:
+                rhs, degenerate = adjoint_rhs_pnorm(analysis.active, primal, material,
+                                                    spec.p_exponent, include)
+                if degenerate:
+                    fields.append(np.zeros(mesh.n_elements))
+                    continue
+            if id(rhs) not in solved:
+                lam = fem.solve(analysis.system, rhs)
+                solved[id(rhs)] = rhs, fem.recover(analysis.active, lam, material)
+            adj = solved[id(rhs)][1]
+        raw = topo_sensitivity(primal, adj, material.nu)
         fields.append(normalize_and_protect(-raw / ref))
-    return ConstraintFields(fields=fields, adjoint_solves=solves)
+    return ConstraintFields(fields=fields, adjoint_solves=len(solved))
 
 
 def compliance_field(analysis: fem.Analysis, material: fem.Material) -> np.ndarray:
     """Summed compliance sensitivity over all load cases (each normalized),
     used as the level-set for unconstrained pareto tracing."""
-    mesh = analysis.active.mesh
-    total = np.zeros(mesh.n_elements)
-    for u, tensors in zip(analysis.displacements, analysis.tensors):
-        adj = fem.recover(analysis.active, -u, material)
-        t = topo_sensitivity(tensors, adj, material.nu)
+    total = np.zeros(analysis.active.mesh.n_elements)
+    for tensors in analysis.tensors:
+        t = topo_sensitivity(tensors, _scaled(tensors, -1.0), material.nu)
         total += normalize_and_protect(t)
     return total

@@ -21,6 +21,36 @@ def make_cantilever(nx=8, ny=4, width=2.0, height=1.0, case=1, direction=(0.0, -
     return mesh, boundary, tip
 
 
+# 8 x 4 cantilever documents whose constraints take their adjoint from a load
+# case: a compliance bound (lambda = -u), and a displacement at the tip along
+# case 1's load but constrained in case 2, loaded along x (lambda = -u_1)
+_TIP_CANTILEVER = """[domain]
+width = 2.0
+height = 1.0
+nx = 8
+ny = 4
+
+[material]
+e = 1.0
+nu = 0.3
+
+[supports]
+fix = 0.0 0.0 0.0 1.0 xy
+
+[loads]
+"""
+COMPLIANCE_DOC = _TIP_CANTILEVER + """load = 1 2.0 0.5 0.0 -1.0 1.0
+
+[constraints]
+compliance = 1 1.5
+"""
+CROSS_CASE_DOC = _TIP_CANTILEVER + """load = 1 2.0 0.5 0.0 -1.0 1.0 ; 2 2.0 0.5 1.0 0.0 1.0
+
+[constraints]
+displacement = 2 2.0 0.5 0.0 -1.0 1.5
+"""
+
+
 def topology_draws(mesh, seed, count=200):
     """Seeded random (solid, previous, values, weight) draws: ``previous`` is
     a dense random set, ``solid`` a random cut of it, so that loaded or

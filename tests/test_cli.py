@@ -48,6 +48,21 @@ class TestRunCommand:
             assert (out / name).exists()
         assert "final volume fraction" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("written", ["filter", "filter_enabled"])
+    def test_filter_flag_over_document_key(self, tmp_path, monkeypatch, written):
+        # --filter replaces the document's setting under either spelling
+        class Stop(Exception):
+            pass
+
+        def stop(problem):
+            raise Stop(problem.config)
+        monkeypatch.setattr(cli.optimizer, "run", stop)
+        cfg = write_config(tmp_path, CONFIG + f"{written} = off\n")
+        with pytest.raises(Stop) as stopped:
+            main(["run", "--config", str(cfg), "--filter", "--out", str(tmp_path / "o")])
+        config, = stopped.value.args
+        assert config.filter_enabled and not config.track_condition
+
     def test_infeasible_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, CONFIG.replace("1.5", "0.9"))
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -160,6 +175,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: load case 1 does no work") and err.count("\n") == 1
 
+    def test_cancelling_loads_exit_one(self, tmp_path, capsys):
+        # a compliance bound on a case whose two loads cancel: a zero force
+        # vector is no load case's multiple, and the case does no work
+        text = CONFIG.replace("0.0 -1.0 1.0", "0.0 -1.0 1.0 ; 1 2.0 0.5 0.0 1.0 1.0").replace(
+            "displacement = 1 2.0 0.5 0.0 -1.0 1.5", "compliance = 1 1.5")
+        code = main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: load case 1 does no work") and err.count("\n") == 1
+
     def test_mesh_scale_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -190,7 +216,6 @@ class TestOutOfMemory:
         # raised where the document becomes a mesh; nothing large is allocated
         def exhausted(*args, **kwargs):
             raise MemoryError(detail)
-        monkeypatch.setattr(cli, "parse_problem", exhausted)
         monkeypatch.setattr(cli, "build_problem", exhausted)
         args = (["run", "--config", str(write_config(tmp_path))] if command == "run"
                 else ["bench", "l-bracket-single"])

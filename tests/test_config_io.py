@@ -80,10 +80,15 @@ class TestParse:
         with pytest.raises(ConfigError, match="filter and filter_enabled"):
             parse_problem(text)
 
-    def test_filter_override_of_filter_key_rejected(self):
-        cfg = parse_problem_config(MINIMAL + "\n[optimizer]\nfilter = off\n")
-        with pytest.raises(ConfigError, match="filter and filter_enabled"):
-            build_problem(with_overrides(cfg, filter_enabled=True))
+    def test_filter_override_replaces_either_spelling(self):
+        # an override names one setting, whichever spelling the document used
+        for written in ("filter", "filter_enabled"):
+            cfg = parse_problem_config(MINIMAL + f"\n[optimizer]\n{written} = off\n")
+            for key in ("filter", "filter_enabled"):
+                for value in (True, False):
+                    over = with_overrides(cfg, **{key: value})
+                    assert [k for k, _ in over.optimizer] == [key]
+                    assert build_problem(over).config.filter_enabled is value
 
     def test_bad_optimizer_number_names_key(self):
         with pytest.raises(ConfigError, match=r"\[optimizer\] max_inner_iters: "):

@@ -13,7 +13,8 @@ from topt.problems import BUILTIN_NAMES, builtin_config, builtin_problem
 from topt.sensitivity import KIND_DISPLACEMENT, KIND_PNORM_STRESS, ConstraintSpec
 
 from _oracles import assemble_coo
-from conftest import Counting, make_cantilever, wrap_factorization
+from conftest import (COMPLIANCE_DOC, CROSS_CASE_DOC, Counting, make_cantilever,
+                      wrap_factorization)
 from test_cli import LBRACKET
 
 
@@ -77,6 +78,36 @@ class TestStructuralFields:
     def test_builtin_flags(self, name, expected):
         problem = builtin_problem(name)
         assert optimizer._Run(problem, problem.config).structural == expected
+
+    @pytest.mark.parametrize("text, expected", [
+        (COMPLIANCE_DOC, [True]),
+        # self-adjoint through case 1, not through its own case
+        (CROSS_CASE_DOC, [False]),
+    ], ids=["compliance", "cross-case"])
+    def test_document_flags(self, text, expected):
+        problem = parse_problem(text)
+        assert optimizer._Run(problem, problem.config).structural == expected
+
+
+class TestLoadCaseAdjoints:
+    """Runs to the end whose every adjoint is a load case's state."""
+
+    @pytest.mark.parametrize("text, fea_count, vf", [
+        (COMPLIANCE_DOC, 48, 0.8125),
+        (CROSS_CASE_DOC, 6, 0.96875),
+    ], ids=["compliance", "cross-case"])
+    def test_answer_without_adjoint_solves(self, monkeypatch, text, fea_count, vf):
+        solves = []
+        fields = sensitivity.constraint_fields
+
+        def counted(*args, **kwargs):
+            out = fields(*args, **kwargs)
+            solves.append(out.adjoint_solves)
+            return out
+        monkeypatch.setattr(sensitivity, "constraint_fields", counted)
+        result = optimizer.run(parse_problem(text))
+        assert (result.fea_count, result.topology.volume_fraction) == (fea_count, vf)
+        assert len(solves) > 0 and sum(solves) == 0
 
 
 class TestRunBasics:

@@ -3,13 +3,15 @@ import pytest
 
 from topt import checks, fem, sensitivity
 from topt.checks import pnorm_fd_gradient
+from topt.config import parse_problem
 from topt.mesh import Point2, PointLoad, TopologyState
 from topt.problems import BUILTIN_NAMES, builtin_problem
-from topt.sensitivity import KIND_DISPLACEMENT, ConstraintSpec
+from topt.sensitivity import (KIND_COMPLIANCE, KIND_DISPLACEMENT, KIND_PNORM_STRESS,
+                              ConstraintSpec)
 
 from _oracles import (hole_drilling, interior_elements, normalize_and_protect_copying,
                       protected_elements_by_set, spearman)
-from conftest import make_cantilever
+from conftest import COMPLIANCE_DOC, CROSS_CASE_DOC, make_cantilever
 
 
 class TestAdjointRhsPointDisplacement:
@@ -202,38 +204,40 @@ class TestConstraintFields:
                            direction=(0.0, -1.0), node=qn),
         ]
         analysis = fem.analyze(mesh, boundary, fem.Material(), TopologyState.full(mesh))
-        return mesh, boundary, analysis, constraints
+        adjoints = sensitivity.constant_adjoints(constraints, mesh, boundary, [1, 2])
+        return mesh, boundary, analysis, constraints, adjoints
 
     def test_shared_adjoint_single_solve(self):
-        mesh, boundary, analysis, constraints = self._two_load_shared_q()
+        mesh, boundary, analysis, constraints, adjoints = self._two_load_shared_q()
         include = np.ones(mesh.n_elements, dtype=bool)
         cf = sensitivity.constraint_fields(
-            analysis, constraints, [1.0, 1.0], fem.Material(), boundary,
-            include, {1: 0, 2: 1})
+            analysis, constraints, adjoints, [1.0, 1.0], fem.Material(), include,
+            {1: 0, 2: 1})
+        assert adjoints[0] is adjoints[1]
         assert cf.adjoint_solves == 1
         assert len(cf.fields) == 2
 
     def test_zero_case_zero_field(self):
-        mesh, boundary, analysis, constraints = self._two_load_shared_q()
+        mesh, boundary, analysis, constraints, adjoints = self._two_load_shared_q()
         analysis.tensors[1] = fem.TensorField(
             stress=np.zeros_like(analysis.tensors[1].stress),
             strain=np.zeros_like(analysis.tensors[1].strain))
         include = np.ones(mesh.n_elements, dtype=bool)
         cf = sensitivity.constraint_fields(
-            analysis, constraints, [1.0, 1.0], fem.Material(), boundary,
-            include, {1: 0, 2: 1})
+            analysis, constraints, adjoints, [1.0, 1.0], fem.Material(), include,
+            {1: 0, 2: 1})
         assert np.all(cf.fields[1] == 0.0)
         assert np.max(np.abs(cf.fields[0])) == 1.0
 
     def test_swap_symmetry(self):
-        mesh, boundary, analysis, constraints = self._two_load_shared_q()
+        mesh, boundary, analysis, constraints, adjoints = self._two_load_shared_q()
         include = np.ones(mesh.n_elements, dtype=bool)
         cf = sensitivity.constraint_fields(
-            analysis, constraints, [1.0, 1.0], fem.Material(), boundary,
-            include, {1: 0, 2: 1})
+            analysis, constraints, adjoints, [1.0, 1.0], fem.Material(), include,
+            {1: 0, 2: 1})
         swapped = sensitivity.constraint_fields(
-            analysis, list(reversed(constraints)), [1.0, 1.0], fem.Material(),
-            boundary, include, {1: 0, 2: 1})
+            analysis, list(reversed(constraints)), list(reversed(adjoints)), [1.0, 1.0],
+            fem.Material(), include, {1: 0, 2: 1})
         assert np.array_equal(cf.fields[0], swapped.fields[1])
         assert np.array_equal(cf.fields[1], swapped.fields[0])
 
@@ -243,9 +247,68 @@ class TestConstraintFields:
                               point=Point2(*mesh.nodes[tip]),
                               direction=(0.0, -1.0), node=tip)
         include = np.ones(mesh.n_elements, dtype=bool)
+        adjoints = sensitivity.constant_adjoints([spec], mesh, boundary, [1])
+        assert adjoints == [(0, -1.0)]
         cf = sensitivity.constraint_fields(
-            analysis, [spec], [1.0], fem.Material(), boundary, include, {1: 0})
+            analysis, [spec], adjoints, [1.0], fem.Material(), include, {1: 0})
         assert cf.adjoint_solves == 0  # constrained point is the load point
+
+
+_ADJOINT_PROBLEMS = [*((name, lambda name=name: builtin_problem(name)) for name in BUILTIN_NAMES),
+                     ("compliance", lambda: parse_problem(COMPLIANCE_DOC)),
+                     ("cross-case", lambda: parse_problem(CROSS_CASE_DOC))]
+
+
+class TestConstantAdjoints:
+    """Every entry of the per-run table against a full-domain solve."""
+
+    @pytest.mark.parametrize("name, make", _ADJOINT_PROBLEMS,
+                             ids=[name for name, _ in _ADJOINT_PROBLEMS])
+    def test_entries_match_solves(self, name, make):
+        problem = make()
+        mesh, boundary = problem.mesh, problem.boundary
+        cases = boundary.load_cases()
+        analysis = fem.analyze(mesh, boundary, problem.material, TopologyState.full(mesh), cases)
+        table = sensitivity.constant_adjoints(problem.constraints, mesh, boundary, cases)
+        assert len(table) == len(problem.constraints)
+        for spec, entry in zip(problem.constraints, table):
+            if spec.kind == KIND_PNORM_STRESS:
+                assert entry is None
+                continue
+            if spec.kind == KIND_COMPLIANCE:
+                rhs = -fem.load_vector(mesh, boundary, spec.case)
+            else:
+                rhs = sensitivity.adjoint_rhs_point_displacement(mesh, boundary, spec.node,
+                                                                  spec.direction)
+            if isinstance(entry, tuple):
+                j, c = entry
+                lam = fem.solve(analysis.system, rhs)
+                expected = c * analysis.displacements[j]
+                np.testing.assert_allclose(lam, expected, rtol=1e-10,
+                                           atol=1e-10 * np.max(np.abs(expected)))
+            else:
+                # a solve only where no load case's force vector is parallel
+                assert np.array_equal(entry, rhs)
+                assert all(np.linalg.matrix_rank(np.stack([rhs, f])) == 2
+                           for f in analysis.loads)
+
+    def test_compliance_uses_own_case(self):
+        problem = parse_problem(COMPLIANCE_DOC)
+        assert sensitivity.constant_adjoints(problem.constraints, problem.mesh,
+                                             problem.boundary, [1]) == [(0, -1.0)]
+
+    def test_other_case_when_own_case_fails(self):
+        problem = parse_problem(CROSS_CASE_DOC)
+        assert sensitivity.constant_adjoints(problem.constraints, problem.mesh,
+                                             problem.boundary, [1, 2]) == [(0, -1.0)]
+
+    def test_own_case_first(self):
+        # two cases loading the tip alike: the constraint takes its own
+        mesh, boundary, tip = make_cantilever(8, 4)
+        boundary.point_loads.append(PointLoad(2, tip, (0.0, -1.0), 1.0))
+        spec = ConstraintSpec(kind=KIND_DISPLACEMENT, case=2, bound=1.5,
+                              point=Point2(*mesh.nodes[tip]), direction=(0.0, -1.0), node=tip)
+        assert sensitivity.constant_adjoints([spec], mesh, boundary, [1, 2]) == [(1, -1.0)]
 
 
 class TestPnormValue:
