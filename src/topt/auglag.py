@@ -13,8 +13,6 @@ import numpy as np
 
 from .sensitivity import normalize_and_protect
 
-MULTIPLIER_RULES = ("paper", "standard")
-
 
 def evaluate_constraint(raw: float, reference: float, bound: float) -> float:
     """Dimensionless constraint value g = raw/reference - bound (g <= 0 feasible)."""
@@ -75,19 +73,10 @@ def combine_level_sets(t_obj: np.ndarray,
     return normalize_and_protect(values)
 
 
-def update_multipliers(state: ALState, g: np.ndarray, rule: str = "paper") -> ALState:
-    """Default rule: mu_i <- max(mu_i - g_i, 0), which subtracts the
-    constraint value directly; the 'standard' rule
-    mu_i <- max(mu_i + gamma_i * g_i, 0) is the classic method-of-multipliers
-    form with the penalty factor, adapted to this sign convention."""
-    if rule not in MULTIPLIER_RULES:
-        raise ValueError(f"multiplier rule must be one of {MULTIPLIER_RULES}")
-    g = np.asarray(g, dtype=float)
-    if rule == "paper":
-        mu = np.maximum(state.mu - g, 0.0)
-    else:
-        mu = np.maximum(state.mu + state.gamma * g, 0.0)
-    return replace(state, mu=mu)
+def update_multipliers(state: ALState, g: np.ndarray) -> ALState:
+    """mu_i <- max(mu_i - g_i, 0): the constraint value is subtracted
+    directly, without the penalty factor."""
+    return replace(state, mu=np.maximum(state.mu - np.asarray(g, dtype=float), 0.0))
 
 
 def update_penalties(state: ALState, g: np.ndarray, sigma_constant: float = 0.25,

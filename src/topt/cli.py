@@ -70,7 +70,7 @@ def _report(problem, result, out_dir: str) -> int:
 def _cmd_run(args) -> int:
     cfg = parse_problem_config(Path(args.config).read_text(), name=Path(args.config).stem)
     if args.filter:
-        cfg = with_overrides(cfg, filter_enabled=True)
+        cfg = with_overrides(cfg, filter=True)
     problem = build_problem(cfg, mesh_scale=args.mesh_scale)
     result = optimizer.run(problem)
     return _report(problem, result, args.out)
@@ -79,7 +79,7 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = builtin_config(args.name, delta_max=args.delta, sigma_max=args.sigma)
     if args.filter:
-        cfg = with_overrides(cfg, filter_enabled=True)
+        cfg = with_overrides(cfg, filter=True)
     problem = build_problem(cfg, mesh_scale=args.mesh_scale)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

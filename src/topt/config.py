@@ -41,7 +41,8 @@ import math
 import os
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -134,17 +135,17 @@ def finalize_problem(name: str, mesh: Mesh, boundary: BoundarySpec,
 
 _CONSTRAINT_KEYS = {KIND_DISPLACEMENT: "displacement", KIND_PNORM_STRESS: "stress",
                     KIND_COMPLIANCE: "compliance"}
+# each [optimizer] key is a field, read by its type: bool as on/off, int as
+# int, and anything else (an optional float included) as float
+_OPTIMIZER_TYPES = get_type_hints(OptimizerConfig)
 _SECTION_KEYS = {
     "domain": {"width", "height", "nx", "ny", "mask"},
     "material": {"e", "nu"},
     "supports": {"fix"},
     "loads": {"load"},
     "constraints": set(_CONSTRAINT_KEYS.values()),
-    "optimizer": {f.name for f in dc_fields(OptimizerConfig)} | {"filter"},
+    "optimizer": set(_OPTIMIZER_TYPES),
 }
-_INT_KEYS = {"max_inner_iters", "max_total_fea"}
-_BOOL_KEYS = {"filter_enabled", "filter", "track_condition"}
-_STR_KEYS = {"multiplier_rule"}
 
 
 @contextmanager
@@ -283,26 +284,22 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
 
 
 def _optimizer_config(overrides: tuple[tuple[str, str], ...]) -> OptimizerConfig:
-    if {"filter", "filter_enabled"} <= {key for key, _ in overrides}:
-        raise ConfigError("[optimizer]: filter and filter_enabled name one setting; "
-                          "set only one of them")
     kwargs = {}
     for key, value in overrides:
-        if key == "filter":
-            key = "filter_enabled"
-        if key in _BOOL_KEYS:
+        kind = _OPTIMIZER_TYPES.get(key)
+        if kind is None:
+            raise ConfigError(f"unknown key {key!r} in [optimizer]")
+        if kind is bool:
             v = value.strip().lower()
             if v not in {"on", "off", "true", "false", "1", "0"}:
                 raise ConfigError(f"[optimizer] {key}: expected on/off, got {value!r}")
             kwargs[key] = v in {"on", "true", "1"}
-        elif key in _STR_KEYS:
-            kwargs[key] = value.strip()
         else:
             with _named(f"[optimizer] {key}"):
-                kwargs[key] = int(value) if key in _INT_KEYS else float(value)
+                kwargs[key] = int(value) if kind is int else float(value)
     try:
         return OptimizerConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"[optimizer]: {exc}") from exc
 
 
@@ -427,15 +424,11 @@ def serialize_problem(problem: ProblemSpec) -> str:
 
 
 def with_overrides(cfg: ProblemConfig, **optimizer_overrides) -> ProblemConfig:
-    """Config copy with optimizer keys replaced (values stringified); the
-    filter setting, under either of its two names, replaces both."""
+    """Config copy with optimizer keys replaced (values stringified)."""
     table = dict(cfg.optimizer)
     for key, value in optimizer_overrides.items():
         if value is None:
             continue
-        if key in ("filter", "filter_enabled"):
-            table.pop("filter", None)
-            table.pop("filter_enabled", None)
         if isinstance(value, bool):
             table[key] = "on" if value else "off"
         else:

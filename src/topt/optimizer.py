@@ -36,9 +36,8 @@ class OptimizerConfig:
     min_delta_v: float = 0.0025
     max_inner_iters: int = 20
     max_total_fea: int = 1000
-    filter_enabled: bool = False
+    filter: bool = False
     filter_radius: float = 1.5  # in units of the element size h
-    multiplier_rule: str = "paper"
     target_vf: float | None = None
     track_condition: bool = True
 
@@ -67,8 +66,6 @@ class OptimizerConfig:
             raise ValueError(f"filter_radius must be non-negative, got {self.filter_radius}")
         if self.max_inner_iters < 1:
             raise ValueError(f"max_inner_iters must be at least 1, got {self.max_inner_iters}")
-        if self.multiplier_rule not in auglag.MULTIPLIER_RULES:
-            raise ValueError(f"multiplier rule must be one of {auglag.MULTIPLIER_RULES}")
         if self.target_vf is not None and not 0 < self.target_vf <= 1:
             raise ValueError("target volume fraction must lie in (0, 1]")
 
@@ -132,8 +129,8 @@ class OptimizationResult:
 class _Run:
     """Mutable state of one optimization run."""
 
-    def __init__(self, problem: "ProblemSpec", config: OptimizerConfig):
-        self.config = config
+    def __init__(self, problem: "ProblemSpec"):
+        self.config = problem.config
         self.mesh = problem.mesh
         self.boundary = problem.boundary
         self.material = problem.material
@@ -229,7 +226,7 @@ class _Run:
                       for i, f in zip(engaged, cf.fields)]
             t_obj = sensitivity.sensitivity_volume(self.mesh.n_elements)
             combined = auglag.combine_level_sets(t_obj, combos)
-        if self.config.filter_enabled and self.config.filter_radius > 0:
+        if self.config.filter and self.config.filter_radius > 0:
             combined = levelset.smooth_filter(
                 combined, self.mesh, self.config.filter_radius * self.mesh.h)
         combined = levelset.extend_into_skin(
@@ -295,15 +292,15 @@ def fixed_point_step(run: _Run, topo: TopologyState, analysis: fem.Analysis,
     return best[0], best[1], False
 
 
-def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> OptimizationResult:
+def run(problem: "ProblemSpec") -> OptimizationResult:
     """Trace the volume-fraction schedule down until a constraint blocks
     further removal or the target volume fraction is reached."""
-    config = config if config is not None else problem.config
+    config = problem.config
     if not problem.constraints and config.target_vf is None:
         raise ValueError("problem needs at least one constraint or an explicit "
                          "target volume fraction")
 
-    state = _Run(problem, config)
+    state = _Run(problem)
     topo = TopologyState.full(state.mesh)
     system = fem.assemble(fem.active_submesh(state.mesh, topo, state.boundary), state.material)
     # the bound needs only K products, so it is taken before the full domain's
@@ -323,6 +320,14 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
                              "loads act only on fixed DOFs or cancel out")
     state.references = state.raws(analysis)
     for c, ref in zip(state.constraints, state.references):
+        if c.kind == sensitivity.KIND_DISPLACEMENT:
+            # a DOF the case does not move reads round-off, whose sign and
+            # size the BLAS kernels decide
+            largest = float(np.abs(analysis.displacements[state.case_index[c.case]]).max())
+            if abs(ref) <= 1e-8 * largest:
+                raise ValueError(f"constraint {c.kind} (case {c.case}) has initial value "
+                                 f"{ref:.3g}, round-off of the case's largest displacement "
+                                 f"{largest:.3g}; constrain a direction the case moves")
         if ref <= 0:
             raise ValueError(f"constraint {c.kind} (case {c.case}) has non-positive "
                              f"initial value {ref}; orient its direction along the "
@@ -343,7 +348,7 @@ def run(problem: "ProblemSpec", config: OptimizerConfig | None = None) -> Optimi
         g = state.evaluate(analysis)
         # multipliers grow with the saturated slack; penalties track raw g
         g_sat = np.maximum(g, -config.slack_saturation)
-        al = auglag.update_multipliers(al, g_sat, config.multiplier_rule)
+        al = auglag.update_multipliers(al, g_sat)
         al = auglag.update_penalties(al, g, config.sigma_constant, config.eta)
         cond = cond_converged = None
         if config.track_condition:

@@ -109,14 +109,17 @@ def builtin_problem(name: str, delta_max: float | None = None,
 
 def scale_loads(problem: ProblemSpec, factor: float) -> ProblemSpec:
     """Copy of the problem with every point-load magnitude multiplied by
-    ``factor`` (used to exercise load-scale invariance)."""
+    ``factor``, in its configuration source too (used to exercise
+    load-scale invariance)."""
     boundary = BoundarySpec(
         fixed_dofs=set(problem.boundary.fixed_dofs),
         point_loads=[replace(p, magnitude=p.magnitude * factor)
                      for p in problem.boundary.point_loads],
         monitor_nodes=set(problem.boundary.monitor_nodes),
     )
+    source = None if problem.source is None else replace(problem.source, loads=tuple(
+        replace(e, magnitude=e.magnitude * factor) for e in problem.source.loads))
     return ProblemSpec(name=problem.name, mesh=problem.mesh,
                        boundary=boundary, material=problem.material,
                        constraints=list(problem.constraints), config=problem.config,
-                       source=problem.source)
+                       source=source)

@@ -22,8 +22,9 @@ def make_cantilever(nx=8, ny=4, width=2.0, height=1.0, case=1, direction=(0.0, -
 
 
 # 8 x 4 cantilever documents whose constraints take their adjoint from a load
-# case: a compliance bound (lambda = -u), and a displacement at the tip along
-# case 1's load but constrained in case 2, loaded along x (lambda = -u_1)
+# case: a compliance bound (lambda = -u), and a displacement at the tip corner
+# along case 1's load but constrained in case 2, loaded along x there
+# (lambda = -u_1)
 _TIP_CANTILEVER = """[domain]
 width = 2.0
 height = 1.0
@@ -44,10 +45,10 @@ COMPLIANCE_DOC = _TIP_CANTILEVER + """load = 1 2.0 0.5 0.0 -1.0 1.0
 [constraints]
 compliance = 1 1.5
 """
-CROSS_CASE_DOC = _TIP_CANTILEVER + """load = 1 2.0 0.5 0.0 -1.0 1.0 ; 2 2.0 0.5 1.0 0.0 1.0
+CROSS_CASE_DOC = _TIP_CANTILEVER + """load = 1 2.0 1.0 0.0 -1.0 1.0 ; 2 2.0 1.0 1.0 0.0 1.0
 
 [constraints]
-displacement = 2 2.0 0.5 0.0 -1.0 1.5
+displacement = 2 2.0 1.0 0.0 -1.0 1.5
 """
 
 

@@ -74,7 +74,7 @@ def test_criterion_3_al_unit_suite():
         auglag.lagrangian_terms(0.0, 1.0, 10.0) == 0.0,
     ]
     s = ALState(mu=np.array([1.0, 0.1, 1.0]), gamma=np.full(3, 10.0))
-    mu = auglag.update_multipliers(s, np.array([0.2, 0.5, -0.5]), "paper").mu
+    mu = auglag.update_multipliers(s, np.array([0.2, 0.5, -0.5])).mu
     checks.append(np.array_equal(mu, np.array([0.8, 0.0, 1.5])))
 
     s1 = ALState(mu=np.ones(1), gamma=np.array([10.0]), k=1, g_prev=np.array([-0.5]))

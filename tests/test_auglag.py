@@ -110,25 +110,16 @@ class TestCombineLevelSets:
 class TestUpdateMultipliers:
     def test_paper_rule_table(self):
         s = ALState(mu=np.array([1.0, 0.1, 1.0]), gamma=np.full(3, 10.0))
-        out = auglag.update_multipliers(s, np.array([0.2, 0.5, -0.5]), "paper")
+        out = auglag.update_multipliers(s, np.array([0.2, 0.5, -0.5]))
         assert np.array_equal(out.mu, np.array([0.8, 0.0, 1.5]))
-
-    def test_standard_rule(self):
-        s = ALState(mu=np.array([1.0, 1.0]), gamma=np.array([10.0, 10.0]))
-        out = auglag.update_multipliers(s, np.array([0.2, -0.5]), "standard")
-        assert np.array_equal(out.mu, np.array([1.0 + 10.0 * 0.2, 0.0]))
 
     def test_nonnegative_invariant(self):
         rng = np.random.default_rng(4)
         s = ALState.initial(3)
         for _ in range(50):
             g = rng.normal(scale=2.0, size=3)
-            s = auglag.update_multipliers(s, g, "paper")
+            s = auglag.update_multipliers(s, g)
             assert np.all(s.mu >= 0.0)
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            auglag.update_multipliers(ALState.initial(1), np.zeros(1), "bogus")
 
 
 class TestUpdatePenalties:

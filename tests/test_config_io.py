@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -13,8 +14,8 @@ from topt.config import (ConfigError, band_bytes_bound, build_problem, parse_pro
                          parse_problem_config, serialize_problem, serialize_problem_config,
                          with_overrides)
 from topt.mesh import TopologyState, active_submesh
-from topt.optimizer import OptimizationResult
-from topt.problems import BUILTIN_NAMES, builtin_config, builtin_problem
+from topt.optimizer import OptimizationResult, OptimizerConfig
+from topt.problems import BUILTIN_NAMES, builtin_config, builtin_problem, scale_loads
 from topt.sensitivity import KIND_DISPLACEMENT
 
 from _oracles import support_dofs_by_loop, write_density_pgm_per_pixel, write_vtk_at_once
@@ -66,29 +67,39 @@ class TestParse:
             parse_problem("[domain\nwidth = 1")
 
     def test_optimizer_overrides(self):
-        text = MINIMAL + "\n[optimizer]\ndelta_v = 0.05\nfilter = on\nmultiplier_rule = standard\n"
+        text = MINIMAL + "\n[optimizer]\ndelta_v = 0.05\nfilter = on\nmax_total_fea = 30\n"
         p = parse_problem(text)
         assert p.config.delta_v == 0.05
-        assert p.config.filter_enabled
-        assert p.config.multiplier_rule == "standard"
+        assert p.config.filter
+        assert p.config.max_total_fea == 30 and type(p.config.max_total_fea) is int
 
     @pytest.mark.parametrize("first, second", [("filter = on", "filter_enabled = off"),
                                                ("filter_enabled = off", "filter = on")])
     def test_filter_under_both_names_rejected(self, first, second):
-        # one setting under two names: neither order may silently win
+        # the setting has one name; the other is an unknown key in either order
         text = MINIMAL + f"\n[optimizer]\n{first}\n{second}\n"
-        with pytest.raises(ConfigError, match="filter and filter_enabled"):
+        with pytest.raises(ConfigError, match=r"unknown key 'filter_enabled' in \[optimizer\]"):
             parse_problem(text)
 
-    def test_filter_override_replaces_either_spelling(self):
-        # an override names one setting, whichever spelling the document used
-        for written in ("filter", "filter_enabled"):
-            cfg = parse_problem_config(MINIMAL + f"\n[optimizer]\n{written} = off\n")
-            for key in ("filter", "filter_enabled"):
-                for value in (True, False):
-                    over = with_overrides(cfg, **{key: value})
-                    assert [k for k, _ in over.optimizer] == [key]
-                    assert build_problem(over).config.filter_enabled is value
+    def test_filter_override_replaces_document_value(self):
+        cfg = parse_problem_config(MINIMAL + "\n[optimizer]\nfilter = off\n")
+        for value in (True, False):
+            over = with_overrides(cfg, filter=value)
+            assert over.optimizer == (("filter", "on" if value else "off"),)
+            assert build_problem(over).config.filter is value
+
+    def test_optimizer_keys_are_the_fields(self):
+        # each key is read by its field's type; a key no field has is refused
+        # also where a config is built without being parsed
+        assert config_module._SECTION_KEYS["optimizer"] == {
+            f.name for f in dataclasses.fields(OptimizerConfig)}
+        cfg = parse_problem_config(MINIMAL)
+        p = build_problem(replace(cfg, optimizer=(
+            ("target_vf", "0.5"), ("max_inner_iters", "7"), ("track_condition", "off"))))
+        assert (p.config.target_vf, p.config.max_inner_iters, p.config.track_condition) == (
+            0.5, 7, False)
+        with pytest.raises(ConfigError, match="unknown key 'multiplier_rule' in"):
+            build_problem(replace(cfg, optimizer=(("multiplier_rule", "paper"),)))
 
     def test_bad_optimizer_number_names_key(self):
         with pytest.raises(ConfigError, match=r"\[optimizer\] max_inner_iters: "):
@@ -135,6 +146,13 @@ class TestRoundTrip:
         assert q.constraints == p.constraints
         assert q.config == p.config
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_scaled_loads_serialize_scaled(self, name):
+        scaled = scale_loads(builtin_problem(name), 10.0)
+        assert {p.magnitude for p in scaled.boundary.point_loads} == {10.0}
+        again = parse_problem(serialize_problem(scaled), name=name)
+        assert again.boundary.point_loads == scaled.boundary.point_loads
+
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _COMPONENT = st.floats(-1e6, 1e6, allow_nan=False)
@@ -146,7 +164,6 @@ _OPTIMIZER_VALUES = {
     "delta_v": _FINITE.map(repr),
     "max_inner_iters": st.integers(1, 50).map(str),
     "filter": st.sampled_from(["on", "off", "true", "0"]),
-    "multiplier_rule": st.sampled_from(["paper", "standard"]),
     "track_condition": st.sampled_from(["on", "off"]),
 }
 

@@ -129,7 +129,7 @@ class TestRankCut:
         assert calls == ["find_tau", "extract_domain"] * 20
         calls.clear()
         problem = builtin_problem("cantilever-single")
-        optimizer.run(problem, replace(problem.config, max_total_fea=6))
+        optimizer.run(replace(problem, config=replace(problem.config, max_total_fea=6)))
         assert calls and calls == ["find_tau", "extract_domain"] * (len(calls) // 2)
 
 

@@ -45,10 +45,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(delta_v=0.001, min_delta_v=0.01)
 
-    def test_rule_name(self):
-        with pytest.raises(ValueError):
-            OptimizerConfig(multiplier_rule="nope")
-
     def test_target_range(self):
         with pytest.raises(ValueError):
             OptimizerConfig(target_vf=1.5)
@@ -76,8 +72,7 @@ class TestStructuralFields:
         ("mitchell-multi", [True, True, False, False]),
     ])
     def test_builtin_flags(self, name, expected):
-        problem = builtin_problem(name)
-        assert optimizer._Run(problem, problem.config).structural == expected
+        assert optimizer._Run(builtin_problem(name)).structural == expected
 
     @pytest.mark.parametrize("text, expected", [
         (COMPLIANCE_DOC, [True]),
@@ -85,8 +80,7 @@ class TestStructuralFields:
         (CROSS_CASE_DOC, [False]),
     ], ids=["compliance", "cross-case"])
     def test_document_flags(self, text, expected):
-        problem = parse_problem(text)
-        assert optimizer._Run(problem, problem.config).structural == expected
+        assert optimizer._Run(parse_problem(text)).structural == expected
 
 
 class TestLoadCaseAdjoints:
@@ -94,7 +88,7 @@ class TestLoadCaseAdjoints:
 
     @pytest.mark.parametrize("text, fea_count, vf", [
         (COMPLIANCE_DOC, 48, 0.8125),
-        (CROSS_CASE_DOC, 6, 0.96875),
+        (CROSS_CASE_DOC, 30, 0.625),
     ], ids=["compliance", "cross-case"])
     def test_answer_without_adjoint_solves(self, monkeypatch, text, fea_count, vf):
         solves = []
@@ -289,7 +283,7 @@ class TestInnerLoop:
                           config=OptimizerConfig(target_vf=0.9, track_condition=False))
         res = optimizer.run(p)
         # rerun one fixed-point step at the final volume: nothing to remove
-        run = optimizer._Run(p, p.config)
+        run = optimizer._Run(p)
         analysis = run.analyze(res.topology)
         run.j0 = list(analysis.compliances)
         run.relaxed = res.field
@@ -396,12 +390,12 @@ class TestRoundOffRobustness:
         # the symmetric built-ins have mirror pairs that differ only by
         # round-off; 1e-13 relative noise on every solve must not move the cut
         problem = builtin_problem(name)
-        config = replace(problem.config, track_condition=False)
-        exact = optimizer.run(problem, config).topology.solid
+        problem = replace(problem, config=replace(problem.config, track_condition=False))
+        exact = optimizer.run(problem).topology.solid
         solve = fem.solve
         for seed in (1, 2, 3):
             monkeypatch.setattr(fem, "solve", noisy_solve(solve, seed))
-            noisy = optimizer.run(problem, config).topology.solid
+            noisy = optimizer.run(problem).topology.solid
             assert noisy.tobytes() == exact.tobytes(), f"seed {seed}"
 
 
@@ -622,7 +616,7 @@ class TestOneFactorization:
 
     @pytest.mark.parametrize("make", [
         lambda: small_problem(extra_q=True),
-        lambda: builtin_with("cantilever-single", filter_enabled=True),
+        lambda: builtin_with("cantilever-single", filter=True),
     ], ids=["remote-q", "cantilever-filter"])
     def test_one_factorization_alive(self, make, monkeypatch):
         problem = make()
@@ -671,12 +665,3 @@ class TestOneFactorization:
         assert any(h.achieved_vf > prev.achieved_vf
                    for prev, h in zip(released.history, released.history[1:]))
         assert released.history == kept.history
-
-
-class TestMultiplierRules:
-    def test_standard_rule_runs(self):
-        p = small_problem(bound=1.4, config=OptimizerConfig(
-            multiplier_rule="standard", track_condition=False))
-        res = optimizer.run(p)
-        assert res.feasible
-        assert res.constraint_values[0] <= 1.4 + 1e-12
