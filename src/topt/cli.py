@@ -67,25 +67,17 @@ def _report(problem, result, out_dir: str) -> int:
     return 0 if result.feasible else 2
 
 
-def _cmd_run(args) -> int:
-    cfg = parse_problem_config(Path(args.config).read_text(), name=Path(args.config).stem)
+def _optimize(cfg, args, write_config: bool = False) -> int:
+    """Apply ``--filter``, build the problem, optionally write its
+    ``config.ini`` to the output directory first, then run and report."""
     if args.filter:
         cfg = with_overrides(cfg, filter=True)
     problem = build_problem(cfg, mesh_scale=args.mesh_scale)
-    result = optimizer.run(problem)
-    return _report(problem, result, args.out)
-
-
-def _cmd_bench(args) -> int:
-    cfg = builtin_config(args.name, delta_max=args.delta, sigma_max=args.sigma)
-    if args.filter:
-        cfg = with_overrides(cfg, filter=True)
-    problem = build_problem(cfg, mesh_scale=args.mesh_scale)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.ini").write_text(serialize_problem_config(cfg))
-    result = optimizer.run(problem)
-    return _report(problem, result, args.out)
+    if write_config:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.ini").write_text(serialize_problem_config(cfg))
+    return _report(problem, optimizer.run(problem), args.out)
 
 
 def _cmd_verify() -> int:
@@ -109,9 +101,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
+            path = Path(args.config)
+            return _optimize(parse_problem_config(path.read_text(), name=path.stem), args)
         if args.command == "bench":
-            return _cmd_bench(args)
+            return _optimize(builtin_config(args.name, delta_max=args.delta,
+                                            sigma_max=args.sigma), args, write_config=True)
         return _cmd_verify()
     except (ConfigError, ValueError, OSError,
             SingularSystemError, SolveError, TopologyError) as exc:

@@ -176,7 +176,7 @@ class SystemMatrix:
     def __init__(self, active: ActiveMesh, ke: np.ndarray):
         self.active = active
         self.ke = ke
-        self.n = active.n_free
+        self.n = len(active.free_dofs)
         self._factor = None
         self._condition = None
 
@@ -304,13 +304,12 @@ def recover(active: ActiveMesh, u: np.ndarray, material: Material) -> TensorFiel
     C = material.constitutive()
     strain = np.zeros((mesh.n_elements, 3))
     stress = np.zeros((mesh.n_elements, 3))
-    if len(active.element_ids):
-        ue = u[active.edofs]                       # (n_active, 8)
-        eng = ue @ Bc.T                            # (exx, eyy, gxy)
-        sig = eng @ C.T                            # (sxx, syy, sxy)
-        eng[:, 2] *= 0.5                           # tensor shear strain
-        strain[active.element_ids] = eng
-        stress[active.element_ids] = sig
+    ue = u[active.edofs]                           # (n_active, 8)
+    eng = ue @ Bc.T                                # (exx, eyy, gxy)
+    sig = eng @ C.T                                # (sxx, syy, sxy)
+    eng[:, 2] *= 0.5                               # tensor shear strain
+    strain[active.element_ids] = eng
+    stress[active.element_ids] = sig
     return TensorField(stress=stress, strain=strain)
 
 
@@ -391,7 +390,6 @@ class Analysis:
     tensors: list[TensorField]       # per case
     vonmises: list[np.ndarray]       # (n_elements,) per case, zero on void
     compliances: list[float]         # per case
-    n_solves: int
 
 
 def analyze(mesh: Mesh, boundary: BoundarySpec, material: Material,
@@ -416,4 +414,4 @@ def analyze(mesh: Mesh, boundary: BoundarySpec, material: Material,
         comps.append(compliance(f, u))
     return Analysis(topology=topo, active=active, system=system, loads=loads,
                     displacements=disp, tensors=tensors, vonmises=vms,
-                    compliances=comps, n_solves=len(cases))
+                    compliances=comps)

@@ -155,7 +155,7 @@ class Mesh:
     grid_shape : (nx, ny) of the underlying structured grid.
     neighbours : (n_elements, 4) int array of face neighbours, -1 where
         there is none (column order in the module docstring).
-    h : element side length; element_area = h**2.
+    h : element side length.
     """
 
     def __init__(self, nodes, elements, element_grid, grid_shape, h):
@@ -164,7 +164,6 @@ class Mesh:
         self.element_grid = np.asarray(element_grid, dtype=np.int64)
         self.grid_shape = tuple(grid_shape)
         self.h = float(h)
-        self.element_area = self.h * self.h
         # mesh DOF layout: 2 per node
         self.n_nodes = len(self.nodes)
         self.n_elements = len(self.elements)
@@ -175,22 +174,13 @@ class Mesh:
         ed[:, 1::2] = 2 * self.elements + 1
         self.edofs = ed
         self.centroids = self.nodes[self.elements].mean(axis=1)
-        self._node_elements = self._build_incidence()
         self.neighbours = self._build_neighbours()
         self._cone_filters: dict[float, tuple[sparse.csr_matrix, np.ndarray]] = {}
         self._stiffness_pattern: StiffnessPattern | None = None
         self._connected_memo: tuple[bytes, np.ndarray | None] = (b"", None)
         for a in (self.nodes, self.elements, self.element_grid, self.edofs, self.centroids,
-                  *self._node_elements, self.neighbours):
+                  self.neighbours):
             a.flags.writeable = False
-
-    def _build_incidence(self):
-        counts = np.bincount(self.elements.ravel(), minlength=self.n_nodes)
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        # stable sort groups each node's slots in ascending element order
-        indices = np.argsort(self.elements.ravel(), kind="stable") // 4
-        return indptr, indices
 
     def _build_neighbours(self):
         nx, ny = self.grid_shape
@@ -202,8 +192,7 @@ class Mesh:
 
     def node_elements(self, node: int) -> np.ndarray:
         """Elements incident to a node (sorted by element index)."""
-        indptr, indices = self._node_elements
-        return indices[indptr[node]:indptr[node + 1]]
+        return np.flatnonzero(self.elements.ravel() == node) // 4  # slot -> element
 
     def cone_filter(self, radius: float) -> tuple[sparse.csr_matrix, np.ndarray]:
         """Cone weights ``H[e, f] = max(0, 1 - |c_e - c_f| / radius)`` over
@@ -354,7 +343,6 @@ class ActiveMesh:
         self.mesh = mesh
         self.element_ids = element_ids          # active (analyzed) elements
         self.free_dofs = free_dofs              # mesh DOF ids, in the pattern's order
-        self.n_free = len(free_dofs)
         self.edofs = mesh.edofs[element_ids]
 
 

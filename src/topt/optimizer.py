@@ -64,8 +64,9 @@ class OptimizerConfig:
             raise ValueError(f"sigma_constant must lie in (0, 1), got {self.sigma_constant}")
         if self.filter_radius < 0:
             raise ValueError(f"filter_radius must be non-negative, got {self.filter_radius}")
-        if self.max_inner_iters < 1:
-            raise ValueError(f"max_inner_iters must be at least 1, got {self.max_inner_iters}")
+        for name in ("max_inner_iters", "max_total_fea"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.target_vf is not None and not 0 < self.target_vf <= 1:
             raise ValueError("target volume fraction must lie in (0, 1]")
 
@@ -121,7 +122,6 @@ class OptimizationResult:
     fea_count: int
     analysis: fem.Analysis | None = None
     field: np.ndarray | None = None  # the level-set whose cut gave the design
-    references: list[float] = dc_field(default_factory=list)
     constraint_values: list[float] = dc_field(default_factory=list)  # raw/ref, final
     rel_compliance: list[float] = dc_field(default_factory=list)     # per case, final
 
@@ -170,7 +170,7 @@ class _Run:
         self.work_from(None)  # before the next factorization, never after
         self.live = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases,
                                 system)
-        self.fea_count += self.live.n_solves
+        self.fea_count += len(self.cases)
         return self.live
 
     def raws(self, analysis: fem.Analysis) -> list[float]:
@@ -226,7 +226,7 @@ class _Run:
                       for i, f in zip(engaged, cf.fields)]
             t_obj = sensitivity.sensitivity_volume(self.mesh.n_elements)
             combined = auglag.combine_level_sets(t_obj, combos)
-        if self.config.filter and self.config.filter_radius > 0:
+        if self.config.filter:
             combined = levelset.smooth_filter(
                 combined, self.mesh, self.config.filter_radius * self.mesh.h)
         combined = levelset.extend_into_skin(
@@ -413,7 +413,6 @@ def run(problem: "ProblemSpec") -> OptimizationResult:
     return OptimizationResult(
         topology=topo, history=state.history, feasible=snapshot is not None,
         message=message, fea_count=state.fea_count, analysis=analysis, field=field,
-        references=list(state.references),
         constraint_values=[r / ref for r, ref in zip(state.raws(analysis), state.references)],
         rel_compliance=list(state.rel_compliance(analysis)),
     )

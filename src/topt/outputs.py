@@ -88,7 +88,7 @@ def write_vtk(problem: ProblemSpec, result: OptimizationResult, path: Path) -> N
 
 
 def write_history_csv(result: OptimizationResult, path: Path) -> None:
-    m = len(result.references)
+    m = len(result.constraint_values)
     header = (["step", "target_vf", "achieved_vf", "rel_compliance"]
               + [f"g_{i + 1}" for i in range(m)]
               + [f"mu_{i + 1}" for i in range(m)]

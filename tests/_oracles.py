@@ -53,7 +53,7 @@ def assemble_coo(active, material) -> sp.csr_matrix:
     unspecified order), so K - K^T is exactly zero; exact cancellations are
     not stored."""
     ke = fem.element_stiffness(material, active.mesh.h)
-    n = active.n_free
+    n = len(active.free_dofs)
     reduced_index = np.full(active.mesh.n_dofs, -1, dtype=np.int64)
     reduced_index[np.sort(active.free_dofs)] = np.arange(n)
     red = reduced_index[active.edofs]  # (n_active, 8)
@@ -166,7 +166,7 @@ def hole_drilling(mesh, boundary, material, elements) -> np.ndarray:
         solid = np.ones(mesh.n_elements, dtype=bool)
         solid[e] = False
         a = fem.analyze(mesh, boundary, material, TopologyState(solid=solid))
-        out[idx] = (a.compliances[0] - j0) / mesh.element_area
+        out[idx] = (a.compliances[0] - j0) / mesh.h ** 2
     return out
 
 

@@ -131,6 +131,16 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "gamma0" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_fea_budget_below_one_exit_one(self, tmp_path, capsys, monkeypatch, budget):
+        # rejected while the document is read, before any analysis
+        monkeypatch.setattr(cli.optimizer, "run", None)
+        cfg = write_config(tmp_path, CONFIG + f"max_total_fea = {budget}\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"error: [optimizer]: max_total_fea must be at least 1, got {budget}\n"
+
     @pytest.mark.parametrize("old, new, where", [
         ("load = 1 ", "load = 1.7 ", "[loads] load"),
         ("displacement = 1 ", "displacement = 1.5 ", "[constraints] displacement"),

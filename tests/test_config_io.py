@@ -336,7 +336,7 @@ class TestOutputs:
         p = parse_problem(MINIMAL)
         res = OptimizationResult(
             topology=TopologyState.full(p.mesh), history=[], feasible=True,
-            message="t", fea_count=0, references=[1.0], constraint_values=[1.0],
+            message="t", fea_count=0, constraint_values=[1.0],
             rel_compliance=[1.0])
         outputs.write_density_pgm(p, res, tmp_path / "d.pgm")
         lines = (tmp_path / "d.pgm").read_text().splitlines()
@@ -349,6 +349,24 @@ class TestOutputs:
         lines = (tmp_path / "history.csv").read_text().splitlines()
         assert lines[0].startswith("step,target_vf,achieved_vf,rel_compliance,g_1")
         assert len(lines) == 1 + len(res.history)
+
+    @pytest.mark.parametrize("constraints, optimizer_keys, columns", [
+        ("displacement = 1 2.0 0.5 0.0 -1.0 1.5\ncompliance = 1 3.0\n", "",
+         ["g_1", "g_2", "mu_1", "mu_2", "gamma_1", "gamma_2"]),
+        ("", "target_vf = 0.8\n", []),
+    ], ids=["two-constraints", "target-vf-only"])
+    def test_history_header_has_one_column_set_per_constraint(
+            self, tmp_path, constraints, optimizer_keys, columns):
+        text = (MINIMAL.split("[constraints]")[0] + "[constraints]\n" + constraints
+                + "\n[optimizer]\ntrack_condition = off\nmax_total_fea = 6\n" + optimizer_keys)
+        p = parse_problem(text)
+        res = optimizer.run(p)
+        assert len(res.constraint_values) == len(p.constraints) == len(columns) // 3
+        outputs.write_history_csv(res, tmp_path / "history.csv")
+        header, *rows = (tmp_path / "history.csv").read_text().splitlines()
+        assert header.split(",") == (["step", "target_vf", "achieved_vf", "rel_compliance"]
+                                     + columns + ["fea_count", "cond_estimate"])
+        assert rows and all(len(row.split(",")) == len(header.split(",")) for row in rows)
 
     def test_history_cells_are_plain_numbers(self, small_result, tmp_path):
         p, res = small_result
@@ -463,7 +481,7 @@ class TestOutputs:
         res = OptimizationResult(
             topology=TopologyState(rng.random(p.mesh.n_elements) < 0.6), history=[],
             feasible=True, message="t", fea_count=1, analysis=analysis,
-            field=rng.normal(size=p.mesh.n_elements), references=[1.0, 1.0],
+            field=rng.normal(size=p.mesh.n_elements),
             constraint_values=[1.0, 1.0], rel_compliance=[1.0])
         tracemalloc.start()
         try:

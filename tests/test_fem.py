@@ -28,7 +28,7 @@ def assert_matches_coo(active, material):
     expected = oracle_matrix(active, material)
     assert (expected != expected.T).nnz == 0
     assert np.array_equal(system._build_band(), lower_band(expected))
-    x = np.random.default_rng(active.n_free).normal(size=active.n_free)
+    x = np.random.default_rng(len(active.free_dofs)).normal(size=len(active.free_dofs))
     assert np.linalg.norm(system.product(x) - expected @ x) <= 1e-14 * np.linalg.norm(expected @ x)
 
 
@@ -44,7 +44,7 @@ def pairwise_band_width(active):
     """Largest ``i - j`` over the pairs of free DOFs of one element, 0 when
     no element has two."""
     position = np.full(active.mesh.n_dofs, -1)
-    position[active.free_dofs] = np.arange(active.n_free)
+    position[active.free_dofs] = np.arange(len(active.free_dofs))
     return max((p - q for dofs in active.edofs.tolist() for p in position[dofs].tolist()
                 for q in position[dofs].tolist() if q >= 0 and p >= q), default=0)
 
@@ -215,7 +215,7 @@ class TestAssemble:
             boundary.fix_node(node, "xy")
         boundary.point_loads.append(PointLoad(1, 7, (0.0, -1.0), 1.0))
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
-        assert active.n_free == n_free
+        assert len(active.free_dofs) == n_free
         band = fem.assemble(active, fem.Material())._build_band()
         assert band.shape == (kd + 1, n_free)
         assert kd == pairwise_band_width(active)
@@ -674,7 +674,6 @@ class TestAnalyze:
         mesh, boundary, tip = make_cantilever(4, 2)
         boundary.point_loads.append(PointLoad(2, tip, (1.0, 0.0), 2.0))
         analysis = fem.analyze(mesh, boundary, fem.Material(), TopologyState.full(mesh))
-        assert analysis.n_solves == 2
         assert len(analysis.displacements) == 2
         assert all(j > 0 for j in analysis.compliances)
 

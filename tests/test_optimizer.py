@@ -57,6 +57,7 @@ class TestConfigValidation:
         ("eta", 0.0), ("eta", -1.0),
         ("sigma_constant", 0.0), ("sigma_constant", 1.0), ("sigma_constant", np.nan),
         ("delta_v", np.nan), ("max_inner_iters", 0),
+        ("max_total_fea", 0), ("max_total_fea", -3),
     ])
     def test_bad_setting_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
