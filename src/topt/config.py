@@ -245,6 +245,8 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
     for e in _entries(parser["loads"].get("load", "")):
         case, x, y, dx, dy, mag = _floats(e, 6, "[loads] load")
         dx, dy = _unit(dx, dy, "[loads] load")
+        if not math.isfinite(mag):
+            raise ConfigError(f"[loads] load: magnitude must be finite, got {mag!r}")
         loads.append(LoadEntry(case=_case(case, "[loads] load"), x=x, y=y, dx=dx, dy=dy,
                                magnitude=mag))
     if not loads:
@@ -322,15 +324,12 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
     """Materialize a configuration into a runnable problem."""
     if mesh_scale < 1:
         raise ConfigError("mesh scale must be a positive integer")
-    for key in ("width", "height"):
-        if not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"[domain] {key} must be finite, got {getattr(cfg, key)!r}")
     try:
         domain = DomainSpec(width=cfg.width, height=cfg.height,
                             nx=cfg.nx * mesh_scale, ny=cfg.ny * mesh_scale,
                             masked_regions=cfg.masks)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"[domain] {exc}") from exc
     band, memory = band_bytes_bound(domain.nx, domain.ny), _physical_memory()
     if memory is not None and band > memory:
         raise ConfigError(

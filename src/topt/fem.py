@@ -4,13 +4,13 @@ Void elements are removed from the assembly entirely (no ersatz stiffness)
 and fixed DOFs are eliminated by reduction, so the assembled matrix is
 symmetric positive definite and its condition number is physically
 meaningful. When a system is first factored, its elements' lower triangles
-are summed, through the DOF ranks of ``Mesh.stiffness_pattern``, straight
-into LAPACK's lower band in the mesh's narrowest-band order, and the band is
-factored in place by LAPACK's banded Cholesky on one BLAS thread, so the
-factor's bytes do not depend on the thread count. Products with K are made
-element by element. Stress and strain are recovered at element centroids,
-one value per element; the shear entries stored in tensor fields are the
-*tensor* components (eps_xy = gamma_xy / 2, sigma_xy).
+are summed straight into LAPACK's lower band, in the order of the free DOFs
+(the mesh's narrowest-band ``Mesh.dof_order``), and the band is factored in
+place by LAPACK's banded Cholesky on one BLAS thread, so the factor's bytes
+do not depend on the thread count. Products with K are made element by
+element. Stress and strain are recovered at element centroids, one value
+per element; the shear entries stored in tensor fields are the *tensor*
+components (eps_xy = gamma_xy / 2, sigma_xy).
 """
 
 from __future__ import annotations
@@ -171,12 +171,16 @@ class SystemMatrix:
     matrix is held only as a factor: the first use of ``factor`` builds
     LAPACK's lower band and factors it in place, without pivoting. The factor
     lives until ``release()``; ``factor`` then builds and factors the band
-    again, to the same result. The condition estimate stays cached."""
+    again, to the same result. The condition estimate stays cached. Systems
+    sharing a ``spare`` list reuse a released band's storage when it fits:
+    a run's share one, so all its bands live in the first, its largest."""
 
-    def __init__(self, active: ActiveMesh, ke: np.ndarray):
+    def __init__(self, active: ActiveMesh, ke: np.ndarray, spare: list | None = None):
         self.active = active
         self.ke = ke
         self.n = len(active.free_dofs)
+        self._spare = spare
+        self._storage = None  # the buffer the band was built in
         self._factor = None
         self._condition = None
 
@@ -185,20 +189,20 @@ class SystemMatrix:
         kd being the largest ``i - j`` of an element's pair of free DOFs. Each
         entry sums its element terms in element order, scattered ``_CHUNK``
         elements at a time so that no index table spans every element."""
-        pattern = self.active.mesh.stiffness_pattern()
-        red = np.full(self.active.mesh.n_dofs, -1)
+        red = np.full(self.active.mesh.n_dofs, -1)  # -1 if eliminated
         red[self.active.free_dofs] = np.arange(self.n)
-        red = red[pattern.dof_order]  # reduced index of each rank, -1 if eliminated
-        r8 = red[pattern.ranks[self.active.element_ids]]
+        r8 = red[self.active.edofs]
         # widest span of one element's free DOFs, 0 if none has two
         kd = max(0, int((r8.max(axis=1) - np.where(r8 < 0, self.n, r8).min(axis=1)).max()))
-        # red is monotone in rank, so the pair (a, b) enters at (max, min) of
-        # its reduced indices, with ke[a, b], which is bitwise ke[b, a]. (i, j)
-        # is at j * kd + i of the flat band; eliminated pairs land past its end
+        # the pair (a, b) enters at (max, min) of its reduced indices, with
+        # ke[a, b], which is bitwise ke[b, a]. (i, j) is at j * kd + i of the
+        # flat band; eliminated pairs land past its end
         a, b = np.tril_indices(8)
         weights = np.tile(self.ke[a, b], min(_CHUNK, len(r8)))
         end = self.n * (kd + 1)
-        flat = np.zeros(end + 1)
+        spare = self._spare.pop() if self._spare else np.empty(0)
+        flat = self._storage = spare if len(spare) > end else np.empty(end + 1)
+        flat[:end + 1] = 0.0
         for start in range(0, len(r8), _CHUNK):
             ra, rb = r8[start:start + _CHUNK, a], r8[start:start + _CHUNK, b]
             at = np.minimum(ra, rb)
@@ -225,8 +229,10 @@ class SystemMatrix:
         return self._factor
 
     def release(self) -> None:
-        """Drop the factor: n * (kd + 1) doubles."""
-        self._factor = None
+        """Drop the factor, n * (kd + 1) doubles; its storage goes to the spare, if any."""
+        if self._factor is not None and self._spare is not None:
+            self._spare[:] = [self._storage]
+        self._factor = self._storage = None
 
     def condition(self, lam_max: float,
                   start: np.ndarray | None = None) -> tuple[float, bool, np.ndarray]:
@@ -246,12 +252,12 @@ class SystemMatrix:
         return self._condition
 
 
-def assemble(active: ActiveMesh, material: Material) -> SystemMatrix:
+def assemble(active: ActiveMesh, material: Material, spare: list | None = None) -> SystemMatrix:
     """The reduced stiffness system of the active elements; its band is built
-    when it is first factored."""
+    when it is first factored, in ``spare``'s storage if it fits."""
     if len(active.element_ids) == 0:
         raise ValueError("cannot assemble an empty active mesh")
-    return SystemMatrix(active, element_stiffness(material, active.mesh.h))
+    return SystemMatrix(active, element_stiffness(material, active.mesh.h), spare)
 
 
 def solve(system: SystemMatrix, rhs: np.ndarray) -> np.ndarray:

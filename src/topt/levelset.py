@@ -26,8 +26,8 @@ def cut_key(field: np.ndarray) -> np.ndarray:
 
 def find_tau(field: np.ndarray, target_vf: float) -> float:
     """Cut-off on ``cut_key(field)`` whose strict super-level set keeps the
-    top k = round(target_vf * n) elements: tau lies between the keys of
-    ranks k - 1 and k. Protected elements carry the maximum field value,
+    top k = round(target_vf * n) elements: tau lies between the k-th and the
+    (k+1)-th largest key. Protected elements carry the maximum field value,
     so they rank first.
     """
     if target_vf <= 0:

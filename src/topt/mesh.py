@@ -14,15 +14,16 @@ Conventions used throughout the package:
   cell (i, j) in the column order (i+1, j), (i-1, j), (i, j+1), (i, j-1),
   with -1 off the grid or in a masked cell. Element adjacency is read from
   this table only; the grid itself is used for labelling and for images.
-* The stiffness matrix is numbered in the narrowest-band node order of
-  ``Mesh.stiffness_pattern()``: free DOFs are listed in that order, and a
-  matrix is factored in the order it is given.
+* The stiffness matrix is numbered in the narrowest-band DOF order
+  ``Mesh.dof_order``: free DOFs are listed in that order, and a matrix is
+  factored in the order it is given.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -70,19 +71,25 @@ class DomainSpec:
     masked_regions: tuple[Rect, ...] = ()
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            if not np.isfinite(getattr(self, name)):
+                raise MeshError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for r in self.masked_regions:
+            if not np.isfinite([r.xmin, r.ymin, r.xmax, r.ymax]).all():
+                raise MeshError(f"mask {r} has a non-finite coordinate")
         if self.nx < 1 or self.ny < 1:
             raise MeshError(f"element counts must be >= 1, got nx={self.nx} ny={self.ny}")
         if self.width <= 0 or self.height <= 0:
-            raise MeshError("domain dimensions must be positive")
+            raise MeshError("width and height must be positive")
         hx = self.width / self.nx
         hy = self.height / self.ny
         if abs(hx - hy) > 1e-12 * max(hx, hy):
             raise MeshError(f"elements must be square: width/nx={hx} != height/ny={hy}")
         for r in self.masked_regions:
             if r.xmin >= r.xmax or r.ymin >= r.ymax:
-                raise MeshError(f"degenerate masked region {r}")
+                raise MeshError(f"mask {r} is degenerate")
             if r.xmin < -1e-12 or r.ymin < -1e-12 or r.xmax > self.width + 1e-12 or r.ymax > self.height + 1e-12:
-                raise MeshError(f"masked region {r} outside the domain bounding box")
+                raise MeshError(f"mask {r} lies outside the domain bounding box")
 
     @property
     def element_size(self) -> float:
@@ -135,15 +142,6 @@ class BoundarySpec:
                 raise MeshError(f"load applied to fully fixed node {p.node}")
 
 
-@dataclass(frozen=True)
-class StiffnessPattern:
-    """Narrowest-band DOF order: ``dof_order[r]`` is the mesh DOF of rank r,
-    and ``ranks[e]`` the ranks of element e's 8 DOFs, in ``edofs`` order."""
-
-    dof_order: np.ndarray  # (n_dofs,)
-    ranks: np.ndarray      # (n_elements, 8)
-
-
 class Mesh:
     """Immutable structured quad mesh (possibly with masked regions removed).
 
@@ -173,13 +171,10 @@ class Mesh:
         ed[:, 0::2] = 2 * self.elements
         ed[:, 1::2] = 2 * self.elements + 1
         self.edofs = ed
-        self.centroids = self.nodes[self.elements].mean(axis=1)
         self.neighbours = self._build_neighbours()
         self._cone_filters: dict[float, tuple[sparse.csr_matrix, np.ndarray]] = {}
-        self._stiffness_pattern: StiffnessPattern | None = None
         self._connected_memo: tuple[bytes, np.ndarray | None] = (b"", None)
-        for a in (self.nodes, self.elements, self.element_grid, self.edofs, self.centroids,
-                  self.neighbours):
+        for a in (self.nodes, self.elements, self.element_grid, self.edofs, self.neighbours):
             a.flags.writeable = False
 
     def _build_neighbours(self):
@@ -212,7 +207,8 @@ class Mesh:
             candidates = grid[gi[:, None] + di[near], gj[:, None] + dj[near]]
             i, k = np.nonzero(candidates >= 0)
             j = candidates[i, k]
-            dx, dy = (np.take(self.centroids, i, 0) - np.take(self.centroids, j, 0)).T
+            centroids = self.nodes[self.elements].mean(axis=1)
+            dx, dy = (np.take(centroids, i, 0) - np.take(centroids, j, 0)).T
             d = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm(c_i - c_j), bit for bit
             within = d <= radius
             H = sparse.csr_matrix((np.maximum(0.0, 1.0 - d[within] / radius),
@@ -241,18 +237,15 @@ class Mesh:
         rank = np.argsort(nodes)[self.elements]
         return int((rank.max(axis=1) - rank.min(axis=1)).max())
 
-    def stiffness_pattern(self) -> StiffnessPattern:
-        """DOF order and per-element DOF ranks, built once per mesh. Nodes are
-        listed in the first of ``band_orders`` with the narrowest band, and
-        both DOFs of a node get adjacent ranks."""
-        if self._stiffness_pattern is None:
-            nodes = min(self.band_orders(), key=self.node_band)
-            dof_order = (2 * nodes[:, None] + [X, Y]).ravel()
-            pattern = StiffnessPattern(dof_order, np.argsort(dof_order)[self.edofs])
-            for arr in (pattern.dof_order, pattern.ranks):
-                arr.flags.writeable = False
-            self._stiffness_pattern = pattern
-        return self._stiffness_pattern
+    @cached_property
+    def dof_order(self) -> np.ndarray:
+        """The mesh DOFs in band order, built on first use: the nodes in the
+        first of ``band_orders`` with the narrowest band, each node's x DOF
+        right before its y DOF."""
+        nodes = min(self.band_orders(), key=self.node_band)
+        order = (2 * nodes[:, None] + [X, Y]).ravel()
+        order.flags.writeable = False
+        return order
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         return (self.nodes[:, 0].min(), self.nodes[:, 1].min(),
@@ -305,7 +298,9 @@ def build_mesh(spec: DomainSpec) -> tuple[Mesh, BoundarySpec]:
     n0 = jj * (nx + 1) + ii
     elements_full = np.column_stack([n0, n0 + 1, n0 + nx + 2, n0 + nx + 1])
 
-    used = np.unique(elements_full)
+    referenced = np.zeros(len(full_nodes), dtype=bool)
+    referenced[elements_full] = True
+    used = np.flatnonzero(referenced)
     remap = np.full(len(full_nodes), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
     return (
@@ -342,7 +337,7 @@ class ActiveMesh:
     def __init__(self, mesh: Mesh, element_ids, free_dofs):
         self.mesh = mesh
         self.element_ids = element_ids          # active (analyzed) elements
-        self.free_dofs = free_dofs              # mesh DOF ids, in the pattern's order
+        self.free_dofs = free_dofs              # mesh DOF ids, in band order
         self.edofs = mesh.edofs[element_ids]
 
 
@@ -442,6 +437,6 @@ def active_submesh(mesh: Mesh, topo: TopologyState, boundary: BoundarySpec) -> A
     active_nodes[mesh.elements[element_ids].ravel()] = True
     fixed_mask = np.zeros(mesh.n_dofs, dtype=bool)
     fixed_mask[[2 * n + d for n, d in boundary.fixed_dofs]] = True
-    order = mesh.stiffness_pattern().dof_order
+    order = mesh.dof_order
     free_dofs = order[(np.repeat(active_nodes, 2) & ~fixed_mask)[order]]
     return ActiveMesh(mesh, element_ids, free_dofs)

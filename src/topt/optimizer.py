@@ -156,6 +156,7 @@ class _Run:
         # the analysis the run works from, the only one whose factorization
         # may be alive: every solve and condition estimate is made on it
         self.live: fem.Analysis | None = None
+        self.spare: list[np.ndarray] = []  # band storage its systems pass on
 
     def work_from(self, analysis: fem.Analysis | None) -> None:
         """Make ``analysis`` the live one, releasing the factorization of
@@ -168,8 +169,9 @@ class _Run:
     def analyze(self, topo: TopologyState,
                 system: fem.SystemMatrix | None = None) -> fem.Analysis:
         self.work_from(None)  # before the next factorization, never after
-        self.live = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases,
-                                system)
+        system = system or fem.assemble(fem.active_submesh(self.mesh, topo, self.boundary),
+                                        self.material, self.spare)
+        self.live = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases, system)
         self.fea_count += len(self.cases)
         return self.live
 
@@ -302,7 +304,8 @@ def run(problem: "ProblemSpec") -> OptimizationResult:
 
     state = _Run(problem)
     topo = TopologyState.full(state.mesh)
-    system = fem.assemble(fem.active_submesh(state.mesh, topo, state.boundary), state.material)
+    system = fem.assemble(fem.active_submesh(state.mesh, topo, state.boundary), state.material,
+                          state.spare)
     # the bound needs only K products, so it is taken before the full domain's
     # band, the run's largest, exists. What it warns or raises is held until
     # the analysis and its checks have passed, so that theirs come first
@@ -408,6 +411,7 @@ def run(problem: "ProblemSpec") -> OptimizationResult:
     # level-set is the one whose cut gave its design
     topo, analysis, field = snapshot or (topo, analysis, None)
     state.work_from(None)  # the result holds no factorization
+    state.spare.clear()  # nor its storage
     message = _MESSAGES[event].format(error=error, violated=", ".join(
         f"g_{i + 1}={gi:.4f}" for i, gi in enumerate(g) if gi > 0))
     return OptimizationResult(

@@ -236,7 +236,7 @@ def constraint_raw(analysis: fem.Analysis, spec: ConstraintSpec,
     if spec.kind == KIND_DISPLACEMENT:
         u = analysis.displacements[i]
         dx, dy = spec.direction
-        return dx * u[2 * spec.node] + dy * u[2 * spec.node + 1]
+        return float(dx * u[2 * spec.node] + dy * u[2 * spec.node + 1])
     if spec.kind == KIND_PNORM_STRESS:
         return pnorm_stress(analysis.vonmises[i], include, spec.p_exponent)
     return analysis.compliances[i]

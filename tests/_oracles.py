@@ -94,10 +94,9 @@ def band_by_bincount(system) -> np.ndarray:
     every active element at once, as assembly scattered it before it went
     chunk by chunk: ``ab[i - j, j] = K[i, j]``, Fortran order, each entry's
     element terms summed in element order."""
-    pattern = system.active.mesh.stiffness_pattern()
     red = np.full(system.active.mesh.n_dofs, -1)
     red[system.active.free_dofs] = np.arange(system.n)
-    r8 = red[pattern.dof_order][pattern.ranks[system.active.element_ids]]
+    r8 = red[system.active.edofs]
     kd = max(0, int((r8.max(axis=1) - np.where(r8 < 0, system.n, r8).min(axis=1)).max()))
     a, b = np.tril_indices(8)
     end = system.n * (kd + 1)

@@ -186,9 +186,12 @@ class TestRunCommand:
         ("displacement = 1 2.0", "displacement = 1 2.5", "[constraints] displacement"),
         ("load = 1 2.0", "load = 1 nan", "[loads] load"),
         ("load = 1 2.0", "load = 1 2.5", "[loads] load"),
+        ("ny = 4", "ny = 4\nmask = nan 0.4 1.0 1.0", "[domain] mask"),
+        ("0.0 -1.0 1.0", "0.0 -1.0 nan", "[loads] load"),
+        ("0.0 -1.0 1.0", "0.0 -1.0 inf", "[loads] load"),
     ], ids=["width-inf", "height-inf", "e-inf", "e-overflow", "bound-nan", "bound-inf",
             "constraint-point-nan", "constraint-point-outside", "load-point-nan",
-            "load-point-outside"])
+            "load-point-outside", "mask-nan", "load-magnitude-nan", "load-magnitude-inf"])
     def test_non_finite_input_names_key(self, tmp_path, capsys, old, new, where):
         # rejected before any array work, so numpy has nothing to warn about
         cfg = write_config(tmp_path, CONFIG.replace(old, new, 1))
@@ -508,3 +511,7 @@ class TestMutatedDocuments:
             assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
         else:
             assert err == "" and out.startswith("problem: ")
+        # no value of a document may be NaN, wherever it stands
+        values = [t for line in text.splitlines() if " = " in line
+                  for t in line.split(" = ", 1)[1].split()]
+        assert code == 1 or "nan" not in values

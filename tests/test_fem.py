@@ -600,6 +600,30 @@ class TestRelease:
         assert system.condition(1.0) is first
         assert calls == [] and system._factor is None
 
+    def test_next_band_built_in_released_storage(self):
+        # a system given the spare builds its band in the storage a released
+        # one left there, to the same bytes; one that does not fit allocates
+        mesh, boundary, _ = make_cantilever(12, 6)
+        f = fem.load_vector(mesh, boundary, 1)
+        spare = []
+        full = fem.assemble(active_submesh(mesh, TopologyState.full(mesh), boundary),
+                            fem.Material(), spare)
+        fem.solve(full, f)
+        storage = full._storage
+        full.release()
+        assert len(spare) == 1 and spare[0] is storage and full._storage is None
+        active = active_submesh(mesh, TopologyState(mesh.element_grid[:, 1] > 0), boundary)
+        reused = fem.assemble(active, fem.Material(), spare)
+        own = fem.assemble(active, fem.Material())
+        assert fem.solve(reused, f).tobytes() == fem.solve(own, f).tobytes()
+        assert spare == [] and np.shares_memory(reused.factor.band, storage)
+        assert reused.factor.band.tobytes() == own.factor.band.tobytes()
+        reused.release()
+        mesh, boundary, _ = make_cantilever(16, 8)
+        larger = fem.assemble(active_submesh(mesh, TopologyState.full(mesh), boundary),
+                              fem.Material(), spare)
+        assert not np.shares_memory(larger.factor.band, storage) and spare == []
+
 
 class TestErrorContracts:
     def test_singular_system_reported(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -114,7 +113,7 @@ class TestLocateNode:
 
     def test_centroid_tie_breaks_low(self):
         mesh, _ = build_mesh(DomainSpec(1.0, 1.0, 4, 4))
-        c = mesh.centroids[0]
+        c = mesh.nodes[mesh.elements[0]].mean(axis=0)
         node = locate_node(mesh, Point2(c[0], c[1]))
         assert node == mesh.elements[0].min()
 
@@ -196,7 +195,9 @@ class TestStiffnessPattern:
             for name in BUILTIN_NAMES:
                 problem = builtin_problem(name, mesh_scale=scale)
                 mesh = problem.mesh
-                order = mesh.stiffness_pattern().dof_order
+                order = mesh.dof_order
+                assert np.array_equal(np.sort(order), np.arange(mesh.n_dofs))
+                assert not np.any(order[0::2] % 2)  # each node's x DOF first
                 assert np.array_equal(order[1::2], order[0::2] + 1)  # x then y per node
                 chosen = mesh.node_band(order[0::2] // 2)
                 assert chosen == min(mesh.node_band(o) for o in mesh.band_orders())
@@ -227,38 +228,35 @@ class TestStiffnessPattern:
 
     def test_build_problem_leaves_pattern_unbuilt(self):
         problem = config.build_problem(builtin_config("l-bracket-single"), mesh_scale=2)
-        assert problem.mesh._stiffness_pattern is None
+        assert "dof_order" not in vars(problem.mesh)
 
     def test_built_once_and_read_only(self):
         problem = builtin_problem("cantilever-single")
         mesh = problem.mesh
-        active = active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
-        fem.assemble(active, problem.material)
-        pattern = mesh.stiffness_pattern()
-        arrays = (pattern.dof_order, pattern.ranks)
-        fem.assemble(active, problem.material)
-        again = mesh.stiffness_pattern()
-        assert again is pattern
-        assert all(a is b for a, b in zip((again.dof_order, again.ranks), arrays))
-        assert not any(a.flags.writeable for a in arrays)
+        active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
+        order = vars(mesh)["dof_order"]  # built by the first active_submesh
+        solid = np.ones(mesh.n_elements, dtype=bool)
+        solid[-1] = False
+        active_submesh(mesh, TopologyState(solid), problem.boundary)
+        assert mesh.dof_order is order
+        assert not order.flags.writeable
 
     @pytest.mark.parametrize("name", ["l-bracket-single", "mitchell-multi"])
     def test_lower_triangle_of_each_element(self, name):
-        # the ranks are the element DOFs' positions in dof_order, and the 36
-        # tril_indices(8) pairs, entered as (max, min), give each unordered
-        # pair of the element's DOFs once with row rank >= column rank
+        # with the element DOFs' positions in dof_order, the 36 tril_indices(8)
+        # pairs, entered as (max, min), give each unordered pair of the
+        # element's DOFs once with row position >= column position
         mesh = builtin_problem(name).mesh
-        pattern = mesh.stiffness_pattern()
-        assert pattern.ranks.shape == (mesh.n_elements, 8)
-        assert np.array_equal(pattern.ranks, np.argsort(pattern.dof_order)[mesh.edofs])
-        assert np.array_equal(pattern.dof_order[pattern.ranks], mesh.edofs)
+        order = mesh.dof_order
+        position = np.argsort(order)[mesh.edofs]
+        assert np.array_equal(order[position], mesh.edofs)
         a, b = np.tril_indices(8)
-        ra, rb = pattern.ranks[:, a], pattern.ranks[:, b]
+        ra, rb = position[:, a], position[:, b]
         rows, cols = np.maximum(ra, rb), np.minimum(ra, rb)
         assert np.all(rows >= cols)
-        assert np.all(np.diff(np.sort(pattern.ranks, axis=1), axis=1) > 0)  # distinct
+        assert np.all(np.diff(np.sort(position, axis=1), axis=1) > 0)  # distinct
         # local DOF of each pair's row and column, found back from the mesh DOFs
-        match = [pattern.dof_order[r][:, :, None] == mesh.edofs[:, None, :] for r in (rows, cols)]
+        match = [order[r][:, :, None] == mesh.edofs[:, None, :] for r in (rows, cols)]
         assert all(m.sum(axis=2).min() == m.sum(axis=2).max() == 1 for m in match)
         at = [m.argmax(axis=2) for m in match]
         key = np.sort(np.minimum(*at) * 8 + np.maximum(*at), axis=1)
@@ -266,12 +264,15 @@ class TestStiffnessPattern:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_holds_only_order_and_ranks(self, name):
-        # no (n_elements, 36) table: one int64 per DOF and eight per element
-        mesh = builtin_problem(name, mesh_scale=2).mesh
-        pattern = mesh.stiffness_pattern()
-        assert [f.name for f in dataclasses.fields(pattern)] == ["dof_order", "ranks"]
-        assert (pattern.dof_order.nbytes + pattern.ranks.nbytes
-                == 8 * mesh.n_dofs + 64 * mesh.n_elements)
+        # the band order is one int64 per DOF; no per-element rank table, nor
+        # any other array, is kept beside the mesh's own after an analysis
+        problem = builtin_problem(name, mesh_scale=2)
+        mesh = problem.mesh
+        active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
+        assert mesh.dof_order.nbytes == 8 * mesh.n_dofs
+        arrays = {k for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"nodes", "elements", "element_grid", "edofs", "neighbours",
+                          "dof_order"}
 
 
 class TestConeFilter:
@@ -280,10 +281,11 @@ class TestConeFilter:
         # every pair of centroids within the radius, its weight from the same
         # formula, and each row summed by numpy's segment sum: bit for bit
         mesh = builtin_problem(name).mesh
+        centroids = mesh.nodes[mesh.elements].mean(axis=1)
         factors = (1.0, np.sqrt(2.0), 1.5, 2.0, 2.5, 3.0, 4.0)
         rows = {k: [] for k in factors}
         for e in range(mesh.n_elements):
-            d = np.linalg.norm(mesh.centroids[e] - mesh.centroids, axis=1)
+            d = np.linalg.norm(centroids[e] - centroids, axis=1)
             for k in factors:
                 near = np.flatnonzero(d <= k * mesh.h)
                 rows[k].append((near, np.maximum(0.0, 1.0 - d[near] / (k * mesh.h))))
@@ -306,7 +308,8 @@ class TestConeFilter:
         # every element reaches every other; the offsets stop at the grid's edge
         mesh = build_mesh(DomainSpec(1.0, 0.5, 4, 2))[0]
         H, _ = mesh.cone_filter(10.0)
-        d = np.linalg.norm(mesh.centroids[:, None] - mesh.centroids[None], axis=2)
+        centroids = mesh.nodes[mesh.elements].mean(axis=1)
+        d = np.linalg.norm(centroids[:, None] - centroids[None], axis=2)
         assert np.array_equal(H.toarray(), 1.0 - d / 10.0)
 
     def test_import_leaves_out_scipy_spatial(self):

@@ -630,6 +630,15 @@ class TestOneFactorization:
         assert ledger.overlapping == 0
         assert result.analysis.system._factor is None
 
+    def test_bands_share_one_buffer(self, monkeypatch):
+        # the full domain's band, the first, is the run's largest: every later
+        # band is built in its storage, which the result does not keep
+        starts = []
+        wrap_factorization(monkeypatch, lambda band, **kwargs: starts.append(band.ctypes.data))
+        result = optimizer.run(small_problem(extra_q=True))
+        assert len(starts) > 1 and set(starts) == {starts[0]}
+        assert result.analysis.system._spare == []
+
     def test_result_holds_no_factorization(self, monkeypatch):
         ledger = FactorLedger(monkeypatch)
         result = optimizer.run(small_problem(constrained=False, config=OptimizerConfig(
