@@ -358,7 +358,10 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
             PointLoad(case=entry.case, node=node,
                       direction=(entry.dx, entry.dy), magnitude=entry.magnitude))
 
-    material = Material(E=cfg.e_modulus, nu=cfg.nu)
+    with _named("[material] e"):  # the modulus alone, with the default ratio
+        Material(E=cfg.e_modulus)
+    with _named("[material] nu"):
+        material = Material(E=cfg.e_modulus, nu=cfg.nu)
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(element_stiffness(material, mesh.h)).all()
     if not finite:

@@ -6,11 +6,12 @@ symmetric positive definite and its condition number is physically
 meaningful. When a system is first factored, its elements' lower triangles
 are summed straight into LAPACK's lower band, in the order of the free DOFs
 (the mesh's narrowest-band ``Mesh.dof_order``), and the band is factored in
-place by LAPACK's banded Cholesky on one BLAS thread, so the factor's bytes
-do not depend on the thread count. Products with K are made element by
-element. Stress and strain are recovered at element centroids, one value
-per element; the shear entries stored in tensor fields are the *tensor*
-components (eps_xy = gamma_xy / 2, sigma_xy).
+place by LAPACK's banded Cholesky (``dpbtrf``, solves by ``dpbtrs``, both
+called directly) on one BLAS thread, so the factor's bytes do not depend on
+the thread count. Products with K are made element by element. Stress and
+strain are recovered at element centroids, one value per element; the shear
+entries stored in tensor fields are the *tensor* components
+(eps_xy = gamma_xy / 2, sigma_xy).
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .mesh import ActiveMesh, BoundarySpec, Mesh, TopologyState, active_submesh
 
 RESIDUAL_TOL = 1e-8
 _CHUNK = 512  # elements scattered into the band at a time
+_PAIRS = np.tril_indices(8)  # (a, b) of each element DOF pair with a >= b
 _GAUSS = 1.0 / np.sqrt(3.0)
 
 
@@ -148,21 +150,25 @@ def one_blas_thread():
 
 class BandCholesky:
     """Banded Cholesky factor of an SPD matrix (LAPACK ``pbtrf``), made in
-    place in the band it is given."""
+    place in the band it is given. LAPACK is called straight through scipy's
+    float64 wrappers, without ``cholesky_banded``'s per-call checks."""
 
     def __init__(self, band: np.ndarray):
-        try:
-            with one_blas_thread():
-                self.band = cholesky_banded(band, lower=True, overwrite_ab=True,
-                                            check_finite=False)
-        except np.linalg.LinAlgError as exc:  # a pivot was not positive
+        with one_blas_thread():
+            self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info > 0:  # a pivot was not positive
             raise SingularSystemError(
-                f"singular stiffness system: factorization failed ({exc}); "
-                "the supports likely leave a rigid-body mode") from exc
+                f"singular stiffness system: factorization failed ({info}-th leading "
+                "minor not positive definite); the supports likely leave a rigid-body mode")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         with one_blas_thread():
-            return cho_solve_banded((self.band, True), rhs, check_finite=False)
+            x, info = dpbtrs(self.band, rhs, lower=1)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal pbtrs")
+        return x
 
 
 class SystemMatrix:
@@ -191,27 +197,32 @@ class SystemMatrix:
         elements at a time so that no index table spans every element."""
         red = np.full(self.active.mesh.n_dofs, -1)  # -1 if eliminated
         red[self.active.free_dofs] = np.arange(self.n)
-        r8 = red[self.active.edofs]
+        # one contiguous row per element DOF: each reduction and each pair
+        # table takes whole rows
+        rT = np.ascontiguousarray(red[self.active.edofs.T])
         # widest span of one element's free DOFs, 0 if none has two
-        kd = max(0, int((r8.max(axis=1) - np.where(r8 < 0, self.n, r8).min(axis=1)).max()))
+        kd = max(0, int((np.maximum.reduce(rT)
+                         - np.minimum.reduce(np.where(rT < 0, self.n, rT))).max()))
         # the pair (a, b) enters at (max, min) of its reduced indices, with
         # ke[a, b], which is bitwise ke[b, a]. (i, j) is at j * kd + i of the
         # flat band; eliminated pairs land past its end
-        a, b = np.tril_indices(8)
-        weights = np.tile(self.ke[a, b], min(_CHUNK, len(r8)))
+        a, b = _PAIRS
+        n_elements = rT.shape[1]
+        weights = np.tile(self.ke[a, b], min(_CHUNK, n_elements))
         end = self.n * (kd + 1)
         spare = self._spare.pop() if self._spare else np.empty(0)
         flat = self._storage = spare if len(spare) > end else np.empty(end + 1)
         flat[:end + 1] = 0.0
-        for start in range(0, len(r8), _CHUNK):
-            ra, rb = r8[start:start + _CHUNK, a], r8[start:start + _CHUNK, b]
+        for start in range(0, n_elements, _CHUNK):
+            ra, rb = rT[a, start:start + _CHUNK], rT[b, start:start + _CHUNK]
             at = np.minimum(ra, rb)
             eliminated = at < 0
             at *= kd
             at += np.maximum(ra, rb, out=ra)
             at[eliminated] = end
-            # np.add.at adds in index order: each entry's terms in element order
-            np.add.at(flat, at.ravel(), weights[:at.size])
+            # element-major, pair-minor: np.add.at adds in index order, so
+            # each entry's terms in element order
+            np.add.at(flat, at.T.ravel(), weights[:at.size])
         return flat[:end].reshape((kd + 1, self.n), order="F")
 
     def product(self, x: np.ndarray) -> np.ndarray:

@@ -125,7 +125,7 @@ class Counting:
 
 def wrap_factorization(monkeypatch, hook):
     """Call ``hook(*args, **kwargs)`` ahead of each band factorization, that
-    is each call fem makes to ``cholesky_banded``; scipy itself is left alone."""
-    factor = fem.cholesky_banded
-    monkeypatch.setattr(fem, "cholesky_banded",
+    is each call fem makes to LAPACK's ``dpbtrf``; scipy itself is left alone."""
+    factor = fem.dpbtrf
+    monkeypatch.setattr(fem, "dpbtrf",
                         lambda *args, **kwargs: hook(*args, **kwargs) or factor(*args, **kwargs))

@@ -175,6 +175,18 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("error:") == 1
         assert err.count("\n") == 1 and where in err
 
+    @pytest.mark.parametrize("value, where", [
+        ("nu = nan", "[material] nu: "), ("nu = 0.7", "[material] nu: "),
+        ("nu = -0.1", "[material] nu: "), ("e = -1", "[material] e: "),
+        ("e = 0", "[material] e: "), ("e = -1\nnu = 0.7", "[material] e: "),
+    ], ids=["nu-nan", "nu-high", "nu-negative", "e-negative", "e-zero", "both"])
+    def test_material_out_of_range_names_key(self, tmp_path, capsys, value, where):
+        cfg = write_config(tmp_path, CONFIG + f"\n[material]\n{value}\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("old, new, where", [
         ("width = 2.0", "width = inf", "[domain] width"),
         ("height = 1.0", "height = inf", "[domain] height"),

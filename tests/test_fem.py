@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from topt import fem
 from topt.mesh import (DomainSpec, PointLoad, TopologyError, TopologyState, active_submesh,
@@ -101,6 +102,23 @@ class TestChunkedScatter:
             self.assert_bincount_band(fem.assemble(active, problem.material))
             checked += 1
         assert checked >= 10
+
+    def test_random_topologies_at_scale_two(self):
+        # up to 7,744 elements, 16 chunks, and bands up to kd = 183 wide
+        problem = builtin_problem("l-bracket-single", mesh_scale=2)
+        mesh, boundary = problem.mesh, problem.boundary
+        widths = []
+        for solid, previous, _, _ in topology_draws(mesh, seed=7, count=20):
+            topo = repair_connectivity(mesh, TopologyState(solid), TopologyState(previous),
+                                       boundary)
+            try:
+                active = active_submesh(mesh, topo, boundary)
+            except TopologyError:
+                continue
+            system = fem.assemble(active, problem.material)
+            self.assert_bincount_band(system)
+            widths.append(system._build_band().shape[0] - 1)
+        assert len(widths) >= 10 and max(widths) == 183
 
     @pytest.mark.parametrize("nx, ny", [(1, 1), (73, 7), (32, 16), (27, 19), (32, 32)],
                              ids=["1", "511", "512", "513", "1024"])
@@ -669,7 +687,7 @@ class TestFactorization:
         assert built == [] and system._factor is None  # assembly builds no band
         factor = system.factor
         [(args, kwargs)] = calls
-        assert kwargs == {"lower": True, "overwrite_ab": True, "check_finite": False}
+        assert kwargs == {"lower": 1, "overwrite_ab": 1}
         band = args[0]
         n = system.n
         assert len(built) == 1 and band is built[0] and band.shape == (184, n)  # kd = 183
@@ -680,6 +698,29 @@ class TestFactorization:
         x = factor.solve(f)
         K = oracle_matrix(*lbracket_scale2)
         assert np.linalg.norm(K @ x - f) / np.linalg.norm(f) <= 1e-10
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_same_bytes_as_scipy_banded_cholesky(self, name):
+        # the direct dpbtrf/dpbtrs calls are the routines scipy's wrappers
+        # reach for float64: the same factor and the same solution, bit for bit
+        problem = builtin_problem(name)
+        active = active_submesh(problem.mesh, TopologyState.full(problem.mesh),
+                                problem.boundary)
+        system = fem.assemble(active, problem.material)
+        expected = cholesky_banded(system._build_band(), lower=True, check_finite=False)
+        factor = system.factor
+        assert factor.band.tobytes(order="F") == expected.tobytes(order="F")
+        rhs = fem.load_vector(problem.mesh, problem.boundary, 1)[active.free_dofs]
+        x = factor.solve(rhs)
+        assert x.shape == rhs.shape
+        assert x.tobytes() == cho_solve_banded((factor.band, True), rhs).tobytes()
+
+    def test_singular_band_names_the_minor(self):
+        # [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: the second pivot is zero
+        band = np.asfortranarray([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(fem.SingularSystemError,
+                           match="2-th leading minor not positive definite"):
+            fem.BandCholesky(band)
 
     def test_factor_bytes_independent_of_blas_threads(self, lbracket_scale2):
         # a threaded pbtrf sums in another order; the factor runs on one thread
