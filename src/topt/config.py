@@ -46,7 +46,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .fem import Material, element_stiffness
+from .fem import Material, element_stiffness, lambda_max_bound
 from .mesh import (BoundarySpec, DomainSpec, Mesh, Point2, PointLoad, Rect,
                    build_mesh, locate_node)
 from .optimizer import OptimizerConfig
@@ -362,6 +362,9 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
         Material(E=cfg.e_modulus)
     with _named("[material] nu"):
         material = Material(E=cfg.e_modulus, nu=cfg.nu)
+    if not math.isfinite(lambda_max_bound(material)):
+        raise ConfigError(f"[material] e: {cfg.e_modulus!r} with nu = {cfg.nu!r} puts the "
+                          "stiffness bound 4E/(1 - nu^2) beyond the float range")
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(element_stiffness(material, mesh.h)).all()
     if not finite:

@@ -12,7 +12,6 @@ outcome as a ``HistoryRecord.event``, and the last one says which.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import TYPE_CHECKING
 
@@ -166,11 +165,10 @@ class _Run:
             self.live.system.release()
         self.live = analysis
 
-    def analyze(self, topo: TopologyState,
-                system: fem.SystemMatrix | None = None) -> fem.Analysis:
+    def analyze(self, topo: TopologyState) -> fem.Analysis:
         self.work_from(None)  # before the next factorization, never after
-        system = system or fem.assemble(fem.active_submesh(self.mesh, topo, self.boundary),
-                                        self.material, self.spare)
+        system = fem.assemble(fem.active_submesh(self.mesh, topo, self.boundary),
+                              self.material, self.spare)
         self.live = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases, system)
         self.fea_count += len(self.cases)
         return self.live
@@ -304,19 +302,7 @@ def run(problem: "ProblemSpec") -> OptimizationResult:
 
     state = _Run(problem)
     topo = TopologyState.full(state.mesh)
-    system = fem.assemble(fem.active_submesh(state.mesh, topo, state.boundary), state.material,
-                          state.spare)
-    # the bound needs only K products, so it is taken before the full domain's
-    # band, the run's largest, exists. What it warns or raises is held until
-    # the analysis and its checks have passed, so that theirs come first
-    lam_max = bound_error = None
-    with warnings.catch_warnings(record=True) as bound_warnings:
-        if config.track_condition:
-            try:
-                lam_max = fem.lambda_max_bound(system)
-            except Exception as exc:  # re-raised unchanged below
-                bound_error = exc
-    analysis = state.analyze(topo, system)
+    analysis = state.analyze(topo)
     for case, j in zip(state.cases, analysis.compliances):
         if j <= 0:
             raise ValueError(f"load case {case} does no work on the full domain; its "
@@ -336,10 +322,6 @@ def run(problem: "ProblemSpec") -> OptimizationResult:
                              f"initial value {ref}; orient its direction along the "
                              "actual initial displacement")
     state.j0 = list(analysis.compliances)
-    for w in bound_warnings:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    if bound_error is not None:
-        raise bound_error
 
     al = auglag.ALState.initial(len(state.constraints), config.mu0, config.gamma0)
     delta_v = config.delta_v
@@ -356,7 +338,7 @@ def run(problem: "ProblemSpec") -> OptimizationResult:
         cond = cond_converged = None
         if config.track_condition:
             cond, cond_converged, state.low_mode = analysis.system.condition(
-                lam_max, state.low_mode)
+                fem.lambda_max_bound(state.material), state.low_mode)
         row = state.record(step, topo.volume_fraction, analysis, g, al,
                            cond_estimate=cond, cond_converged=cond_converged)
 

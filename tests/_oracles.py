@@ -3,7 +3,8 @@
 Each oracle takes a route disjoint from the production code: the element
 stiffness comes from the published closed-form coefficient vector, the
 topological sensitivity is checked against literal hole drilling with
-re-solves, eigenvalues against dense decompositions, the assembled band
+re-solves, eigenvalues against dense decompositions, the closed-form
+lambda_max bound against the lattice's Bloch symbol, the assembled band
 against COO triplets summed entry by entry and against the one-shot
 ``bincount`` that built it before the chunked scatter, and the array-based
 grid operations against the per-element loops they replaced. The condition
@@ -44,6 +45,19 @@ def closed_form_ke(E: float, nu: float) -> np.ndarray:
         [k[7], k[2], k[1], k[4], k[3], k[6], k[5], k[0]],
     ])
     return E / (1 - nu * nu) * KE
+
+
+def lattice_symbol_top(ke: np.ndarray, thetas) -> np.ndarray:
+    """Largest eigenvalue of the infinite square lattice's 2 x 2 Bloch symbol
+    S(theta) = P(theta)^H ke P(theta) at each wave vector of ``thetas``
+    (m, 2): a displacement (u_x, u_y) exp(i theta . (x, y) / h) puts the
+    phase of each of an element's nodes, counter-clockwise from the
+    bottom-left corner, on both of its DOFs, and the lattice has one element
+    per node."""
+    offsets = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+    phase = np.exp(1j * np.asarray(thetas, dtype=float) @ offsets.T)  # (m, 4)
+    symbol = np.einsum("mk,kalb,ml->mab", phase.conj(), ke.reshape(4, 2, 4, 2), phase)
+    return np.linalg.eigvalsh(symbol)[:, -1]
 
 
 def assemble_coo(active, material) -> sp.csr_matrix:

@@ -280,17 +280,17 @@ def _numbers_blanked(text):
 
 
 class TestErrorPrecedence:
-    """The full domain's lambda_max bound is taken before its first
-    factorization, yet an input that fails the first analysis fails with that
-    analysis's line alone: nothing the bound raised or warned shows. Which
-    pivot fails and the residual's size are round-off, so the line is
-    matched up to its numbers."""
+    """Supports that leave a rigid-body mode fail the first analysis with
+    that analysis's line alone, under a modulus near the top of the float
+    range too: nothing else is raised or warned, and the condition estimate
+    is never reached. Which pivot fails and the residual's size are
+    round-off, so the line is matched up to its numbers."""
 
     # a warning is shown, or raised as an error (as under python -W error)
     @pytest.mark.parametrize("action", ["always", "error"])
     @pytest.mark.parametrize("edit, line", [
         ({}, "factorization failed (234-th leading minor not positive definite)"),
-        # K products overflow in the bound; the factorization does not fail
+        # the factorization does not fail; the residual check does
         ({"e = 200000000000.0": "e = 1e300"}, "relative residual 2.960e+00 exceeds 1e-08"),
     ], ids=["rigid-body-mode", "overflowing-bound"])
     def test_first_analysis_error_alone(self, tmp_path, capsys, edit, line, action):
@@ -330,6 +330,29 @@ class TestHugeModulus:
         assert len(big[0]) == len(small[0]) > 1 and all(map(math.isfinite, big[0]))
         assert big[0][0] == pytest.approx(small[0][0], rel=1e-11)
         assert big[1] == small[1]
+
+
+class TestOverRangeModulus:
+    """A modulus whose stiffness bound 4E/(1 - nu^2) overflows is refused
+    in one line naming the key, before any array work warns."""
+
+    @pytest.mark.parametrize("e", ["5e307", "1e308", "1.7e308"])
+    def test_one_line_naming_e(self, tmp_path, capsys, e):
+        # the L-bracket at h = 10, where the element stiffness stays finite
+        text = LBRACKET.replace("nu = 0.33", "nu = 0.0").replace("e = 200000000000.0", f"e = {e}")
+        for old, new in [("width = 1.0", "width = 120.0"), ("height = 1.0", "height = 120.0"),
+                         ("mask = 0.4 0.4 1.0 1.0", "mask = 48.0 48.0 120.0 120.0"),
+                         ("fix = 0.0 1.0 0.4 1.0 xy", "fix = 0.0 120.0 48.0 120.0 xy"),
+                         ("1 1.0 0.2 0.0 -1.0", "1 120.0 24.0 0.0 -1.0")]:
+            assert old in text
+            text = text.replace(old, new)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            code = main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [material] e: ") and err.count("\n") == 1
 
 
 class TestVerifyCommand:

@@ -443,7 +443,7 @@ class TestConditionWarmStart:
 
 
 class TestConditionBound:
-    """``cond_estimate`` is the full domain's lambda_max bound over an
+    """``cond_estimate`` is the material's lambda_max bound over an
     inverse-iteration lambda_min."""
 
     def test_brackets_condition_number(self, monkeypatch):
@@ -469,24 +469,28 @@ class TestConditionBound:
         for cond, kappa in kappas:
             assert kappa * (1 - 1e-3) <= cond <= kappa * 1.05
 
-    def test_bound_taken_before_any_band(self, monkeypatch):
-        # the bound needs only K products: the full domain's band, the run's
-        # largest, is built after it, and the bound's bits do not move
-        built, seen = [], []
-        build, bound = fem.SystemMatrix._build_band, fem.lambda_max_bound
-        monkeypatch.setattr(fem.SystemMatrix, "_build_band",
-                            lambda self: built.append(self) or build(self))
-        monkeypatch.setattr(fem, "lambda_max_bound",
-                            lambda system: seen.append((len(built), system._factor, system))
-                            or bound(system))
+    def test_first_estimate_from_material_bound(self):
+        # the bound is the material's alone: the full domain's estimate over it
         problem = small_problem()
         result = optimizer.run(problem)
-        [(bands, factor, system)] = seen
-        assert bands == 0 and factor is None
-        assert built[0] is system and len(system.active.element_ids) == problem.mesh.n_elements
         full = fem.analyze(problem.mesh, problem.boundary, problem.material,
                            TopologyState.full(problem.mesh))
-        assert result.history[0].cond_estimate == full.system.condition(bound(full.system))[0]
+        bound = fem.lambda_max_bound(problem.material)
+        assert result.history[0].cond_estimate == full.system.condition(bound)[0]
+
+    def test_one_product_per_solve(self, monkeypatch):
+        # the residual check of each solve with a nonzero right-hand side is
+        # the run's only K product, and none comes before the first factor
+        events = []
+        product, solve = fem.SystemMatrix.product, fem.solve
+        monkeypatch.setattr(fem.SystemMatrix, "product",
+                            lambda self, x: events.append("product") or product(self, x))
+        monkeypatch.setattr(fem, "solve", lambda system, rhs: events.append(
+            "solve" if rhs[system.active.free_dofs].any() else "zero") or solve(system, rhs))
+        wrap_factorization(monkeypatch, lambda *args, **kwargs: events.append("factor"))
+        optimizer.run(builtin_problem("mitchell-multi"))
+        assert events.index("factor") < events.index("product")
+        assert events.count("product") == events.count("solve") == 153
 
     def test_mirror_image_same_estimate(self, builtin_run):
         # mirrored about mid-height, the final design's matrix is a
@@ -499,7 +503,7 @@ class TestConditionBound:
         mirror = cell[mesh.element_grid[:, 0], ny - 1 - mesh.element_grid[:, 1]]
         full = fem.analyze(mesh, problem.boundary, problem.material,
                            TopologyState.full(mesh))
-        lam_max = fem.lambda_max_bound(full.system)
+        lam_max = fem.lambda_max_bound(problem.material)
         solid = result.topology.solid
         assert not np.array_equal(solid, solid[mirror])
         conds = [fem.analyze(mesh, problem.boundary, problem.material,
