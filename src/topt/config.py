@@ -1,37 +1,8 @@
 """Problem configuration: INI-style parsing, serialization, and building.
 
-The file format is flat key-value sections; comments go on their own lines
-and start with '#'. Multiple entries of one kind are separated by ';'.
-Unknown sections or keys are rejected.
-
-    [domain]
-    width = 1.0
-    height = 1.0
-    nx = 55
-    ny = 55
-    # masked rectangles: xmin ymin xmax ymax
-    mask = 0.4 0.4 1.0 1.0
-
-    [material]
-    e = 2e11
-    nu = 0.33
-
-    [supports]
-    # box (xmin ymin xmax ymax) plus the fixed directions
-    fix = 0.0 1.0 0.4 1.0 xy
-
-    [loads]
-    # case x y dx dy magnitude
-    load = 1 1.0 0.2 0.0 -1.0 1.0
-
-    [constraints]
-    # displacement: case x y dx dy bound
-    displacement = 1 1.0 0.2 0.0 -1.0 1.5
-    # stress: case bound [p-exponent];  compliance: case bound
-    stress = 1 1000.0 8
-
-    [optimizer]
-    delta_v = 0.025
+The README's "Configuration format" describes the document with an example.
+``_KEYS`` defines each of its keys but those of ``[optimizer]``, which are
+the fields of ``OptimizerConfig``.
 """
 
 from __future__ import annotations
@@ -39,10 +10,11 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import get_type_hints
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
+from inspect import signature
+from typing import Any, get_type_hints
 
 import numpy as np
 
@@ -64,7 +36,11 @@ class SupportBox:
     ymin: float
     xmax: float
     ymax: float
-    directions: str  # "x", "y", or "xy"
+    directions: str
+
+    def __post_init__(self):
+        if self.directions not in {"x", "y", "xy"}:
+            raise ValueError(f"directions must be x, y, or xy, got {self.directions!r}")
 
 
 @dataclass(frozen=True)
@@ -133,21 +109,6 @@ def finalize_problem(name: str, mesh: Mesh, boundary: BoundarySpec,
                        constraints=resolved, config=config, source=source)
 
 
-_CONSTRAINT_KEYS = {KIND_DISPLACEMENT: "displacement", KIND_PNORM_STRESS: "stress",
-                    KIND_COMPLIANCE: "compliance"}
-# each [optimizer] key is a field, read by its type: bool as on/off, int as
-# int, and anything else (an optional float included) as float
-_OPTIMIZER_TYPES = get_type_hints(OptimizerConfig)
-_SECTION_KEYS = {
-    "domain": {"width", "height", "nx", "ny", "mask"},
-    "material": {"e", "nu"},
-    "supports": {"fix"},
-    "loads": {"load"},
-    "constraints": set(_CONSTRAINT_KEYS.values()),
-    "optimizer": set(_OPTIMIZER_TYPES),
-}
-
-
 @contextmanager
 def _named(where: str):
     """Re-raise a ValueError of the block as a ConfigError naming ``where``."""
@@ -157,37 +118,94 @@ def _named(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _floats(text: str, n: int, where: str) -> list[float]:
-    parts = text.split()
-    if len(parts) != n:
-        raise ConfigError(f"{where}: expected {n} values, got {len(parts)} in {text!r}")
-    with _named(where):
-        return [float(p) for p in parts]
-
-
-def _entries(value: str) -> list[str]:
-    return [e.strip() for e in value.split(";") if e.strip()]
-
-
-def _unit(dx: float, dy: float, where: str) -> tuple[float, float]:
+def _unit(dx: float, dy: float) -> tuple[float, float]:
     """Unit vector along (dx, dy). A vector already of unit length to within
     a few ulp is kept verbatim, so the normalized values of a document parse
     back unchanged after serialization."""
     norm = math.hypot(dx, dy)
     if norm == 0 or not math.isfinite(norm):
-        raise ConfigError(f"{where}: direction vector must be nonzero and finite")
+        raise ValueError("direction vector must be nonzero and finite")
     if abs(norm - 1.0) <= 4 * math.ulp(1.0):
         return (dx, dy)
     return (dx / norm, dy / norm)
 
 
-def _case(value: float | str, where: str) -> int:
+def _case(text: str) -> int:
     """Load case number; a non-integral value is an error, not truncated."""
-    with _named(where):
-        number = float(value)
+    number = float(text)
     if not number.is_integer():
-        raise ConfigError(f"{where}: load case must be an integer, got {value!r}")
+        raise ValueError(f"load case must be an integer, got {text!r}")
     return int(number)
+
+
+def _load(case, x, y, dx, dy, magnitude) -> LoadEntry:
+    dx, dy = _unit(dx, dy)
+    if not math.isfinite(magnitude):
+        raise ValueError(f"magnitude must be finite, got {magnitude!r}")
+    return LoadEntry(case, x, y, dx, dy, magnitude)
+
+
+def _displacement(case, x, y, dx, dy, bound) -> ConstraintSpec:
+    return ConstraintSpec(KIND_DISPLACEMENT, case, bound, point=Point2(x, y),
+                          direction=_unit(dx, dy))
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One document key: its section, the ``ProblemConfig`` field it fills
+    and one parser per value. A key of ';'-separated entries also has the
+    entry's constructor, whose trailing arguments with defaults are optional
+    values, and the inverse giving back an entry's values; ``kind`` picks
+    out this key's entries where keys share a field."""
+
+    section: str
+    field: str
+    parsers: tuple[Callable[[str], Any], ...]
+    make: Callable[..., Any] | None = None
+    values: Callable[[Any], tuple] = astuple
+    kind: str | None = None
+
+    def parse(self, text: str, where: str) -> Any:
+        """One entry, or the one value of a key without a constructor."""
+        parts, most = text.split(), len(self.parsers)
+        least = most if self.make is None else sum(
+            p.default is p.empty for p in signature(self.make).parameters.values())
+        if not least <= len(parts) <= most:
+            count = most if least == most else f"{least} or {most}"
+            raise ConfigError(f"{where}: expected {count} values, got {len(parts)} in {text!r}")
+        with _named(where):
+            values = [convert(part) for convert, part in zip(self.parsers, parts)]
+            return values[0] if self.make is None else self.make(*values)
+
+
+# parsing checks the syntax; the ranges wait for the build step
+_KEYS = {
+    "width": _Key("domain", "width", (float,)),
+    "height": _Key("domain", "height", (float,)),
+    "nx": _Key("domain", "nx", (int,)),
+    "ny": _Key("domain", "ny", (int,)),
+    "mask": _Key("domain", "masks", (float,) * 4, Rect),
+    "e": _Key("material", "e_modulus", (float,)),
+    "nu": _Key("material", "nu", (float,)),
+    "fix": _Key("supports", "supports", (float,) * 4 + (str.lower,), SupportBox),
+    "load": _Key("loads", "loads", (_case,) + (float,) * 5, _load),
+    "displacement": _Key("constraints", "constraints", (_case,) + (float,) * 5, _displacement,
+                         lambda c: (c.case, c.point.x, c.point.y, *c.direction, c.bound),
+                         KIND_DISPLACEMENT),
+    "stress": _Key("constraints", "constraints", (_case, float, int), lambda case, bound, p=8:
+                   ConstraintSpec(KIND_PNORM_STRESS, case, bound, p_exponent=p),
+                   lambda c: (c.case, c.bound, c.p_exponent), KIND_PNORM_STRESS),
+    "compliance": _Key("constraints", "constraints", (_case, float),
+                       lambda case, bound: ConstraintSpec(KIND_COMPLIANCE, case, bound),
+                       lambda c: (c.case, c.bound), KIND_COMPLIANCE),
+}
+_REQUIRED = {f.name for f in fields(ProblemConfig) if f.default is MISSING}
+_CONSTRAINT_KEYS = {spec.kind: key for key, spec in _KEYS.items() if spec.kind}
+# each [optimizer] key is a field, read by its type: bool as on/off, int as
+# int, and anything else (an optional float included) as float
+_OPTIMIZER_TYPES = get_type_hints(OptimizerConfig)
+_SECTION_KEYS = {spec.section: {k for k, s in _KEYS.items() if s.section == spec.section}
+                 for spec in _KEYS.values()} | {"optimizer": set(_OPTIMIZER_TYPES)}
 
 
 def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
@@ -205,84 +223,33 @@ def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
         for key in parser[section]:
             if key not in _SECTION_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-    for required in ("domain", "supports", "loads"):
-        if not parser.has_section(required):
-            raise ConfigError(f"missing required section [{required}]")
 
-    dom = parser["domain"]
-    try:
-        width, height = float(dom["width"]), float(dom["height"])
-        nx, ny = int(dom["nx"]), int(dom["ny"])
-    except KeyError as exc:
-        raise ConfigError(f"[domain] is missing key {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"[domain]: {exc}") from exc
-    masks = tuple(Rect(*_floats(e, 4, "[domain] mask"))
-                  for e in _entries(dom.get("mask", "")))
-
-    e_mod, nu = 2e11, 0.33
-    if parser.has_section("material"):
-        mat = parser["material"]
-        if "e" in mat:
-            [e_mod] = _floats(mat["e"], 1, "[material] e")
-        if "nu" in mat:
-            [nu] = _floats(mat["nu"], 1, "[material] nu")
-
-    supports = []
-    for e in _entries(parser["supports"].get("fix", "")):
-        parts = e.split()
-        if len(parts) != 5:
-            raise ConfigError(f"[supports] fix: expected 'xmin ymin xmax ymax dirs', got {e!r}")
-        box = _floats(" ".join(parts[:4]), 4, "[supports] fix")
-        dirs = parts[4].lower()
-        if dirs not in {"x", "y", "xy"}:
-            raise ConfigError(f"[supports] fix: directions must be x, y, or xy, got {dirs!r}")
-        supports.append(SupportBox(*box, directions=dirs))
-    if not supports:
+    kwargs = {"name": name}
+    for key, spec in _KEYS.items():
+        where = f"[{spec.section}] {key}"
+        if not parser.has_option(spec.section, key):
+            if spec.field in _REQUIRED:
+                raise ConfigError(f"[{spec.section}] is missing key {key!r}")
+        elif spec.make is None:
+            kwargs[spec.field] = spec.parse(parser[spec.section][key], where)
+        else:
+            kwargs[spec.field] = kwargs.get(spec.field, ()) + tuple(
+                spec.parse(e.strip(), where) for e in parser[spec.section][key].split(";")
+                if e.strip())
+    if not kwargs.get("supports"):
         raise ConfigError("[supports] defines no fixed region")
-
-    loads = []
-    for e in _entries(parser["loads"].get("load", "")):
-        case, x, y, dx, dy, mag = _floats(e, 6, "[loads] load")
-        dx, dy = _unit(dx, dy, "[loads] load")
-        if not math.isfinite(mag):
-            raise ConfigError(f"[loads] load: magnitude must be finite, got {mag!r}")
-        loads.append(LoadEntry(case=_case(case, "[loads] load"), x=x, y=y, dx=dx, dy=dy,
-                               magnitude=mag))
-    if not loads:
+    if not kwargs.get("loads"):
         raise ConfigError("[loads] defines no point load")
+    if parser.has_section("optimizer"):
+        kwargs["optimizer"] = tuple(parser["optimizer"].items())
+    return ProblemConfig(**kwargs)
 
-    # range checks wait for the build step (ConstraintSpec.resolved)
-    constraints = []
-    con = parser["constraints"] if parser.has_section("constraints") else {}
-    where = "[constraints] displacement"
-    for e in _entries(con.get("displacement", "")):
-        case, x, y, dx, dy, bound = _floats(e, 6, where)
-        with _named(where):
-            point = Point2(x, y)
-        constraints.append(ConstraintSpec(KIND_DISPLACEMENT, _case(case, where), bound,
-                                          point=point, direction=_unit(dx, dy, where)))
-    where = "[constraints] stress"
-    for e in _entries(con.get("stress", "")):
-        parts = e.split()
-        if len(parts) not in (2, 3):
-            raise ConfigError(f"{where}: expected 'case bound [p]', got {e!r}")
-        with _named(where):
-            bound = float(parts[1])
-            p = int(parts[2]) if len(parts) == 3 else 8
-        constraints.append(ConstraintSpec(KIND_PNORM_STRESS, _case(parts[0], where), bound,
-                                          p_exponent=p))
-    where = "[constraints] compliance"
-    for e in _entries(con.get("compliance", "")):
-        case, bound = _floats(e, 2, where)
-        constraints.append(ConstraintSpec(KIND_COMPLIANCE, _case(case, where), bound))
 
-    optimizer = tuple(parser["optimizer"].items()) if parser.has_section("optimizer") else ()
-
-    return ProblemConfig(width=width, height=height, nx=nx, ny=ny, masks=masks,
-                         e_modulus=e_mod, nu=nu, supports=tuple(supports),
-                         loads=tuple(loads), constraints=tuple(constraints),
-                         optimizer=optimizer, name=name)
+def _on_off(text: str) -> bool:
+    value = text.strip().lower()
+    if value not in {"on", "off", "true", "false", "1", "0"}:
+        raise ValueError(f"expected on/off, got {text!r}")
+    return value in {"on", "true", "1"}
 
 
 def _optimizer_config(overrides: tuple[tuple[str, str], ...]) -> OptimizerConfig:
@@ -291,14 +258,8 @@ def _optimizer_config(overrides: tuple[tuple[str, str], ...]) -> OptimizerConfig
         kind = _OPTIMIZER_TYPES.get(key)
         if kind is None:
             raise ConfigError(f"unknown key {key!r} in [optimizer]")
-        if kind is bool:
-            v = value.strip().lower()
-            if v not in {"on", "off", "true", "false", "1", "0"}:
-                raise ConfigError(f"[optimizer] {key}: expected on/off, got {value!r}")
-            kwargs[key] = v in {"on", "true", "1"}
-        else:
-            with _named(f"[optimizer] {key}"):
-                kwargs[key] = int(value) if kind is int else float(value)
+        with _named(f"[optimizer] {key}"):
+            kwargs[key] = {bool: _on_off, int: int}.get(kind, float)(value)
     try:
         return OptimizerConfig(**kwargs)
     except ValueError as exc:
@@ -318,6 +279,11 @@ def _physical_memory() -> int | None:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def _finite_stiffness(material: Material, h: float) -> bool:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(element_stiffness(material, h)).all())
 
 
 def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
@@ -365,10 +331,11 @@ def build_problem(cfg: ProblemConfig, mesh_scale: int = 1) -> ProblemSpec:
     if not math.isfinite(lambda_max_bound(material)):
         raise ConfigError(f"[material] e: {cfg.e_modulus!r} with nu = {cfg.nu!r} puts the "
                           "stiffness bound 4E/(1 - nu^2) beyond the float range")
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(element_stiffness(material, mesh.h)).all()
-    if not finite:
-        raise ConfigError(f"[material] e = {cfg.e_modulus!r} gives a non-finite element stiffness")
+    if not _finite_stiffness(material, mesh.h):
+        # ke does not depend on h, but forming it takes 2/h and (h/2)^2
+        where = (f"[domain] width/nx: element size {mesh.h!r}" if _finite_stiffness(material, 1.0)
+                 else f"[material] e = {cfg.e_modulus!r}")
+        raise ConfigError(f"{where} gives a non-finite element stiffness")
     opt = _optimizer_config(cfg.optimizer)
     try:
         return finalize_problem(cfg.name, mesh, boundary, material, cfg.constraints, opt,
@@ -381,45 +348,20 @@ def parse_problem(text: str, name: str = "problem", mesh_scale: int = 1) -> Prob
     return build_problem(parse_problem_config(text, name=name), mesh_scale=mesh_scale)
 
 
-def _constraint_text(c: ConstraintSpec) -> str:
-    """One [constraints] entry, without its key."""
-    if c.kind == KIND_DISPLACEMENT:
-        return (f"{c.case} {c.point.x!r} {c.point.y!r} {c.direction[0]!r} "
-                f"{c.direction[1]!r} {c.bound!r}")
-    if c.kind == KIND_PNORM_STRESS:
-        return f"{c.case} {c.bound!r} {c.p_exponent}"
-    return f"{c.case} {c.bound!r}"
-
-
 def serialize_problem_config(cfg: ProblemConfig) -> str:
     """Canonical text form; parse_problem_config round-trips it exactly."""
-    lines = ["[domain]",
-             f"width = {cfg.width!r}",
-             f"height = {cfg.height!r}",
-             f"nx = {cfg.nx}",
-             f"ny = {cfg.ny}"]
-    if cfg.masks:
-        masks = " ; ".join(f"{m.xmin!r} {m.ymin!r} {m.xmax!r} {m.ymax!r}" for m in cfg.masks)
-        lines.append(f"mask = {masks}")
-    lines += ["", "[material]", f"e = {cfg.e_modulus!r}", f"nu = {cfg.nu!r}"]
-    lines += ["", "[supports]",
-              "fix = " + " ; ".join(
-                  f"{b.xmin!r} {b.ymin!r} {b.xmax!r} {b.ymax!r} {b.directions}"
-                  for b in cfg.supports)]
-    lines += ["", "[loads]",
-              "load = " + " ; ".join(
-                  f"{p.case} {p.x!r} {p.y!r} {p.dx!r} {p.dy!r} {p.magnitude!r}"
-                  for p in cfg.loads)]
-    if cfg.constraints:
-        lines += ["", "[constraints]"]
-    for kind, key in _CONSTRAINT_KEYS.items():
-        entries = [_constraint_text(c) for c in cfg.constraints if c.kind == kind]
+    sections: dict[str, list[str]] = {}
+    for key, spec in _KEYS.items():
+        value = getattr(cfg, spec.field)
+        entries = ([(value,)] if spec.make is None else
+                   [spec.values(e) for e in value if getattr(e, "kind", None) == spec.kind])
         if entries:
-            lines.append(f"{key} = " + " ; ".join(entries))
-    if cfg.optimizer:
-        lines += ["", "[optimizer]"]
-        lines += [f"{k} = {v}" for k, v in cfg.optimizer]
-    return "\n".join(lines) + "\n"
+            sections.setdefault(spec.section, []).append(f"{key} = " + " ; ".join(
+                " ".join(v if isinstance(v, str) else repr(v) for v in entry)
+                for entry in entries))
+    sections["optimizer"] = [f"{k} = {v}" for k, v in cfg.optimizer]
+    return "\n\n".join(f"[{section}]\n" + "\n".join(lines)
+                       for section, lines in sections.items() if lines) + "\n"
 
 
 def serialize_problem(problem: ProblemSpec) -> str:

@@ -323,7 +323,7 @@ def locate_node(mesh: Mesh, p: Point2) -> int:
         raise MeshError(f"point ({p.x}, {p.y}) outside mesh bounding box")
     d2 = (mesh.nodes[:, 0] - p.x) ** 2 + (mesh.nodes[:, 1] - p.y) ** 2
     dmin = d2.min()
-    ties = np.flatnonzero(d2 <= dmin * (1.0 + 1e-12) + 1e-300)
+    ties = np.flatnonzero(d2 <= dmin * (1.0 + 1e-12))
     return int(ties.min())
 
 

@@ -166,7 +166,9 @@ class TestRunCommand:
         (CONFIG + "[material]\ne = 2e11x\n", "[material] e"),
         (CONFIG + "[material]\nnu = 0.3.3\n", "[material] nu"),
         (CONFIG.replace("0.0 0.0 0.0 1.0 xy", "0.0 0.0 0.0 1.O xy"), "[supports] fix"),
-    ], ids=["material-e", "material-nu", "supports-fix"])
+        (CONFIG.replace("width = 2.0", "width = abc"), "[domain] width"),
+        (CONFIG.replace("nx = 8", "nx = 8.5"), "[domain] nx"),
+    ], ids=["material-e", "material-nu", "supports-fix", "domain-width", "domain-nx"])
     def test_bad_number_names_key(self, tmp_path, capsys, text, where):
         cfg = write_config(tmp_path, text)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -353,6 +355,51 @@ class TestOverRangeModulus:
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
         assert err.startswith("error: [material] e: ") and err.count("\n") == 1
+
+
+def _scaled_lbracket(s, e):
+    """The L-bracket document with modulus ``e`` and every length times ``s``."""
+    text = LBRACKET.replace("e = 200000000000.0", f"e = {e}")
+    for old, new in [("width = 1.0", f"width = {s!r}"), ("height = 1.0", f"height = {s!r}"),
+                     ("mask = 0.4 0.4 1.0 1.0", f"mask = {0.4 * s!r} {0.4 * s!r} {s!r} {s!r}"),
+                     ("fix = 0.0 1.0 0.4 1.0 xy", f"fix = 0.0 {s!r} {0.4 * s!r} {s!r} xy"),
+                     ("1 1.0 0.2 0.0 -1.0", f"1 {s!r} {0.2 * s!r} 0.0 -1.0")]:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+class TestTinyLengths:
+    """Lengths near the bottom of the float range give the unit-size
+    design, or one line naming the element size where the element
+    stiffness overflows through that size alone."""
+
+    def test_unit_size_design(self, tmp_path, capsys):
+        # squared distances fall below 1e-300: a tie slack that is not
+        # relative would put the load and the constraint on node 1
+        runs = []
+        for s in (1.0, 1e-150):
+            cfg, out = write_config(tmp_path, _scaled_lbracket(s, 1.0)), tmp_path / repr(s)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # as under python -W error
+                code = main(["run", "--config", str(cfg), "--out", str(out)])
+            assert (code, capsys.readouterr().err) == (0, "")
+            rows = [row.split(",") for row in (out / "history.csv").read_text().splitlines()]
+            vf = rows[0].index("achieved_vf")
+            runs.append(([row[vf] for row in rows[1:]], (out / "density.pgm").read_bytes()))
+        assert runs[1] == runs[0] and len(runs[0][0]) > 1
+
+    def test_element_size_named(self, tmp_path, capsys):
+        # the default modulus: 2/h overflows, not the modulus
+        text = _scaled_lbracket(1.2e-160, 200000000000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [domain] width/nx: element size 1e-161 ")
+        assert err.count("\n") == 1
 
 
 class TestVerifyCommand:

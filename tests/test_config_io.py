@@ -1,8 +1,10 @@
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,6 +222,21 @@ class TestRoundTripProperty:
         text = MINIMAL.replace("load = 1 2.0 0.5 0.0 -1.0", f"load = 1 2.0 0.5 {unit}")
         load = parse_problem_config(text).loads[0]
         assert (load.dx, load.dy) == (0.2873478855663454, 0.9578262852211513)
+
+
+class TestReadmeExample:
+    def test_parses_round_trips_and_sets_every_key(self):
+        # the README's example as written, and with its commented-out
+        # `key = value` lines switched on; the second sets every key of the
+        # table, so the README and the table cannot drift apart
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        [block] = re.findall(r"^```ini\n(.*?)^```$", readme, re.S | re.M)
+        switched_on = re.sub(r"^# (\w+ = )", r"\1", block, flags=re.M)
+        for text in (block, switched_on):
+            cfg = parse_problem_config(text)
+            assert parse_problem_config(serialize_problem_config(cfg)) == cfg
+            build_problem(cfg)
+        assert set(re.findall(r"^(\w+) = ", switched_on, re.M)) >= set(config_module._KEYS)
 
 
 class TestBuiltinProblems:

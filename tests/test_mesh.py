@@ -111,6 +111,14 @@ class TestLocateNode:
             p = Point2(*mesh.nodes[n])
             assert locate_node(mesh, p) == n
 
+    def test_tiny_lengths(self):
+        # ties are relative: squared distances below 1e-300 do not all tie
+        unit, _ = build_mesh(DomainSpec(1.0, 1.0, 4, 4))
+        tiny, _ = build_mesh(DomainSpec(1e-150, 1e-150, 4, 4))
+        for x, y in [(1.0, 0.25), (0.5, 0.5), (0.3, 0.9)]:
+            expected = locate_node(unit, Point2(x, y))
+            assert locate_node(tiny, Point2(x * 1e-150, y * 1e-150)) == expected
+
     def test_centroid_tie_breaks_low(self):
         mesh, _ = build_mesh(DomainSpec(1.0, 1.0, 4, 4))
         c = mesh.nodes[mesh.elements[0]].mean(axis=0)
