@@ -211,7 +211,8 @@ _SECTION_KEYS = {spec.section: {k for k, s in _KEYS.items() if s.section == spec
 def parse_problem_config(text: str, name: str = "problem") -> ProblemConfig:
     """Parse a configuration document; errors carry line numbers where the
     underlying INI reader provides them."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # a default section no header can spell: [DEFAULT] is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         parser.read_string(text)
     except configparser.Error as exc:

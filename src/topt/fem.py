@@ -99,7 +99,7 @@ def element_stiffness(material: Material, h: float) -> np.ndarray:
     symmetric bit for bit. Computed once per material and size, so the array
     is read-only."""
     C = material.constitutive()
-    det_j = (h / 2.0) ** 2
+    det_j = np.float64(h / 2.0) ** 2  # inf, not OverflowError, at huge h
     K = np.zeros((8, 8))
     for xi in (-_GAUSS, _GAUSS):
         for eta in (-_GAUSS, _GAUSS):
@@ -175,17 +175,17 @@ class SystemMatrix:
     """Reduced SPD stiffness matrix of the active elements in the order of
     ``active.free_dofs``. Products with K are made element by element, so the
     matrix is held only as a factor: the first use of ``factor`` builds
-    LAPACK's lower band and factors it in place, without pivoting. The factor
-    lives until ``release()``; ``factor`` then builds and factors the band
-    again, to the same result. The condition estimate stays cached. Systems
-    sharing a ``spare`` list reuse a released band's storage when it fits:
-    a run's share one, so all its bands live in the first, its largest."""
+    LAPACK's lower band and factors it in place, without pivoting; once the
+    factor is dropped, ``factor`` builds it again, to the same result. Systems
+    sharing a ``holder`` list share one band buffer: one that builds its band
+    takes the buffer, if it fits, from the one holding it and drops that one's
+    factor. A run's share one, so its bands live in the first, its largest."""
 
-    def __init__(self, active: ActiveMesh, ke: np.ndarray, spare: list | None = None):
+    def __init__(self, active: ActiveMesh, ke: np.ndarray, holder: list | None = None):
         self.active = active
         self.ke = ke
         self.n = len(active.free_dofs)
-        self._spare = spare
+        self._holder = holder  # [the system holding the buffer], or empty
         self._storage = None  # the buffer the band was built in
         self._factor = None
         self._condition = None
@@ -210,8 +210,13 @@ class SystemMatrix:
         n_elements = rT.shape[1]
         weights = np.tile(self.ke[a, b], min(_CHUNK, n_elements))
         end = self.n * (kd + 1)
-        spare = self._spare.pop() if self._spare else np.empty(0)
-        flat = self._storage = spare if len(spare) > end else np.empty(end + 1)
+        # take the buffer from the system holding it and drop, directly, its
+        # factor, which lives there: kept, it would read the new band
+        last = self._holder.pop() if self._holder else self
+        flat, last._factor, last._storage = last._storage, None, None
+        flat = self._storage = flat if flat is not None and len(flat) > end else np.empty(end + 1)
+        if self._holder is not None:
+            self._holder.append(self)
         flat[:end + 1] = 0.0
         for start in range(0, n_elements, _CHUNK):
             ra, rb = rT[a, start:start + _CHUNK], rT[b, start:start + _CHUNK]
@@ -240,9 +245,7 @@ class SystemMatrix:
         return self._factor
 
     def release(self) -> None:
-        """Drop the factor, n * (kd + 1) doubles; its storage goes to the spare, if any."""
-        if self._factor is not None and self._spare is not None:
-            self._spare[:] = [self._storage]
+        """Drop the factor and its storage, n * (kd + 1) doubles."""
         self._factor = self._storage = None
 
     def condition(self, lam_max: float,
@@ -263,12 +266,12 @@ class SystemMatrix:
         return self._condition
 
 
-def assemble(active: ActiveMesh, material: Material, spare: list | None = None) -> SystemMatrix:
+def assemble(active: ActiveMesh, material: Material, holder: list | None = None) -> SystemMatrix:
     """The reduced stiffness system of the active elements; its band is built
-    when it is first factored, in ``spare``'s storage if it fits."""
+    when it is first factored, in the buffer of ``holder``'s system if it fits."""
     if len(active.element_ids) == 0:
         raise ValueError("cannot assemble an empty active mesh")
-    return SystemMatrix(active, element_stiffness(material, active.mesh.h), spare)
+    return SystemMatrix(active, element_stiffness(material, active.mesh.h), holder)
 
 
 def solve(system: SystemMatrix, rhs: np.ndarray) -> np.ndarray:
@@ -417,13 +420,12 @@ class Analysis:
 
 def analyze(mesh: Mesh, boundary: BoundarySpec, material: Material,
             topo: TopologyState, cases: list[int] | None = None,
-            system: SystemMatrix | None = None) -> Analysis:
-    """Assemble, unless given the topology's ``system``, and solve every load
-    case on the given topology."""
+            holder: list | None = None) -> Analysis:
+    """Assemble and solve every load case on the given topology; the system
+    shares the band buffer of the others built with ``holder``."""
     if cases is None:
         cases = boundary.load_cases()
-    if system is None:
-        system = assemble(active_submesh(mesh, topo, boundary), material)
+    system = assemble(active_submesh(mesh, topo, boundary), material, holder)
     active = system.active
     loads, disp, tensors, vms, comps = [], [], [], [], []
     for case in cases:

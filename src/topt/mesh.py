@@ -85,10 +85,12 @@ class DomainSpec:
         hy = self.height / self.ny
         if abs(hx - hy) > 1e-12 * max(hx, hy):
             raise MeshError(f"elements must be square: width/nx={hx} != height/ny={hy}")
+        slack = 1e-12 * max(self.width, self.height)
         for r in self.masked_regions:
             if r.xmin >= r.xmax or r.ymin >= r.ymax:
                 raise MeshError(f"mask {r} is degenerate")
-            if r.xmin < -1e-12 or r.ymin < -1e-12 or r.xmax > self.width + 1e-12 or r.ymax > self.height + 1e-12:
+            if (r.xmin < -slack or r.ymin < -slack
+                    or r.xmax > self.width + slack or r.ymax > self.height + slack):
                 raise MeshError(f"mask {r} lies outside the domain bounding box")
 
     @property
@@ -321,7 +323,9 @@ def locate_node(mesh: Mesh, p: Point2) -> int:
     slack = 1e-9 * max(x1 - x0, y1 - y0)
     if not (x0 - slack <= p.x <= x1 + slack and y0 - slack <= p.y <= y1 + slack):
         raise MeshError(f"point ({p.x}, {p.y}) outside mesh bounding box")
-    d2 = (mesh.nodes[:, 0] - p.x) ** 2 + (mesh.nodes[:, 1] - p.y) ** 2
+    # offsets scaled by a power of two, exactly, so huge lengths square finitely
+    scale = 2.0 ** -np.frexp(max(x1 - x0, y1 - y0))[1]
+    d2 = ((mesh.nodes[:, 0] - p.x) * scale) ** 2 + ((mesh.nodes[:, 1] - p.y) * scale) ** 2
     dmin = d2.min()
     ties = np.flatnonzero(d2 <= dmin * (1.0 + 1e-12))
     return int(ties.min())

@@ -152,26 +152,15 @@ class _Run:
         # as field, which stays in the combination (see build_field)
         self.structural = [isinstance(a, tuple) and a[0] == self.case_index[c.case]
                            for c, a in zip(self.constraints, self.adjoints)]
-        # the analysis the run works from, the only one whose factorization
-        # may be alive: every solve and condition estimate is made on it
-        self.live: fem.Analysis | None = None
-        self.spare: list[np.ndarray] = []  # band storage its systems pass on
-
-    def work_from(self, analysis: fem.Analysis | None) -> None:
-        """Make ``analysis`` the live one, releasing the factorization of
-        the one before. An older analysis made live again (a snapshot, an
-        inner-loop best) factors again only if it is solved again."""
-        if self.live is not None and self.live is not analysis:
-            self.live.system.release()
-        self.live = analysis
+        # the system holding the run's one band buffer: an older analysis (a
+        # snapshot, an inner-loop best) factors again if it is solved again
+        self.holder: list[fem.SystemMatrix] = []
 
     def analyze(self, topo: TopologyState) -> fem.Analysis:
-        self.work_from(None)  # before the next factorization, never after
-        system = fem.assemble(fem.active_submesh(self.mesh, topo, self.boundary),
-                              self.material, self.spare)
-        self.live = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases, system)
+        analysis = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases,
+                               self.holder)
         self.fea_count += len(self.cases)
-        return self.live
+        return analysis
 
     def raws(self, analysis: fem.Analysis) -> list[float]:
         return [sensitivity.constraint_raw(analysis, c, self.case_index, self.include)
@@ -288,7 +277,6 @@ def fixed_point_step(run: _Run, topo: TopologyState, analysis: fem.Analysis,
         small_changes = small_changes + 1 if change < config.compliance_tol else 0
         if small_changes >= 2:
             return topo, analysis, True
-    run.work_from(best[1])
     return best[0], best[1], False
 
 
@@ -375,7 +363,6 @@ def run(problem: "ProblemSpec") -> OptimizationResult:
         if event in _BACKTRACKS:
             # restore the last feasible state and halve the decrement
             topo, analysis, state.relaxed = snapshot
-            state.work_from(analysis)
             delta_v *= 0.5
             state.skin_weight = delta_v / config.delta_v
             stop = delta_v < config.min_delta_v
@@ -392,8 +379,8 @@ def run(problem: "ProblemSpec") -> OptimizationResult:
     # every end but "infeasible" follows a feasible pass; the snapshot's
     # level-set is the one whose cut gave its design
     topo, analysis, field = snapshot or (topo, analysis, None)
-    state.work_from(None)  # the result holds no factorization
-    state.spare.clear()  # nor its storage
+    if state.holder:  # the result holds no factorization, nor its storage
+        state.holder.pop().release()
     message = _MESSAGES[event].format(error=error, violated=", ".join(
         f"g_{i + 1}={gi:.4f}" for i, gi in enumerate(g) if gi > 0))
     return OptimizationResult(

@@ -402,6 +402,20 @@ class TestTinyLengths:
         assert err.count("\n") == 1
 
 
+class TestHugeLengths:
+    def test_element_size_named(self, tmp_path, capsys):
+        # lengths near 1e160: node location squares finitely, and (h/2)^2
+        # overflows to inf, which the element-stiffness check names
+        text = _scaled_lbracket(1.2e160, 200000000000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # as under python -W error
+            code = main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(tmp_path / "o")])
+        assert (code, capsys.readouterr()) == (1, ("", (
+            "error: [domain] width/nx: element size 1.0000000000000001e+159 gives a "
+            "non-finite element stiffness\n")))
+
+
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):
         code = main(["verify"])

@@ -59,6 +59,14 @@ class TestParse:
         with pytest.raises(ConfigError, match="extras"):
             parse_problem(MINIMAL + "\n[extras]\nx = 1\n")
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_default_section_is_unknown(self, first):
+        # not configparser's defaults, whose keys every section would show
+        default = "[DEFAULT]\nnu = 0.3\n"
+        text = default + MINIMAL if first else MINIMAL + default
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            parse_problem_config(text)
+
     def test_missing_case_semantic_error(self):
         bad = MINIMAL.replace("displacement = 1", "displacement = 3")
         with pytest.raises(ConfigError, match="load case 3"):

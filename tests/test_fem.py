@@ -646,28 +646,49 @@ class TestRelease:
         assert calls == [] and system._factor is None
 
     def test_next_band_built_in_released_storage(self):
-        # a system given the spare builds its band in the storage a released
-        # one left there, to the same bytes; one that does not fit allocates
+        # a system sharing the holder builds its band in the buffer of the one
+        # holding it, to the same bytes, and that one's factor is dropped; a
+        # band that does not fit allocates
         mesh, boundary, _ = make_cantilever(12, 6)
         f = fem.load_vector(mesh, boundary, 1)
-        spare = []
+        holder = []
         full = fem.assemble(active_submesh(mesh, TopologyState.full(mesh), boundary),
-                            fem.Material(), spare)
+                            fem.Material(), holder)
         fem.solve(full, f)
         storage = full._storage
-        full.release()
-        assert len(spare) == 1 and spare[0] is storage and full._storage is None
+        assert holder == [full]
         active = active_submesh(mesh, TopologyState(mesh.element_grid[:, 1] > 0), boundary)
-        reused = fem.assemble(active, fem.Material(), spare)
+        reused = fem.assemble(active, fem.Material(), holder)
         own = fem.assemble(active, fem.Material())
         assert fem.solve(reused, f).tobytes() == fem.solve(own, f).tobytes()
-        assert spare == [] and np.shares_memory(reused.factor.band, storage)
+        assert holder == [reused] and np.shares_memory(reused.factor.band, storage)
+        assert full._factor is None and full._storage is None
         assert reused.factor.band.tobytes() == own.factor.band.tobytes()
-        reused.release()
         mesh, boundary, _ = make_cantilever(16, 8)
         larger = fem.assemble(active_submesh(mesh, TopologyState.full(mesh), boundary),
-                              fem.Material(), spare)
-        assert not np.shares_memory(larger.factor.band, storage) and spare == []
+                              fem.Material(), holder)
+        assert not np.shares_memory(larger.factor.band, storage) and holder == [larger]
+        assert reused._factor is None and reused._storage is None
+
+    def test_older_system_refactors_in_the_buffer(self, monkeypatch):
+        # solving an older analysis after a newer one factored takes the
+        # buffer back: the older factors again there, to the same answer,
+        # and the newer is left with no factor
+        mesh, boundary, _ = make_cantilever(12, 6)
+        f = fem.load_vector(mesh, boundary, 1)
+        holder = []
+        older, newer = (fem.analyze(mesh, boundary, fem.Material(), topo, holder=holder)
+                        for topo in (TopologyState.full(mesh),
+                                     TopologyState(mesh.element_grid[:, 1] > 0)))
+        storage = newer.system._storage
+        assert older.system._factor is None and newer.system._factor is not None
+        bands = []
+        wrap_factorization(monkeypatch, lambda band, **kwargs: bands.append(band))
+        again = fem.solve(older.system, f)
+        assert len(bands) == 1 and np.shares_memory(bands[0], storage)
+        assert again.tobytes() == older.displacements[0].tobytes()
+        assert holder == [older.system] and older.system._factor is not None
+        assert newer.system._factor is None and newer.system._storage is None
 
 
 class TestErrorContracts:

@@ -45,6 +45,19 @@ class TestBuildMesh:
         with pytest.raises(MeshError):
             build_mesh(spec)
 
+    def test_mask_one_ulp_past_a_huge_domain(self):
+        # the slack is relative: an absolute 1e-12 is below one ulp of 1e20
+        w = 1e20
+        mask = Rect(0.4 * w, 0.4 * w, float(np.nextafter(w, np.inf)), w)
+        mesh, _ = build_mesh(DomainSpec(w, w, 10, 10, masked_regions=(mask,)))
+        assert mesh.n_elements == 64
+
+    def test_mask_far_past_a_tiny_domain_rejected(self):
+        # 5e-13 is 5e137 widths past a domain of width 1e-150
+        w = 1e-150
+        with pytest.raises(MeshError, match="outside the domain bounding box"):
+            DomainSpec(w, w, 10, 10, masked_regions=(Rect(0.4 * w, 0.4 * w, 5e-13, w),))
+
     def test_deterministic(self):
         spec = DomainSpec(1.0, 1.0, 10, 10, masked_regions=(Rect(0.4, 0.4, 1.0, 1.0),))
         a, _ = build_mesh(spec)
@@ -118,6 +131,16 @@ class TestLocateNode:
         for x, y in [(1.0, 0.25), (0.5, 0.5), (0.3, 0.9)]:
             expected = locate_node(unit, Point2(x, y))
             assert locate_node(tiny, Point2(x * 1e-150, y * 1e-150)) == expected
+
+    def test_huge_lengths(self):
+        # offsets are scaled before they are squared: lengths near 1e160
+        # square finitely, to the unit-size answers
+        unit, _ = build_mesh(DomainSpec(1.0, 1.0, 4, 4))
+        huge, _ = build_mesh(DomainSpec(1.2e160, 1.2e160, 4, 4))
+        with np.errstate(over="raise"):
+            for x, y in [(1.0, 0.25), (0.5, 0.5), (0.3, 0.9), (0.0, 1.0)]:
+                expected = locate_node(unit, Point2(x, y))
+                assert locate_node(huge, Point2(x * 1.2e160, y * 1.2e160)) == expected
 
     def test_centroid_tie_breaks_low(self):
         mesh, _ = build_mesh(DomainSpec(1.0, 1.0, 4, 4))

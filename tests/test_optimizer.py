@@ -641,7 +641,7 @@ class TestOneFactorization:
         wrap_factorization(monkeypatch, lambda band, **kwargs: starts.append(band.ctypes.data))
         result = optimizer.run(small_problem(extra_q=True))
         assert len(starts) > 1 and set(starts) == {starts[0]}
-        assert result.analysis.system._spare == []
+        assert result.analysis.system._holder == [] and result.analysis.system._storage is None
 
     def test_result_holds_no_factorization(self, monkeypatch):
         ledger = FactorLedger(monkeypatch)
@@ -674,8 +674,13 @@ class TestOneFactorization:
         released = optimizer.run(make())
         assert (ledger.factorizations > len(ledger.systems)) == refactors
         assert ledger.overlapping == 0
-        monkeypatch.setattr(fem.SystemMatrix, "release", lambda self: None)
+        # systems that share no band buffer: no factor is ever dropped
+        assemble = fem.assemble
+        monkeypatch.setattr(fem, "assemble",
+                            lambda active, material, holder=None: assemble(active, material))
+        ledger = FactorLedger(monkeypatch)
         kept = optimizer.run(make())
+        assert ledger.factorizations == len(ledger.systems)
         assert any(h.achieved_vf > prev.achieved_vf
                    for prev, h in zip(released.history, released.history[1:]))
         assert released.history == kept.history
