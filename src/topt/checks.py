@@ -47,7 +47,7 @@ def pnorm_rhs_error(analysis: fem.Analysis, material: fem.Material, p: int) -> f
     (stress-free) state."""
     include = np.ones(analysis.active.mesh.n_elements, dtype=bool)
     rhs, degenerate = sensitivity.adjoint_rhs_pnorm(
-        analysis.active, analysis.tensors[0], material, p, include)
+        analysis.active, analysis.tensors[0].stress, material, p, include)
     if degenerate:
         return np.inf
     dofs = analysis.active.free_dofs

@@ -9,13 +9,15 @@
 
 Exit codes: 0 on feasible completion (or all checks passing), 2 when the
 problem is infeasible at the full domain, 1 on any error (running out of
-memory included) or failed check.
+memory or a floating-point overflow, invalid operation or division by zero
+included) or failed check, reported in one line.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from . import checks, fem, optimizer, outputs
 from .config import (ConfigError, build_problem, parse_problem_config,
                      serialize_problem_config, with_overrides)
-from .fem import SingularSystemError, SolveError
+from .fem import SingularSystemError
 from .mesh import TopologyError
 from .problems import BUILTIN_NAMES, builtin_config
 
@@ -97,19 +99,29 @@ def _cmd_verify() -> int:
     return 1 if failures else 0
 
 
+def _innermost(exc: BaseException) -> str:
+    """The innermost ``topt`` function on the traceback of ``exc``."""
+    names = [f"{frame.f_globals['__name__']}.{frame.f_code.co_name}"
+             for frame, _ in traceback.walk_tb(exc.__traceback__)
+             if frame.f_globals.get("__name__", "").startswith("topt.")]
+    return names[-1] if names else "topt"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            path = Path(args.config)
-            return _optimize(parse_problem_config(path.read_text(), name=path.stem), args)
-        if args.command == "bench":
-            return _optimize(builtin_config(args.name, delta_max=args.delta,
-                                            sigma_max=args.sigma), args, write_config=True)
-        return _cmd_verify()
-    except (ConfigError, ValueError, OSError,
-            SingularSystemError, SolveError, TopologyError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "run":
+                path = Path(args.config)
+                return _optimize(parse_problem_config(path.read_text(), name=path.stem), args)
+            if args.command == "bench":
+                return _optimize(builtin_config(args.name, delta_max=args.delta,
+                                                sigma_max=args.sigma), args, write_config=True)
+            return _cmd_verify()
+    except (ConfigError, ValueError, OSError, SingularSystemError, TopologyError) as exc:
         message = str(exc)
+    except FloatingPointError as exc:  # the lengths or loads may be out of range
+        message = f"{_innermost(exc)}: {exc}"
     except MemoryError as exc:  # numpy's says what it failed to allocate
         message = f"out of memory ({exc})" if str(exc) else "out of memory"
     print("error: " + " ".join(message.splitlines()), file=sys.stderr)  # one line

@@ -37,11 +37,8 @@ _GAUSS = 1.0 / np.sqrt(3.0)
 
 
 class SingularSystemError(RuntimeError):
-    """Stiffness matrix is singular (insufficient supports)."""
-
-
-class SolveError(RuntimeError):
-    """Linear solve failed the residual contract or produced non-finite values."""
+    """Stiffness matrix is singular (insufficient supports): its factorization,
+    a solve's residual or its solution gave it away."""
 
 
 @dataclass(frozen=True)
@@ -278,9 +275,9 @@ def solve(system: SystemMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve K u = f; returns the full-mesh DOF vector (zeros off the free set).
 
     The accepted solution satisfies ||Ku - f|| / ||f|| <= 1e-8. A residual
-    failure on a factorizable matrix raises ``SolveError`` naming a singular
-    system, since with a direct solver that is the only way the contract can
-    break: the supports leave a rigid-body mode.
+    failure on a factorizable matrix raises ``SingularSystemError``, since
+    with a direct solver that is the only way the contract can break: the
+    supports leave a rigid-body mode.
     """
     mesh = system.active.mesh
     r = rhs[system.active.free_dofs]
@@ -293,8 +290,9 @@ def solve(system: SystemMatrix, rhs: np.ndarray) -> np.ndarray:
         raise SingularSystemError("solution contains non-finite values (singular system)")
     residual = np.linalg.norm(system.product(x) - r) / fnorm
     if residual > RESIDUAL_TOL:
-        raise SolveError(f"singular stiffness system: relative residual {residual:.3e} "
-                         f"exceeds {RESIDUAL_TOL}; the supports likely leave a rigid-body mode")
+        raise SingularSystemError(
+            f"singular stiffness system: relative residual {residual:.3e} exceeds "
+            f"{RESIDUAL_TOL}; the supports likely leave a rigid-body mode")
     u_full[system.active.free_dofs] = x
     return u_full
 
@@ -338,10 +336,6 @@ def von_mises(stress: np.ndarray) -> np.ndarray:
     s = np.asarray(stress, dtype=float)
     sxx, syy, sxy = s[..., 0], s[..., 1], s[..., 2]
     return np.sqrt(np.maximum(sxx * sxx - sxx * syy + syy * syy + 3.0 * sxy * sxy, 0.0))
-
-
-def compliance(loads: np.ndarray, u: np.ndarray) -> float:
-    return float(np.dot(loads, u))
 
 
 def _norm(x: np.ndarray) -> float:
@@ -419,16 +413,13 @@ class Analysis:
 
 
 def analyze(mesh: Mesh, boundary: BoundarySpec, material: Material,
-            topo: TopologyState, cases: list[int] | None = None,
-            holder: list | None = None) -> Analysis:
+            topo: TopologyState, holder: list | None = None) -> Analysis:
     """Assemble and solve every load case on the given topology; the system
     shares the band buffer of the others built with ``holder``."""
-    if cases is None:
-        cases = boundary.load_cases()
     system = assemble(active_submesh(mesh, topo, boundary), material, holder)
     active = system.active
     loads, disp, tensors, vms, comps = [], [], [], [], []
-    for case in cases:
+    for case in boundary.load_cases():
         f = load_vector(mesh, boundary, case)
         u = solve(system, f)
         t = recover(active, u, material)
@@ -436,7 +427,7 @@ def analyze(mesh: Mesh, boundary: BoundarySpec, material: Material,
         disp.append(u)
         tensors.append(t)
         vms.append(von_mises(t.stress))
-        comps.append(compliance(f, u))
+        comps.append(float(np.dot(f, u)))
     return Analysis(topology=topo, active=active, system=system, loads=loads,
                     displacements=disp, tensors=tensors, vonmises=vms,
                     compliances=comps)

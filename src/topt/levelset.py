@@ -30,6 +30,8 @@ def find_tau(field: np.ndarray, target_vf: float) -> float:
     (k+1)-th largest key. Protected elements carry the maximum field value,
     so they rank first.
     """
+    if not np.all(np.isfinite(field)):
+        raise ValueError("the field has non-finite values")
     if target_vf <= 0:
         raise ValueError(f"target volume fraction must be positive, got {target_vf}")
     ranked = -np.sort(-cut_key(field))

@@ -318,7 +318,8 @@ def build_mesh(spec: DomainSpec) -> tuple[Mesh, BoundarySpec]:
 
 
 def locate_node(mesh: Mesh, p: Point2) -> int:
-    """Index of the node nearest to p; ties broken by lowest index."""
+    """Index of the node nearest to p; ties broken by lowest index. A point
+    farther than half an element diagonal from every node is in no element."""
     x0, y0, x1, y1 = mesh.bounding_box()
     slack = 1e-9 * max(x1 - x0, y1 - y0)
     if not (x0 - slack <= p.x <= x1 + slack and y0 - slack <= p.y <= y1 + slack):
@@ -327,6 +328,9 @@ def locate_node(mesh: Mesh, p: Point2) -> int:
     scale = 2.0 ** -np.frexp(max(x1 - x0, y1 - y0))[1]
     d2 = ((mesh.nodes[:, 0] - p.x) * scale) ** 2 + ((mesh.nodes[:, 1] - p.y) * scale) ** 2
     dmin = d2.min()
+    if dmin > 0.5 * (mesh.h * scale) ** 2 * (1.0 + 1e-9):
+        raise MeshError(f"point ({p.x}, {p.y}) lies off the mesh: its nearest node is "
+                        f"{np.sqrt(dmin) / scale:.3g} away, more than half an element diagonal")
     ties = np.flatnonzero(d2 <= dmin * (1.0 + 1e-12))
     return int(ties.min())
 

@@ -157,8 +157,7 @@ class _Run:
         self.holder: list[fem.SystemMatrix] = []
 
     def analyze(self, topo: TopologyState) -> fem.Analysis:
-        analysis = fem.analyze(self.mesh, self.boundary, self.material, topo, self.cases,
-                               self.holder)
+        analysis = fem.analyze(self.mesh, self.boundary, self.material, topo, self.holder)
         self.fea_count += len(self.cases)
         return analysis
 
@@ -213,8 +212,8 @@ class _Run:
             self.fea_count += cf.adjoint_solves
             combos = [(ramp[i] * f, g[i], al.mu[i], al.gamma[i])
                       for i, f in zip(engaged, cf.fields)]
-            t_obj = sensitivity.sensitivity_volume(self.mesh.n_elements)
-            combined = auglag.combine_level_sets(t_obj, combos)
+            # removing a unit of area removes a unit of volume
+            combined = auglag.combine_level_sets(np.full(self.mesh.n_elements, -1.0), combos)
         if self.config.filter:
             combined = levelset.smooth_filter(
                 combined, self.mesh, self.config.filter_radius * self.mesh.h)
@@ -306,9 +305,11 @@ def run(problem: "ProblemSpec") -> OptimizationResult:
                                  f"{ref:.3g}, round-off of the case's largest displacement "
                                  f"{largest:.3g}; constrain a direction the case moves")
         if ref <= 0:
+            hint = ("orient its direction along the actual initial displacement"
+                    if c.kind == sensitivity.KIND_DISPLACEMENT else "no element outside the "
+                    "patches pinned around supports, loads and monitored points carries stress")
             raise ValueError(f"constraint {c.kind} (case {c.case}) has non-positive "
-                             f"initial value {ref}; orient its direction along the "
-                             "actual initial displacement")
+                             f"initial value {ref}; {hint}")
     state.j0 = list(analysis.compliances)
 
     al = auglag.ALState.initial(len(state.constraints), config.mu0, config.gamma0)

@@ -70,11 +70,6 @@ class ConstraintSpec:
         return replace(self, node=locate_node(mesh, self.point))
 
 
-def sensitivity_volume(n_elements: int) -> np.ndarray:
-    """Constant -1 field: removing a unit of area removes a unit of volume."""
-    return np.full(n_elements, -1.0)
-
-
 def normalize_and_protect(values: np.ndarray,
                           protected: np.ndarray | None = None) -> np.ndarray:
     """Scale so max|T| over non-protected elements is 1, then pin protected
@@ -97,11 +92,10 @@ def protected_elements(mesh: Mesh, boundary: BoundarySpec) -> np.ndarray:
     return np.isin(mesh.elements, nodes).any(axis=1)
 
 
-def topo_sensitivity(primal: fem.TensorField, adjoint: fem.TensorField,
-                     nu: float) -> np.ndarray:
-    """Closed-form 2-D topological sensitivity from primal stress and adjoint
-    strain (zero wherever either field is zero, i.e. on void elements)."""
-    s, e = primal.stress, adjoint.strain
+def topo_sensitivity(s: np.ndarray, e: np.ndarray, nu: float) -> np.ndarray:
+    """Closed-form 2-D topological sensitivity from the primal stress ``s``
+    and the adjoint strain ``e``, both (n_elements, 3) tensor components
+    (zero wherever either is zero, i.e. on void elements)."""
     contraction = s[:, 0] * e[:, 0] + s[:, 1] * e[:, 1] + 2.0 * s[:, 2] * e[:, 2]
     traces = (s[:, 0] + s[:, 1]) * (e[:, 0] + e[:, 1])
     return -4.0 / (1.0 + nu) * contraction + (1.0 - 3.0 * nu) / (1.0 - nu * nu) * traces
@@ -141,10 +135,10 @@ def pnorm_stress(vonmises: np.ndarray, include: np.ndarray, p: int) -> float:
     return _pnorm(vonmises[include], p)[0]
 
 
-def adjoint_rhs_pnorm(active, tensors: fem.TensorField, material: fem.Material,
+def adjoint_rhs_pnorm(active, stress: np.ndarray, material: fem.Material,
                       p: int, include: np.ndarray) -> tuple[np.ndarray, bool]:
     """Right-hand side -d(sigma_PN)/du via the chain rule through the
-    per-element von Mises stress at the centroid.
+    per-element von Mises stress at the centroid, from the primal ``stress``.
 
     The aggregate covers the same elements as ``pnorm_stress`` (included,
     with positive stress); a fully zero stress state returns a zero vector
@@ -154,7 +148,7 @@ def adjoint_rhs_pnorm(active, tensors: fem.TensorField, material: fem.Material,
     rhs = np.zeros(mesh.n_dofs)
 
     ids = active.element_ids[include[active.element_ids]]
-    sig = tensors.stress[ids]
+    sig = stress[ids]
     s = fem.von_mises(sig)
     sigma_pn, live = _pnorm(s, p)
     if sigma_pn == 0.0:
@@ -217,10 +211,6 @@ def constant_adjoints(constraints: list[ConstraintSpec], mesh: Mesh, boundary: B
     return table
 
 
-def _scaled(t: fem.TensorField, c: float) -> fem.TensorField:
-    return fem.TensorField(stress=c * t.stress, strain=c * t.strain)
-
-
 @dataclass
 class ConstraintFields:
     """Per-constraint normalized level-set fields plus solve bookkeeping."""
@@ -247,29 +237,29 @@ def constraint_fields(analysis: fem.Analysis, constraints: list[ConstraintSpec],
                       material: fem.Material, include: np.ndarray,
                       case_index: dict[int, int]) -> ConstraintFields:
     """Build the margin-sensitivity field of every constraint from its entry
-    of ``constant_adjoints``: a scaled load case's tensors, or a solve."""
+    of ``constant_adjoints``: a scaled load case's strain, or a solve's."""
     mesh = analysis.active.mesh
-    # by id of the right-hand side, held alive so that no id is reused
-    solved: dict[int, tuple[np.ndarray, fem.TensorField]] = {}
+    # adjoint strain by id of the right-hand side, held so that no id is reused
+    solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     fields: list[np.ndarray] = []
     for spec, adjoint, ref in zip(constraints, adjoints, references):
-        primal = analysis.tensors[case_index[spec.case]]
+        stress = analysis.tensors[case_index[spec.case]].stress
         if isinstance(adjoint, tuple):
             j, c = adjoint
-            adj = _scaled(analysis.tensors[j], c)
+            strain = c * analysis.tensors[j].strain
         else:
             rhs = adjoint
             if rhs is None:
-                rhs, degenerate = adjoint_rhs_pnorm(analysis.active, primal, material,
+                rhs, degenerate = adjoint_rhs_pnorm(analysis.active, stress, material,
                                                     spec.p_exponent, include)
                 if degenerate:
                     fields.append(np.zeros(mesh.n_elements))
                     continue
             if id(rhs) not in solved:
                 lam = fem.solve(analysis.system, rhs)
-                solved[id(rhs)] = rhs, fem.recover(analysis.active, lam, material)
-            adj = solved[id(rhs)][1]
-        raw = topo_sensitivity(primal, adj, material.nu)
+                solved[id(rhs)] = rhs, fem.recover(analysis.active, lam, material).strain
+            strain = solved[id(rhs)][1]
+        raw = topo_sensitivity(stress, strain, material.nu)
         fields.append(normalize_and_protect(-raw / ref))
     return ConstraintFields(fields=fields, adjoint_solves=len(solved))
 
@@ -279,6 +269,6 @@ def compliance_field(analysis: fem.Analysis, material: fem.Material) -> np.ndarr
     used as the level-set for unconstrained pareto tracing."""
     total = np.zeros(analysis.active.mesh.n_elements)
     for tensors in analysis.tensors:
-        t = topo_sensitivity(tensors, _scaled(tensors, -1.0), material.nu)
+        t = topo_sensitivity(tensors.stress, -1.0 * tensors.strain, material.nu)
         total += normalize_and_protect(t)
     return total

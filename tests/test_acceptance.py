@@ -48,7 +48,7 @@ def test_criterion_1_hole_drilling_oracle():
     material = fem.Material()
     analysis = fem.analyze(mesh, boundary, material, TopologyState.full(mesh))
     adjoint = fem.recover(analysis.active, -analysis.displacements[0], material)
-    t_j = sensitivity.topo_sensitivity(analysis.tensors[0], adjoint, material.nu)
+    t_j = sensitivity.topo_sensitivity(analysis.tensors[0].stress, adjoint.strain, material.nu)
     interior = interior_elements(mesh)
     oracle = hole_drilling(mesh, boundary, material, interior)
     rho = spearman(t_j[interior], oracle)

@@ -416,6 +416,81 @@ class TestHugeLengths:
             "non-finite element stiffness\n")))
 
 
+class TestOffMeshPoints:
+    @pytest.mark.parametrize("old, new, where", [
+        ("load = 1 1.0 0.2 0.0 -1.0 1.0", "load = 1 0.8 0.8 0.0 -1.0 1.0", "[loads] load"),
+        ("displacement = 1 1.0 0.2 0.0 -1.0 1.5", "displacement = 1 0.8 0.8 0.0 -1.0 1.5",
+         "[constraints] displacement"),
+    ], ids=["load", "displacement"])
+    def test_point_in_mask_names_key(self, tmp_path, capsys, old, new, where):
+        # inside the bounding box, in the masked square: the nearest node,
+        # on the hole's edge, is 4.6 elements away
+        cfg = write_config(tmp_path, LBRACKET.replace(old, new))
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {where}: point (0.8, 0.8) lies off the mesh")
+        assert err.count("\n") == 1
+
+
+class TestStressFreeStart:
+    def test_names_the_pinned_patches(self, tmp_path, capsys):
+        # one element, pinned around the support and the load: the p-norm
+        # covers no element, so no displacement is to blame
+        text = (LBRACKET.replace("nx = 12", "nx = 1").replace("ny = 12", "ny = 1")
+                .replace("mask = 0.4 0.4 1.0 1.0\n", "")
+                .replace("fix = 0.0 1.0 0.4 1.0 xy", "fix = 0.0 0.0 0.0 1.0 xy"))
+        code = main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(tmp_path / "o")])
+        assert (code, capsys.readouterr()) == (1, ("", (
+            "error: constraint pnorm_stress (case 1) has non-positive initial value 0.0; "
+            "no element outside the patches pinned around supports, loads and monitored "
+            "points carries stress\n")))
+
+
+def _tiny_mitchell():
+    """The mitchell-multi document with every length times 2^-480."""
+    w, h = 2.0 ** -479, 2.0 ** -480
+    return f"""[domain]
+width = {w!r}
+height = {h!r}
+nx = 64
+ny = 32
+
+[material]
+e = 200000000000.0
+nu = 0.33
+
+[supports]
+fix = 0.0 0.0 0.0 0.0 xy ; {w!r} 0.0 {w!r} 0.0 xy
+
+[loads]
+load = 1 {h!r} 0.0 0.0 -1.0 1.0 ; 2 {h!r} 0.0 1.0 0.0 1.0
+
+[constraints]
+displacement = 1 {h!r} 0.0 0.0 -1.0 1.5 ; 2 {h!r} 0.0 1.0 0.0 1.5
+stress = 1 1.5 8 ; 2 1.5 8
+"""
+
+
+class TestFloatingPointErrors:
+    """An overflow, invalid operation or division by zero ends the run in
+    one line naming the innermost topt function, whether numpy's warnings
+    are shown or raised: here the norm of a p-norm adjoint's right-hand
+    side overflows."""
+
+    # a warning is shown, or raised as an error (as under python -W error)
+    @pytest.mark.parametrize("action", ["always", "error"])
+    def test_one_line_nothing_warned(self, tmp_path, capsys, action):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = main(["run", "--config", str(write_config(tmp_path, _tiny_mitchell())),
+                         "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("error: topt.") and "overflow" in err and err.count("\n") == 1
+
+
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):
         code = main(["verify"])

@@ -373,16 +373,11 @@ class TestVonMises:
 
 
 class TestCompliance:
-    def test_zero_load(self):
-        assert fem.compliance(np.zeros(4), np.ones(4)) == 0.0
-
     def test_energy_identity(self, cantilever_analysis):
         _, _, _, analysis = cantilever_analysis
-        f = analysis.loads[0]
-        u = analysis.displacements[0]
-        ur = u[analysis.active.free_dofs]
+        ur = analysis.displacements[0][analysis.active.free_dofs]
         utku = float(ur @ (oracle_matrix(analysis.active, fem.Material()) @ ur))
-        assert np.isclose(fem.compliance(f, u), utku, rtol=1e-8)
+        assert np.isclose(analysis.compliances[0], utku, rtol=1e-8)
 
     def test_adding_material_stiffens(self):
         mesh, boundary = build_mesh(DomainSpec(1.0, 1.0, 2, 2))
@@ -701,7 +696,7 @@ class TestErrorContracts:
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         system = fem.assemble(active, fem.Material())
         f = fem.load_vector(mesh, boundary, 1)
-        with pytest.raises((fem.SingularSystemError, fem.SolveError)):
+        with pytest.raises(fem.SingularSystemError):
             fem.solve(system, f)
 
 

@@ -33,6 +33,12 @@ class TestFindTau:
         with pytest.raises(ValueError):
             levelset.find_tau(field([1.0]), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, bad):
+        # an infinite value would otherwise give a finite cut, as if ranked
+        with pytest.raises(ValueError, match="non-finite values"):
+            levelset.find_tau(field([bad, 1.0, 2.0, 3.0]), 0.5)
+
     def test_exactness_random_fields(self):
         rng = np.random.default_rng(42)
         for _ in range(50):

@@ -153,6 +153,14 @@ class TestLocateNode:
         with pytest.raises(MeshError):
             locate_node(mesh, Point2(2.0, 0.5))
 
+    def test_off_mesh_raises(self):
+        # inside the bounding box, but in the masked square: the nearest
+        # node, on the hole's edge, is over 2.5 element sizes away
+        mesh, _ = build_mesh(DomainSpec(1.0, 1.0, 4, 4,
+                                        masked_regions=(Rect(0.25, 0.25, 1.0, 1.0),)))
+        with pytest.raises(MeshError, match="lies off the mesh"):
+            locate_node(mesh, Point2(0.875, 0.875))
+
 
 def free_and_fixed_active(mesh, boundary, active):
     """Active nodes, and the free DOFs merged with the fixed DOFs on active
