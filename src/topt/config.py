@@ -268,9 +268,15 @@ def _optimizer_config(overrides: tuple[tuple[str, str], ...]) -> OptimizerConfig
 
 
 def band_bytes_bound(nx: int, ny: int) -> int:
-    """Bytes of the full domain's stiffness band on an nx-by-ny grid, at
+    """Bytes of the full domain's stiffness bands on an nx-by-ny grid, at
     most: the sweep along the shorter side is always a candidate order, and
-    its DOF band is kd = 2 min(nx, ny) + 5 over 2 (nx + 1)(ny + 1) DOFs."""
+    its DOF band is kd = 2 min(nx, ny) + 5 over 2 (nx + 1)(ny + 1) DOFs.
+    A mesh numbered in blocks instead holds fewer doubles than its best one
+    band, n (kd + 1): the blocks are chosen only when the sum of n_k kd_k^2
+    is below n kd^2, and the n_k sum to n, so by Cauchy-Schwarz the sum of
+    n_k kd_k is at most sqrt(n sum n_k kd_k^2) < n kd. (The junction's band
+    already covers its Schur update, whose interfaces are a run of its
+    first front.)"""
     return 8 * 2 * (nx + 1) * (ny + 1) * (2 * min(nx, ny) + 6)
 
 

@@ -4,14 +4,17 @@ Void elements are removed from the assembly entirely (no ersatz stiffness)
 and fixed DOFs are eliminated by reduction, so the assembled matrix is
 symmetric positive definite and its condition number is physically
 meaningful. When a system is first factored, its elements' lower triangles
-are summed straight into LAPACK's lower band, in the order of the free DOFs
-(the mesh's narrowest-band ``Mesh.dof_order``), and the band is factored in
-place by LAPACK's banded Cholesky (``dpbtrf``, solves by ``dpbtrs``, both
-called directly) on one BLAS thread, so the factor's bytes do not depend on
-the thread count. Products with K are made element by element. Stress and
-strain are recovered at element centroids, one value per element; the shear
-entries stored in tensor fields are the *tensor* components
-(eps_xy = gamma_xy / 2, sigma_xy).
+are summed straight into LAPACK's lower band of each DOF block of the mesh
+(``Mesh.dof_layout``: one narrowest band, or an L-shaped mesh's two arms
+and junction), in the order of the free DOFs; an arm's few couplings to the
+junction go to a small dense block beside them. The bands are factored in
+place by LAPACK's banded Cholesky (``dpbtrf``), the junction's after the
+arms' Schur update, and solved by ``dtbtrs`` on the arms and ``dpbtrs`` on
+the junction, all called directly, on one BLAS thread, so the factor's
+bytes do not depend on the thread count. Products with K are made element
+by element. Stress and strain are recovered at element centroids, one
+value per element; the shear entries stored in tensor fields are the
+*tensor* components (eps_xy = gamma_xy / 2, sigma_xy).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import itertools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 import scipy.sparse.linalg as spla  # not called here; perfbench/spans.py wraps fem.spla
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .mesh import ActiveMesh, BoundarySpec, Mesh, TopologyState, active_submesh
 
@@ -148,84 +152,182 @@ def one_blas_thread():
 class BandCholesky:
     """Banded Cholesky factor of an SPD matrix (LAPACK ``pbtrf``), made in
     place in the band it is given. LAPACK is called straight through scipy's
-    float64 wrappers, without ``cholesky_banded``'s per-call checks."""
+    float64 wrappers, without ``cholesky_banded``'s per-call checks, on the
+    BLAS threads of the caller (``BlockCholesky`` pins one). ``first`` is the
+    band's first row in the system it belongs to, so a failed pivot is named
+    by its row there."""
 
-    def __init__(self, band: np.ndarray):
-        with one_blas_thread():
-            self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    def __init__(self, band: np.ndarray, first: int = 0):
+        self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info > 0:  # a pivot was not positive
             raise SingularSystemError(
-                f"singular stiffness system: factorization failed ({info}-th leading "
+                f"singular stiffness system: factorization failed ({first + info}-th leading "
                 "minor not positive definite); the supports likely leave a rigid-body mode")
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+
+def _checked(routine: str, result: tuple) -> np.ndarray:
+    x, info = result
+    if info != 0:
+        raise ValueError(f"internal {routine} failed with info {info}")
+    return x
+
+
+class BlockCholesky:
+    """Cholesky factor of a system numbered arm by arm, then the junction:
+    ``K = [[A, B], [B^T, C]]`` with ``A`` the arms' block diagonal (no element
+    couples two arms) and each arm's ``B_k`` nonzero only in its last rows
+    and in a run of the junction's first columns. Each arm is factored,
+    ``A_k = L_k L_k^T``; its trailing triangle gives ``W_k = L_k^-1 B_k``
+    (``tbtrs``); the junction's band less ``sum W_k^T W_k`` is factored
+    last. This is the Cholesky factor of K in that order (George's one-way
+    dissection), so a failed pivot names the same leading minor. With no
+    arm, it is the junction's ``BandCholesky`` alone, and a solve is one
+    ``pbtrs``."""
+
+    def __init__(self, bands: list[np.ndarray], couplings: list[tuple]):
+        """``bands``: each block's lower band, arms first, built in place;
+        ``couplings``: (arm, first row t, first junction column c, B), B the
+        arm's rows from t against the junction's columns from c."""
+        self.ends = list(itertools.accumulate(band.shape[1] for band in bands))
+        self.firsts = [0, *self.ends[:-1]]  # each block's first row
+        junction = bands[-1]
+        self.couplings = []
         with one_blas_thread():
-            x, info = dpbtrs(self.band, rhs, lower=1)
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal pbtrs")
-        return x
+            self.arms = [BandCholesky(band, first) for band, first in zip(bands[:-1], self.firsts)]
+            for k, t, c, coupling in couplings:
+                w = _checked("tbtrs", dtbtrs(self.arms[k].band[:, t:], coupling, uplo="L"))
+                update = w.T @ w
+                i, j = np.tril_indices(len(update))
+                junction[i - j, j + c] -= update[i, j]
+                self.couplings.append((k, t, c, w))
+            self.junction = BandCholesky(junction, self.firsts[-1])
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Forward on each arm, the junction with the W corrections, then
+        back on each arm."""
+        first = self.firsts[-1]
+        with one_blas_thread():
+            ys = [_checked("tbtrs", dtbtrs(arm.band, rhs[s:e], uplo="L"))
+                  for arm, s, e in zip(self.arms, self.firsts, self.ends)]
+            g = rhs[first:].copy() if self.couplings else rhs[first:]
+            for k, t, c, w in self.couplings:
+                g[c:c + w.shape[1]] -= w.T @ ys[k][t:]
+            junction = _checked("pbtrs", dpbtrs(self.junction.band, g, lower=1))
+            for k, t, c, w in self.couplings:
+                ys[k][t:] -= w @ junction[c:c + w.shape[1]]
+            xs = [_checked("tbtrs", dtbtrs(arm.band, y, uplo="L", trans="T"))
+                  for arm, y in zip(self.arms, ys)]
+        return np.concatenate([*xs, junction]) if xs else junction
 
 
 class SystemMatrix:
     """Reduced SPD stiffness matrix of the active elements in the order of
     ``active.free_dofs``. Products with K are made element by element, so the
     matrix is held only as a factor: the first use of ``factor`` builds
-    LAPACK's lower band and factors it in place, without pivoting; once the
-    factor is dropped, ``factor`` builds it again, to the same result. Systems
-    sharing a ``holder`` list share one band buffer: one that builds its band
-    takes the buffer, if it fits, from the one holding it and drops that one's
-    factor. A run's share one, so its bands live in the first, its largest."""
+    LAPACK's lower band of each of the mesh's DOF blocks (one, or two arms
+    and a junction) and their couplings, and factors them in place, without
+    pivoting; once the factor is dropped, ``factor`` builds it again, to the
+    same result. Systems sharing a ``holder`` list share one band buffer: one
+    that builds its bands takes the buffer, if it fits, from the one holding
+    it and drops that one's factor. A run's share one, so its bands live in
+    the first, its largest."""
 
     def __init__(self, active: ActiveMesh, ke: np.ndarray, holder: list | None = None):
         self.active = active
         self.ke = ke
         self.n = len(active.free_dofs)
         self._holder = holder  # [the system holding the buffer], or empty
-        self._storage = None  # the buffer the band was built in
+        self._storage = None  # the buffer the bands were built in
         self._factor = None
         self._condition = None
 
-    def _build_band(self) -> np.ndarray:
-        """``ab[i - j, j] = K[i, j]`` for ``0 <= i - j <= kd``, Fortran order,
-        kd being the largest ``i - j`` of an element's pair of free DOFs. Each
-        entry sums its element terms in element order, scattered ``_CHUNK``
-        elements at a time so that no index table spans every element."""
+    def _build_blocks(self) -> tuple[list[np.ndarray], list[tuple]]:
+        """Each block's ``ab[i - j, j] = K[i, j]`` for ``0 <= i - j <= kd``
+        over its rows, Fortran order, kd being the largest ``i - j`` of an
+        element's pair of free DOFs in the block, and each arm's coupling to
+        the junction, as ``BlockCholesky`` takes them. The junction's kd is
+        widened, where needed, to hold its Schur update. Each entry sums its
+        element terms in element order, scattered ``_CHUNK`` elements at a
+        time so that no index table spans every element."""
+        ends = list(self.active.block_ends)
+        firsts = [0, *ends[:-1]]
         red = np.full(self.active.mesh.n_dofs, -1)  # -1 if eliminated
         red[self.active.free_dofs] = np.arange(self.n)
         # one contiguous row per element DOF: each reduction and each pair
         # table takes whole rows
         rT = np.ascontiguousarray(red[self.active.edofs.T])
-        # widest span of one element's free DOFs, 0 if none has two
-        kd = max(0, int((np.maximum.reduce(rT)
-                         - np.minimum.reduce(np.where(rT < 0, self.n, rT))).max()))
-        # the pair (a, b) enters at (max, min) of its reduced indices, with
-        # ke[a, b], which is bitwise ke[b, a]. (i, j) is at j * kd + i of the
-        # flat band; eliminated pairs land past its end
+        # each block's elements, those with a free DOF in it, and their DOFs
+        # numbered within it; another block's DOF is -1, like an eliminated one
+        locals_, touching, kds = [], [], []
+        for s, e in zip(firsts, ends):
+            if e - s == self.n:  # the one block
+                local, touch = rT, None
+            else:
+                inside = (rT >= s) & (rT < e)
+                touch = inside.any(axis=0)
+                local = np.where(inside, rT - s, -1)[:, touch]
+            # widest span of one element's free DOFs, 0 if none has two
+            kds.append(int((np.maximum.reduce(local) - np.minimum.reduce(
+                np.where(local < 0, e - s, local))).max(initial=0)))
+            locals_.append(local)
+            touching.append(touch)
+        # arm k meets the junction in the few elements with free DOFs in
+        # both: its rows from t against the junction's columns c0:c1, summed
+        # element by element into a small dense block
         a, b = _PAIRS
+        couplings = []
+        for k in range(len(ends) - 1):
+            both = touching[k] & touching[-1]
+            if not both.any():
+                continue
+            ra, rb = rT[a][:, both].T, rT[b][:, both].T  # element-major
+            low, high = np.minimum(ra, rb), np.maximum(ra, rb)
+            cross = (low >= firsts[k]) & (low < ends[k]) & (high >= firsts[-1])
+            t, c0, c1 = int(low[cross].min()), int(high[cross].min()), int(high[cross].max()) + 1
+            kds[-1] = max(kds[-1], c1 - c0 - 1)
+            block = np.zeros((ends[k] - t, c1 - c0), order="F")
+            np.add.at(block, (low[cross] - t, high[cross] - c0),
+                      np.broadcast_to(self.ke[a, b], low.shape)[cross])
+            couplings.append((k, t - firsts[k], c0 - firsts[-1], block))
+        # each block's band, then one sink for its pairs with another block
+        # or an eliminated DOF. Each band starts 16 bytes aligned, as numpy
+        # aligns the buffer: under some BLAS kernel families (Sandybridge)
+        # pbtrf's bits depend on the band's address modulo 16
+        sizes = [(e - s) * (kd + 1) for s, e, kd in zip(firsts, ends, kds)]
+        offsets = [0]
+        for size in sizes[:-1]:
+            offsets.append(offsets[-1] + (size + 2) // 2 * 2)
+        total = offsets[-1] + sizes[-1] + 1
         n_elements = rT.shape[1]
         weights = np.tile(self.ke[a, b], min(_CHUNK, n_elements))
-        end = self.n * (kd + 1)
         # take the buffer from the system holding it and drop, directly, its
-        # factor, which lives there: kept, it would read the new band
+        # factor, which lives there: kept, it would read the new bands
         last = self._holder.pop() if self._holder else self
         flat, last._factor, last._storage = last._storage, None, None
-        flat = self._storage = flat if flat is not None and len(flat) > end else np.empty(end + 1)
+        flat = self._storage = flat if flat is not None and len(flat) >= total else np.empty(total)
         if self._holder is not None:
             self._holder.append(self)
-        flat[:end + 1] = 0.0
-        for start in range(0, n_elements, _CHUNK):
-            ra, rb = rT[a, start:start + _CHUNK], rT[b, start:start + _CHUNK]
-            at = np.minimum(ra, rb)
-            eliminated = at < 0
-            at *= kd
-            at += np.maximum(ra, rb, out=ra)
-            at[eliminated] = end
-            # element-major, pair-minor: np.add.at adds in index order, so
-            # each entry's terms in element order
-            np.add.at(flat, at.T.ravel(), weights[:at.size])
-        return flat[:end].reshape((kd + 1, self.n), order="F")
+        flat[:total] = 0.0
+        bands = []
+        for local, kd, s, e, size, offset in zip(locals_, kds, firsts, ends, sizes, offsets):
+            band = flat[offset:offset + size + 1]
+            for start in range(0, local.shape[1], _CHUNK):
+                ra, rb = local[a, start:start + _CHUNK], local[b, start:start + _CHUNK]
+                # the pair (a, b) enters at (max, min) of its indices, with
+                # ke[a, b], which is bitwise ke[b, a]. (i, j) is at j * kd + i
+                # of the flat band; eliminated pairs land past its end
+                at = np.minimum(ra, rb)
+                eliminated = at < 0
+                at *= kd
+                at += np.maximum(ra, rb, out=ra)
+                at[eliminated] = size
+                # element-major, pair-minor: np.add.at adds in index order, so
+                # each entry's terms in element order
+                np.add.at(band, at.T.ravel(), weights[:at.size])
+            bands.append(band[:size].reshape((kd + 1, e - s), order="F"))
+        return bands, couplings
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """K x for a vector over the free DOFs, summed over the active elements."""
@@ -236,13 +338,13 @@ class SystemMatrix:
                            minlength=len(u))[dofs]
 
     @property
-    def factor(self) -> BandCholesky:
+    def factor(self) -> BlockCholesky:
         if self._factor is None:
-            self._factor = BandCholesky(self._build_band())
+            self._factor = BlockCholesky(*self._build_blocks())
         return self._factor
 
     def release(self) -> None:
-        """Drop the factor and its storage, n * (kd + 1) doubles."""
+        """Drop the factor and its storage, n * (kd + 1) doubles per block."""
         self._factor = self._storage = None
 
     def condition(self, lam_max: float,

@@ -14,9 +14,12 @@ Conventions used throughout the package:
   cell (i, j) in the column order (i+1, j), (i-1, j), (i, j+1), (i, j-1),
   with -1 off the grid or in a masked cell. Element adjacency is read from
   this table only; the grid itself is used for labelling and for images.
-* The stiffness matrix is numbered in the narrowest-band DOF order
-  ``Mesh.dof_order``: free DOFs are listed in that order, and a matrix is
-  factored in the order it is given.
+* The stiffness matrix is numbered in the DOF order of ``Mesh.dof_layout``:
+  one narrowest band, or, on a mesh whose cells are its grid minus one
+  rectangle at a corner, two arms and then their junction, each a band of
+  its own (George's one-way dissection at the re-entrant corner). Free DOFs
+  are listed in that order, block by block, and a matrix is factored in the
+  order it is given.
 """
 
 from __future__ import annotations
@@ -233,21 +236,72 @@ class Mesh:
         return [reverse_cuthill_mckee(graph, symmetric_mode=True).astype(np.int64),
                 np.lexsort((y, x)), np.lexsort((x, y))]
 
-    def node_band(self, nodes: np.ndarray) -> int:
-        """Largest rank distance between two nodes of one element when the
-        nodes are listed as ``nodes``; the DOF band is twice this plus one."""
-        rank = np.argsort(nodes)[self.elements]
-        return int((rank.max(axis=1) - rank.min(axis=1)).max())
+    def corner_blocks(self) -> list[np.ndarray] | None:
+        """Node orders of the two arms and the junction when the cells are the
+        grid minus one rectangle anchored at a corner (an L in any of its four
+        orientations), else None. In the frame mirrored so that the rectangle
+        is the top-right one, [a, nx) x [b, ny) of the cells, the junction is
+        the nodes at grid coordinates p <= a, q <= b, and each arm the rest of
+        its strip. An arm is swept toward the junction, one column (row) of
+        nodes at a time, so its last nodes are the ones beside its interface.
+        The junction is swept in L-shaped fronts away from both interfaces,
+        front k holding the nodes at min(a - p, b - q) = k in order along the
+        L (for a square junction, by decreasing Chebyshev distance from its
+        outer corner): both interfaces are the head of its first front. No
+        element has nodes in both arms."""
+        nx, ny = self.grid_shape
+        gi, gj = self.element_grid[:, 0], self.element_grid[:, 1]
+        present = np.zeros((nx, ny), dtype=bool)
+        present[gi, gj] = True
+        p, q = np.empty(self.n_nodes, dtype=np.int64), np.empty(self.n_nodes, dtype=np.int64)
+        p[self.elements] = gi[:, None] + [0, 1, 1, 0]  # node grid coordinates
+        q[self.elements] = gj[:, None] + [0, 0, 1, 1]
+        for flip_x in (False, True):
+            for flip_y in (False, True):
+                cells = present[::-1 if flip_x else 1, ::-1 if flip_y else 1]
+                a, b = int(cells[:, -1].sum()), int(cells[-1].sum())
+                expected = np.ones((nx, ny), dtype=bool)
+                expected[a:, b:] = False
+                if 0 < a < nx and 0 < b < ny and np.array_equal(cells, expected):
+                    pm, qm = (nx - p if flip_x else p), (ny - q if flip_y else q)
+                    front = np.minimum(a - pm, b - qm)
+                    along = np.where(a - pm == front, qm, b + a - 2 * front - pm)
+                    arm_p, arm_q, junction = (np.flatnonzero(pm > a), np.flatnonzero(qm > b),
+                                              np.flatnonzero((pm <= a) & (qm <= b)))
+                    return [arm_p[np.lexsort((qm[arm_p], -pm[arm_p]))],
+                            arm_q[np.lexsort((pm[arm_q], -qm[arm_q]))],
+                            junction[np.lexsort((along[junction], front[junction]))]]
+        return None
+
+    def block_bands(self, blocks: list[np.ndarray]) -> list[int]:
+        """Each block's node band: the largest rank distance, within the block,
+        between two of its nodes of one element, when the nodes are numbered
+        block by block, each as listed in ``blocks``; a block's DOF band is
+        twice this plus one."""
+        rank, block = np.empty(self.n_nodes, dtype=np.int64), np.empty(self.n_nodes, dtype=np.int64)
+        for k, nodes in enumerate(blocks):
+            rank[nodes], block[nodes] = np.arange(len(nodes)), k
+        rank, block = rank[self.elements], block[self.elements]
+        return [max(0, int((np.where(block == k, rank, -1).max(axis=1)
+                            - np.where(block == k, rank, self.n_nodes).min(axis=1)).max()))
+                for k in range(len(blocks))]
 
     @cached_property
-    def dof_order(self) -> np.ndarray:
-        """The mesh DOFs in band order, built on first use: the nodes in the
-        first of ``band_orders`` with the narrowest band, each node's x DOF
-        right before its y DOF."""
-        nodes = min(self.band_orders(), key=self.node_band)
-        order = (2 * nodes[:, None] + [X, Y]).ravel()
+    def dof_layout(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The mesh DOFs in band order and the end of each block in it, built
+        on first use. A block's nodes are listed with each node's x DOF right
+        before its y DOF, so a node band of w gives a DOF band of 2w + 1. The
+        layout is ``corner_blocks`` (the junction last) where the blocks'
+        sum of n kd^2, the banded Cholesky's work, is below that of one band
+        in the first of ``band_orders`` with the narrowest band; that one
+        band otherwise. The junction's band covers its Schur update from the
+        arms: each interface is a run of its first front."""
+        layouts = [[nodes] for nodes in self.band_orders()] + [self.corner_blocks()]
+        nodes = min(filter(None, layouts), key=lambda blocks: sum(
+            len(b) * (2 * w + 1) ** 2 for b, w in zip(blocks, self.block_bands(blocks))))
+        order = (2 * np.concatenate(nodes)[:, None] + [X, Y]).ravel()
         order.flags.writeable = False
-        return order
+        return order, tuple(np.cumsum([2 * len(b) for b in nodes]).tolist())
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         return (self.nodes[:, 0].min(), self.nodes[:, 1].min(),
@@ -342,10 +396,11 @@ class ActiveMesh:
     node are excluded (they would make the stiffness matrix singular).
     """
 
-    def __init__(self, mesh: Mesh, element_ids, free_dofs):
+    def __init__(self, mesh: Mesh, element_ids, free_dofs, block_ends):
         self.mesh = mesh
         self.element_ids = element_ids          # active (analyzed) elements
         self.free_dofs = free_dofs              # mesh DOF ids, in band order
+        self.block_ends = block_ends            # end of each non-empty block in free_dofs
         self.edofs = mesh.edofs[element_ids]
 
 
@@ -445,6 +500,10 @@ def active_submesh(mesh: Mesh, topo: TopologyState, boundary: BoundarySpec) -> A
     active_nodes[mesh.elements[element_ids].ravel()] = True
     fixed_mask = np.zeros(mesh.n_dofs, dtype=bool)
     fixed_mask[[2 * n + d for n, d in boundary.fixed_dofs]] = True
-    order = mesh.dof_order
-    free_dofs = order[(np.repeat(active_nodes, 2) & ~fixed_mask)[order]]
-    return ActiveMesh(mesh, element_ids, free_dofs)
+    order, ends = mesh.dof_layout
+    free = (np.repeat(active_nodes, 2) & ~fixed_mask)[order]
+    counts = [int(np.count_nonzero(free[:end])) for end in ends]
+    # a block left with no free DOF (an arm wholly void) is dropped: the
+    # others keep their order, junction last, and no two arms couple
+    block_ends = tuple(e for s, e in zip([0, *counts], counts) if e > s) or (0,)
+    return ActiveMesh(mesh, element_ids, order[free], block_ends)

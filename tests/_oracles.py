@@ -103,24 +103,28 @@ def lower_band(matrix: sp.csr_matrix) -> np.ndarray:
     return flat.reshape((kd + 1, n), order="F")
 
 
-def band_by_bincount(system) -> np.ndarray:
-    """A system's lower band from one ``bincount`` over the 36 lower pairs of
-    every active element at once, as assembly scattered it before it went
-    chunk by chunk: ``ab[i - j, j] = K[i, j]``, Fortran order, each entry's
-    element terms summed in element order."""
+def band_by_bincount(system, first: int = 0, stop: int | None = None) -> np.ndarray:
+    """The lower band of a system's rows ``first:stop`` (all by default), from
+    one ``bincount`` over the 36 lower pairs of every active element at once,
+    as assembly scattered it before it went chunk by chunk and block by
+    block: ``ab[i - j, j] = K[first + i, first + j]``, Fortran order, each
+    entry's element terms summed in element order; DOFs outside the rows
+    count as eliminated."""
+    stop = system.n if stop is None else stop
     red = np.full(system.active.mesh.n_dofs, -1)
-    red[system.active.free_dofs] = np.arange(system.n)
+    red[system.active.free_dofs[first:stop]] = np.arange(stop - first)
+    n = stop - first
     r8 = red[system.active.edofs]
-    kd = max(0, int((r8.max(axis=1) - np.where(r8 < 0, system.n, r8).min(axis=1)).max()))
+    kd = max(0, int((r8.max(axis=1) - np.where(r8 < 0, n, r8).min(axis=1)).max()))
     a, b = np.tril_indices(8)
-    end = system.n * (kd + 1)
+    end = n * (kd + 1)
     at = np.minimum(r8[:, a], r8[:, b])
     eliminated = at < 0
     at = at * kd + np.maximum(r8[:, a], r8[:, b])
     at[eliminated] = end
     flat = np.bincount(at.ravel(), weights=np.tile(system.ke[a, b], len(r8)),
                        minlength=end + 1)
-    return flat[:end].reshape((kd + 1, system.n), order="F")
+    return flat[:end].reshape((kd + 1, n), order="F")
 
 
 def write_vtk_at_once(problem, result, path) -> None:

@@ -124,8 +124,9 @@ class Counting:
 
 
 def wrap_factorization(monkeypatch, hook):
-    """Call ``hook(*args, **kwargs)`` ahead of each band factorization, that
-    is each call fem makes to LAPACK's ``dpbtrf``; scipy itself is left alone."""
-    factor = fem.dpbtrf
-    monkeypatch.setattr(fem, "dpbtrf",
+    """Call ``hook(bands, couplings)`` ahead of each system's factorization,
+    that is each ``fem.BlockCholesky`` a system makes of its blocks, however
+    many bands LAPACK's ``dpbtrf`` then factors; scipy itself is left alone."""
+    factor = fem.BlockCholesky
+    monkeypatch.setattr(fem, "BlockCholesky",
                         lambda *args, **kwargs: hook(*args, **kwargs) or factor(*args, **kwargs))

@@ -286,16 +286,21 @@ class TestErrorPrecedence:
     that analysis's line alone, under a modulus near the top of the float
     range too: nothing else is raised or warned, and the condition estimate
     is never reached. Which pivot fails and the residual's size are
-    round-off, so the line is matched up to its numbers."""
+    round-off, so the line is matched up to its numbers; under the huge
+    modulus, so is which of the two singular-system checks fires: the
+    junction's last pivot of the factor in arm and junction blocks comes out
+    non-positive under some BLAS kernel families and tiny but positive,
+    caught by the residual check, under others."""
 
     # a warning is shown, or raised as an error (as under python -W error)
     @pytest.mark.parametrize("action", ["always", "error"])
-    @pytest.mark.parametrize("edit, line", [
-        ({}, "factorization failed (234-th leading minor not positive definite)"),
-        # the factorization does not fail; the residual check does
-        ({"e = 200000000000.0": "e = 1e300"}, "relative residual 2.960e+00 exceeds 1e-08"),
+    @pytest.mark.parametrize("edit, lines", [
+        ({}, ["factorization failed (234-th leading minor not positive definite)"]),
+        ({"e = 200000000000.0": "e = 1e300"},
+         ["factorization failed (235-th leading minor not positive definite)",
+          "relative residual 1.007e+00 exceeds 1e-08"]),
     ], ids=["rigid-body-mode", "overflowing-bound"])
-    def test_first_analysis_error_alone(self, tmp_path, capsys, edit, line, action):
+    def test_first_analysis_error_alone(self, tmp_path, capsys, edit, lines, action):
         text = LBRACKET.replace("fix = 0.0 1.0 0.4 1.0 xy", "fix = 0.0 1.0 0.4 1.0 x")
         for old, new in edit.items():
             text = text.replace(old, new)
@@ -306,9 +311,9 @@ class TestErrorPrecedence:
                          "--out", str(tmp_path / "o")])
         out, err = capsys.readouterr()
         assert (code, out, caught) == (1, "", [])
-        expected = (f"error: singular stiffness system: {line}; the supports likely "
-                    "leave a rigid-body mode\n")
-        assert _numbers_blanked(err) == _numbers_blanked(expected)
+        expected = [_numbers_blanked(f"error: singular stiffness system: {line}; the supports "
+                                     "likely leave a rigid-body mode\n") for line in lines]
+        assert _numbers_blanked(err) in expected
 
 
 class TestHugeModulus:

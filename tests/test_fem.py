@@ -12,8 +12,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from topt import fem
-from topt.mesh import (DomainSpec, PointLoad, TopologyError, TopologyState, active_submesh,
-                       build_mesh, repair_connectivity)
+from topt.mesh import (DomainSpec, Point2, PointLoad, Rect, TopologyError, TopologyState,
+                       active_submesh, build_mesh, locate_node, repair_connectivity)
 from topt.problems import BUILTIN_NAMES, builtin_problem
 
 from _oracles import (assemble_coo, band_by_bincount, closed_form_ke,
@@ -22,13 +22,32 @@ from conftest import Counting, make_cantilever, topology_draws, uniaxial_element
 
 
 def assert_matches_coo(active, material):
-    """The assembled band is the lower band of the COO assembly, renumbered
-    by free_dofs, bit for bit, and its element-by-element product is the
-    COO matrix's within round-off."""
+    """Each assembled block's band is the lower band of the COO assembly's
+    diagonal block, renumbered by free_dofs, bit for bit (the junction's
+    band widened by zero rows where its Schur update needs it), each arm's
+    coupling is its block against the junction, and no two arms couple;
+    the element-by-element product is the COO matrix's within round-off."""
     system = fem.assemble(active, material)
     expected = oracle_matrix(active, material)
     assert (expected != expected.T).nnz == 0
-    assert np.array_equal(system._build_band(), lower_band(expected))
+    bands, couplings = system._build_blocks()
+    ends = list(active.block_ends)
+    firsts = [0, *ends[:-1]]
+    for band, first, stop in zip(bands, firsts, ends):
+        oracle = lower_band(expected[first:stop, first:stop])
+        kd = oracle.shape[0] - 1
+        assert band.shape[1] == oracle.shape[1] and band.shape[0] - 1 >= kd
+        assert np.array_equal(band[:kd + 1], oracle) and not band[kd + 1:].any()
+    # the junction's kd: its own, or its widest Schur update's
+    widest = [block.shape[1] - 1 for _, _, _, block in couplings]
+    assert bands[-1].shape[0] - 1 == max([lower_band(expected[firsts[-1]:, firsts[-1]:])
+                                          .shape[0] - 1] + widest)
+    coupled = np.zeros((firsts[-1], system.n - firsts[-1]))
+    for k, t, c, block in couplings:
+        coupled[firsts[k] + t:ends[k], c:c + block.shape[1]] = block
+    assert np.array_equal(expected[:firsts[-1], firsts[-1]:].toarray(), coupled)
+    for k, (first, stop) in enumerate(zip(firsts[:-1], ends[:-1])):
+        assert expected[first:stop, stop:firsts[-1]].nnz == 0  # arm k against later arms
     x = np.random.default_rng(len(active.free_dofs)).normal(size=len(active.free_dofs))
     assert np.linalg.norm(system.product(x) - expected @ x) <= 1e-14 * np.linalg.norm(expected @ x)
 
@@ -50,9 +69,16 @@ def pairwise_band_width(active):
                 for q in position[dofs].tolist() if q >= 0 and p >= q), default=0)
 
 
+def only_band(system):
+    """The band of a system of one block."""
+    bands, couplings = system._build_blocks()
+    assert len(bands) == 1 and couplings == []
+    return bands[0]
+
+
 def dense(system):
-    """The full symmetric matrix of a system's band."""
-    band = system._build_band()
+    """The full symmetric matrix of a one-block system's band."""
+    band = only_band(system)
     kd, n = band.shape[0] - 1, band.shape[1]
     K = np.zeros((n, n))
     for d in range(kd + 1):
@@ -74,14 +100,24 @@ class TestMaterial:
 
 
 class TestChunkedScatter:
-    """The band scattered ``fem._CHUNK`` elements at a time is bit for bit the
-    one-shot ``bincount`` over every element, with a smaller transient."""
+    """Each block's band scattered ``fem._CHUNK`` elements at a time is bit
+    for bit the one-shot ``bincount`` over every element and its rows (the
+    junction's widened by zero rows where its Schur update needs them), with
+    a smaller transient."""
 
     @staticmethod
     def assert_bincount_band(system):
-        band, expected = system._build_band(), band_by_bincount(system)
-        assert band.shape == expected.shape and band.flags.f_contiguous
-        assert band.tobytes(order="F") == expected.tobytes(order="F")
+        bands, couplings = system._build_blocks()
+        ends = system.active.block_ends
+        for band, first, stop in zip(bands, (0, *ends), ends):
+            expected = band_by_bincount(system, first, stop)
+            kd = expected.shape[0] - 1
+            if stop == system.n:  # the junction
+                kd = max([kd] + [w.shape[1] - 1 for _, _, _, w in couplings])
+            assert band.shape == (kd + 1, expected.shape[1]) and band.flags.f_contiguous
+            assert band[:len(expected)].tobytes(order="F") == expected.tobytes(order="F")
+            assert not band[len(expected):].any()
+        return bands
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_full_domain(self, name):
@@ -104,7 +140,8 @@ class TestChunkedScatter:
         assert checked >= 10
 
     def test_random_topologies_at_scale_two(self):
-        # up to 7,744 elements, 16 chunks, and bands up to kd = 183 wide
+        # up to 7,744 elements, 16 chunks, and three blocks: arms up to kd = 93
+        # wide, the junction up to kd = 181
         problem = builtin_problem("l-bracket-single", mesh_scale=2)
         mesh, boundary = problem.mesh, problem.boundary
         widths = []
@@ -115,10 +152,9 @@ class TestChunkedScatter:
                 active = active_submesh(mesh, topo, boundary)
             except TopologyError:
                 continue
-            system = fem.assemble(active, problem.material)
-            self.assert_bincount_band(system)
-            widths.append(system._build_band().shape[0] - 1)
-        assert len(widths) >= 10 and max(widths) == 183
+            bands = self.assert_bincount_band(fem.assemble(active, problem.material))
+            widths.append([band.shape[0] - 1 for band in bands])
+        assert len(widths) >= 10 and np.max(widths, axis=0).tolist() == [93, 93, 181]
 
     @pytest.mark.parametrize("nx, ny", [(1, 1), (73, 7), (32, 16), (27, 19), (32, 32)],
                              ids=["1", "511", "512", "513", "1024"])
@@ -130,21 +166,25 @@ class TestChunkedScatter:
         self.assert_bincount_band(fem.assemble(active, fem.Material()))
 
     def test_build_peak_is_the_band(self):
-        # the full scale-2 L-bracket: a 22 MiB band, and no (n_elements, 36)
-        # index table (7 MiB) beside it
+        # the full scale-2 L-bracket: 14.8 MB of blocks (one band would take
+        # 184 * n * 8, 23 MB), and no (n_elements, 36) index table (7 MiB)
+        # beside them
         problem = builtin_problem("l-bracket-single", mesh_scale=2)
         active = active_submesh(problem.mesh, TopologyState.full(problem.mesh),
                                 problem.boundary)
         system = fem.assemble(active, problem.material)
-        system._build_band()  # the mesh's stiffness pattern is built once, here
+        system._build_blocks()  # the mesh's DOF layout is built once, here
         tracemalloc.start()
         try:
-            band = system._build_band()
+            bands, couplings = system._build_blocks()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert band.nbytes == 184 * system.n * 8
-        assert peak <= band.nbytes + 2 * 2**20
+        assert [band.shape for band in bands] == [(94, 5940), (94, 5850), (182, 4050)]
+        doubles = sum(band.size for band in bands)
+        assert doubles * 8 == 14_762_880 < 184 * system.n * 8
+        assert sum(block.nbytes for _, _, _, block in couplings) < 2**17
+        assert peak <= doubles * 8 + 2 * 2**20
 
 
 class TestElementStiffness:
@@ -189,6 +229,115 @@ class TestElementStiffness:
                     assert ke.tobytes() == np.ascontiguousarray(ke.T).tobytes()
 
 
+def corner_lbracket(flip_x, flip_y, scale):
+    """The built-in L-bracket's mesh, mirrored in x and/or y so that its
+    missing 0.6 x 0.6 square sits at another corner: clamped along the end
+    of its vertical arm and loaded down at the middle of its horizontal
+    arm's tip."""
+    mask = Rect(0.0 if flip_x else 0.4, 0.0 if flip_y else 0.4,
+                0.6 if flip_x else 1.0, 0.6 if flip_y else 1.0)
+    mesh, boundary = build_mesh(DomainSpec(1.0, 1.0, 55 * scale, 55 * scale, (mask,)))
+    for node in np.flatnonzero(np.isclose(mesh.nodes[:, 1], 0.0 if flip_y else 1.0)):
+        boundary.fix_node(int(node), "xy")
+    tip = locate_node(mesh, Point2(0.0 if flip_x else 1.0, 0.8 if flip_y else 0.2))
+    boundary.point_loads.append(PointLoad(1, tip, (0.0, -1.0), 1.0))
+    return mesh, boundary
+
+
+def drawn_topologies(mesh, boundary, seed, count):
+    """The full domain's active mesh, then those of ``count`` repaired
+    ``topology_draws`` that leave the loads on the supported structure."""
+    topologies = [TopologyState.full(mesh)]
+    for solid, previous, _, _ in topology_draws(mesh, seed=seed, count=count):
+        topologies.append(repair_connectivity(mesh, TopologyState(solid),
+                                              TopologyState(previous), boundary))
+    for topo in topologies:
+        try:
+            yield active_submesh(mesh, topo, boundary)
+        except TopologyError:
+            continue
+
+
+class TestCornerBlocks:
+    """A mesh whose cells are its grid minus a rectangle at one corner is
+    numbered as two arms and a junction, in each of the four orientations,
+    and its systems solve to the COO matrix's residual; other meshes keep
+    one band, the one-shot bincount's bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    @pytest.mark.parametrize("flip_x, flip_y", [(False, False), (True, False), (False, True),
+                                                (True, True)],
+                             ids=["top-right", "top-left", "bottom-right", "bottom-left"])
+    def test_mirrored_lbracket_solves_in_three_blocks(self, flip_x, flip_y, scale):
+        mesh, boundary = corner_lbracket(flip_x, flip_y, scale)
+        assert len(mesh.corner_blocks()) == len(mesh.dof_layout[1]) == 3
+        f = fem.load_vector(mesh, boundary, 1)
+        solved = []
+        for active in drawn_topologies(mesh, boundary, seed=13, count=20):
+            system = fem.assemble(active, fem.Material())
+            assert len(active.block_ends) == 3
+            r = f[active.free_dofs]
+            x = system.factor.solve(r)
+            K = oracle_matrix(active, fem.Material())
+            residual = np.linalg.norm(K @ x - r)
+            if not solved:  # the full domain
+                assert residual <= 1e-10 * np.linalg.norm(r)
+            # a ragged draw's condition number reaches 1e8, and one band's
+            # relative residual 1e-8 there too: its normwise backward error,
+            # which a stable Cholesky keeps near eps whatever the
+            # conditioning, is checked instead
+            assert residual <= 1e-14 * abs(K).sum(axis=0).max() * np.linalg.norm(x)
+            solved.append(system)
+        assert len(solved) >= 10
+        # the full domain's two arms and junction, and both arms coupled
+        full = solved[0].factor
+        assert [block.band.shape[0] - 1 for block in [*full.arms, full.junction]] == \
+            {1: [49, 49, 93], 2: [93, 93, 181]}[scale]
+        assert [k for k, _, _, _ in full.couplings] == [0, 1]
+
+    def test_void_arm_drops_its_block(self):
+        # the horizontal arm (cells from x = 22 below y = 22) wholly void,
+        # loaded in the junction: that arm's block has no free DOF and is
+        # dropped, and the vertical arm couples to the junction alone
+        mesh, boundary = corner_lbracket(False, False, 1)
+        boundary.point_loads[:] = [PointLoad(1, locate_node(mesh, Point2(0.0, 0.0)),
+                                             (0.0, -1.0), 1.0)]
+        active = active_submesh(mesh, TopologyState(mesh.element_grid[:, 0] < 22), boundary)
+        assert len(active.block_ends) == 2
+        system = fem.assemble(active, fem.Material())
+        factor = system.factor
+        assert len(factor.arms) == 1 and [k for k, _, _, _ in factor.couplings] == [0]
+        r = fem.load_vector(mesh, boundary, 1)[active.free_dofs]
+        x = factor.solve(r)
+        K = oracle_matrix(active, fem.Material())
+        assert np.linalg.norm(K @ x - r) <= 1e-10 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("name", ["cantilever-single", "mitchell-multi", "central-hole",
+                                      "edge-notch"])
+    def test_other_meshes_keep_one_band(self, name):
+        if name in ("central-hole", "edge-notch"):
+            mask = (Rect(0.75, 0.25, 1.25, 0.75) if name == "central-hole"
+                    else Rect(0.75, 0.5, 1.25, 1.0))
+            mesh, boundary = build_mesh(DomainSpec(2.0, 1.0, 32, 16, (mask,)))
+            for node in np.flatnonzero(mesh.nodes[:, 0] == 0.0):
+                boundary.fix_node(int(node), "xy")
+            boundary.point_loads.append(
+                PointLoad(1, locate_node(mesh, Point2(2.0, 0.5)), (0.0, -1.0), 1.0))
+            material = fem.Material()
+        else:
+            problem = builtin_problem(name)
+            mesh, boundary, material = problem.mesh, problem.boundary, problem.material
+        assert mesh.corner_blocks() is None and mesh.dof_layout[1] == (mesh.n_dofs,)
+        checked = 0
+        for active in drawn_topologies(mesh, boundary, seed=17, count=20):
+            system = fem.assemble(active, material)
+            band, expected = only_band(system), band_by_bincount(system)
+            assert band.shape == expected.shape
+            assert band.tobytes(order="F") == expected.tobytes(order="F")
+            checked += 1
+        assert checked >= 10
+
+
 class TestAssemble:
     def test_single_element_reduced_size(self):
         mesh, boundary = build_mesh(DomainSpec(1.0, 1.0, 1, 1))
@@ -197,7 +346,7 @@ class TestAssemble:
         boundary.point_loads.append(PointLoad(1, 3, (0.0, -1.0), 1.0))
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         system = fem.assemble(active, fem.Material())
-        assert system.n == 5 and system._build_band().shape[1] == 5
+        assert system.n == 5 and only_band(system).shape[1] == 5
         eig = np.linalg.eigvalsh(dense(system))
         assert eig.min() > 0
 
@@ -207,7 +356,7 @@ class TestAssemble:
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         system = fem.assemble(active, fem.Material())
         expected = oracle_matrix(active, fem.Material())
-        band = system._build_band()
+        band = only_band(system)
         assert np.array_equal(band, lower_band(expected))
         assert np.array_equal(band, lower_band(expected.T.tocsr()))
 
@@ -234,7 +383,7 @@ class TestAssemble:
         boundary.point_loads.append(PointLoad(1, 7, (0.0, -1.0), 1.0))
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
         assert len(active.free_dofs) == n_free
-        band = fem.assemble(active, fem.Material())._build_band()
+        band = only_band(fem.assemble(active, fem.Material()))
         assert band.shape == (kd + 1, n_free)
         assert kd == pairwise_band_width(active)
         assert_matches_coo(active, fem.Material())
@@ -246,7 +395,7 @@ class TestAssemble:
         boundary.fixed_dofs.discard((2, 1))  # one free DOF, in the second element only
         boundary.point_loads.append(PointLoad(1, 2, (0.0, -1.0), 1.0))
         active = active_submesh(mesh, TopologyState.full(mesh), boundary)
-        band = fem.assemble(active, fem.Material())._build_band()
+        band = only_band(fem.assemble(active, fem.Material()))
         assert band.shape == (1, 1) and pairwise_band_width(active) == 0
         ke = fem.element_stiffness(fem.Material(), mesh.h)
         assert band[0, 0] == ke[3, 3]  # node 2 is the second element's second node
@@ -402,7 +551,7 @@ class OracleSystem:
         K = sp.csr_matrix(matrix)
         K.sort_indices()
         self.n = K.shape[0]
-        self.factor = fem.BandCholesky(lower_band(K))
+        self.factor = fem.BlockCholesky([lower_band(K)], [])
         self.product = lambda x: K @ x
 
 
@@ -481,7 +630,7 @@ class TestLambdaMaxBound:
         system = fem.assemble(active_submesh(mesh, TopologyState.full(mesh), boundary),
                               fem.Material())
         bound = fem.lambda_max_bound(fem.Material())
-        assert system.n == 1 and system._build_band()[0, 0] <= bound
+        assert system.n == 1 and only_band(system)[0, 0] <= bound
 
     def test_bounds_every_topology(self):
         # a topology's matrix sums a subset of the lattice's element energies
@@ -656,13 +805,13 @@ class TestRelease:
         reused = fem.assemble(active, fem.Material(), holder)
         own = fem.assemble(active, fem.Material())
         assert fem.solve(reused, f).tobytes() == fem.solve(own, f).tobytes()
-        assert holder == [reused] and np.shares_memory(reused.factor.band, storage)
+        assert holder == [reused] and np.shares_memory(reused.factor.junction.band, storage)
         assert full._factor is None and full._storage is None
-        assert reused.factor.band.tobytes() == own.factor.band.tobytes()
+        assert reused.factor.junction.band.tobytes() == own.factor.junction.band.tobytes()
         mesh, boundary, _ = make_cantilever(16, 8)
         larger = fem.assemble(active_submesh(mesh, TopologyState.full(mesh), boundary),
                               fem.Material(), holder)
-        assert not np.shares_memory(larger.factor.band, storage) and holder == [larger]
+        assert not np.shares_memory(larger.factor.junction.band, storage) and holder == [larger]
         assert reused._factor is None and reused._storage is None
 
     def test_older_system_refactors_in_the_buffer(self, monkeypatch):
@@ -678,7 +827,7 @@ class TestRelease:
         storage = newer.system._storage
         assert older.system._factor is None and newer.system._factor is not None
         bands = []
-        wrap_factorization(monkeypatch, lambda band, **kwargs: bands.append(band))
+        wrap_factorization(monkeypatch, lambda blocks, couplings: bands.append(blocks[0]))
         again = fem.solve(older.system, f)
         assert len(bands) == 1 and np.shares_memory(bands[0], storage)
         assert again.tobytes() == older.displacements[0].tobytes()
@@ -707,8 +856,20 @@ from topt.mesh import TopologyState, active_submesh
 from topt.problems import builtin_problem
 problem = builtin_problem("l-bracket-single", mesh_scale=2)
 active = active_submesh(problem.mesh, TopologyState.full(problem.mesh), problem.boundary)
-print(hashlib.sha256(fem.assemble(active, problem.material).factor.band.tobytes()).hexdigest())
+factor = fem.assemble(active, problem.material).factor
+print(hashlib.sha256(b"".join([block.band.tobytes() for block in [*factor.arms, factor.junction]]
+                              + [w.tobytes() for _, _, _, w in factor.couplings])).hexdigest())
 """
+
+
+def capture_bands(monkeypatch):
+    """Copies of the bands fem hands LAPACK's ``dpbtrf``, in call order, and
+    each call's keyword arguments."""
+    calls = []
+    factor = fem.dpbtrf
+    monkeypatch.setattr(fem, "dpbtrf", lambda band, **kwargs: calls.append(
+        (band, band.copy(order="F"), kwargs)) or factor(band, **kwargs))
+    return calls
 
 
 class TestFactorization:
@@ -720,22 +881,30 @@ class TestFactorization:
         return active, problem.material
 
     def test_in_place_band_factor(self, lbracket_scale2, monkeypatch):
-        calls = []
-        wrap_factorization(monkeypatch, lambda *a, **k: calls.append((a, k)))
+        calls = capture_bands(monkeypatch)
         built = []
-        build = fem.SystemMatrix._build_band
-        monkeypatch.setattr(fem.SystemMatrix, "_build_band",
+        build = fem.SystemMatrix._build_blocks
+        monkeypatch.setattr(fem.SystemMatrix, "_build_blocks",
                             lambda self: built.append(build(self)) or built[-1])
         system = fem.assemble(*lbracket_scale2)
         assert built == [] and system._factor is None  # assembly builds no band
         factor = system.factor
-        [(args, kwargs)] = calls
-        assert kwargs == {"lower": 1, "overwrite_ab": 1}
-        band = args[0]
+        assert [kwargs for _, _, kwargs in calls] == [{"lower": 1, "overwrite_ab": 1}] * 3
+        [(bands, couplings)] = built
         n = system.n
-        assert len(built) == 1 and band is built[0] and band.shape == (184, n)  # kd = 183
-        # LAPACK wrote the factor over the band just built, not a copy
-        assert factor.band.flags.f_contiguous and np.shares_memory(factor.band, band)
+        # two arms (kd = 93) and the junction (kd = 181), each factored where
+        # it was built, in the system's one buffer
+        assert [band.shape for band in bands] == [(94, 5940), (94, 5850), (182, 4050)]
+        assert sum(band.shape[1] for band in bands) == n
+        assert all(band is built_band for (band, _, _), built_band in zip(calls, bands))
+        # LAPACK wrote each factor over the band just built, not a copy, and
+        # each band starts 16 bytes aligned, as a band of its own would
+        for block, band in zip([*factor.arms, factor.junction], bands):
+            assert block.band.flags.f_contiguous and np.shares_memory(block.band, band)
+            assert np.shares_memory(block.band, system._storage)
+            assert block.band.ctypes.data % 16 == 0
+        assert [(k, t, c, w.shape) for k, t, c, w in factor.couplings] == [
+            (0, 5850, 0, (90, 90)), (1, 5760, 88, (90, 90))]
         assert system.factor is factor and len(built) == 1
         f = np.ones(n)
         x = factor.solve(f)
@@ -743,20 +912,37 @@ class TestFactorization:
         assert np.linalg.norm(K @ x - f) / np.linalg.norm(f) <= 1e-10
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_same_bytes_as_scipy_banded_cholesky(self, name):
+    def test_same_bytes_as_scipy_banded_cholesky(self, name, monkeypatch):
         # the direct dpbtrf/dpbtrs calls are the routines scipy's wrappers
-        # reach for float64: the same factor and the same solution, bit for bit
+        # reach for float64: each block's factor is, bit for bit, the one
+        # scipy makes of the band handed to LAPACK (the junction's after its
+        # Schur update, which is the COO matrix's Schur complement within
+        # round-off); a one-block system's solution is scipy's too
         problem = builtin_problem(name)
         active = active_submesh(problem.mesh, TopologyState.full(problem.mesh),
                                 problem.boundary)
         system = fem.assemble(active, problem.material)
-        expected = cholesky_banded(system._build_band(), lower=True, check_finite=False)
+        calls = capture_bands(monkeypatch)
         factor = system.factor
-        assert factor.band.tobytes(order="F") == expected.tobytes(order="F")
+        blocks = [*factor.arms, factor.junction]
+        assert len(calls) == len(blocks) == (3 if name.startswith("l-bracket") else 1)
+        for block, (_, band, _) in zip(blocks, calls):
+            expected = cholesky_banded(band, lower=True, check_finite=False)
+            assert block.band.tobytes(order="F") == expected.tobytes(order="F")
+        K = oracle_matrix(active, problem.material).toarray()
+        first = factor.firsts[-1]
+        schur = K[first:, first:] - K[first:, :first] @ np.linalg.solve(
+            K[:first, :first], K[:first, first:]) if first else K
+        junction = calls[-1][1]
+        for d in range(len(junction)):
+            assert np.allclose(junction[d, :len(schur) - d], np.diag(schur, -d),
+                               rtol=0, atol=1e-12 * np.abs(schur).max())
         rhs = fem.load_vector(problem.mesh, problem.boundary, 1)[active.free_dofs]
         x = factor.solve(rhs)
         assert x.shape == rhs.shape
-        assert x.tobytes() == cho_solve_banded((factor.band, True), rhs).tobytes()
+        if not factor.arms:
+            assert x.tobytes() == cho_solve_banded((factor.junction.band, True), rhs).tobytes()
+        assert np.linalg.norm(K @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_singular_band_names_the_minor(self):
         # [[1, 1, 0], [1, 1, 0], [0, 0, 1]]: the second pivot is zero
@@ -766,14 +952,19 @@ class TestFactorization:
             fem.BandCholesky(band)
 
     def test_factor_bytes_independent_of_blas_threads(self, lbracket_scale2):
-        # a threaded pbtrf sums in another order; the factor runs on one thread
+        # a threaded pbtrf, or a threaded product of the arms' W, sums in
+        # another order; the factor runs on one thread
         src = str(Path(fem.__file__).resolve().parents[1])
-        digests = {hashlib.sha256(fem.assemble(*lbracket_scale2).factor.band.tobytes()).hexdigest()}
+        digests = set()
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
             out = subprocess.run([sys.executable, "-c", _FACTOR_DIGEST], env=env,
                                  capture_output=True, text=True, check=True)
             digests.add(out.stdout.strip())
+        factor = fem.assemble(*lbracket_scale2).factor
+        digests.add(hashlib.sha256(b"".join(
+            [block.band.tobytes() for block in [*factor.arms, factor.junction]]
+            + [w.tobytes() for _, _, _, w in factor.couplings])).hexdigest())
         assert len(digests) == 1
 
 

@@ -228,21 +228,34 @@ class TestActiveSubmesh:
 
 class TestStiffnessPattern:
     def test_narrowest_band_chosen(self):
-        kd = {1: {"l-bracket": 95, "cantilever": 69, "mitchell": 69},
-              2: {"l-bracket": 183, "cantilever": 133, "mitchell": 133}}  # full domain
+        # the full domain's blocks; the L-bracket's one band would be 95 and
+        # 183 wide, and is not chosen
+        kd = {1: {"l-bracket": [49, 49, 93], "cantilever": [69], "mitchell": [69]},
+              2: {"l-bracket": [93, 93, 181], "cantilever": [133], "mitchell": [133]}}
+        single = {1: {"l-bracket": 95, "cantilever": 69, "mitchell": 69},
+                  2: {"l-bracket": 183, "cantilever": 133, "mitchell": 133}}
         for scale in (1, 2):
             for name in BUILTIN_NAMES:
                 problem = builtin_problem(name, mesh_scale=scale)
                 mesh = problem.mesh
-                order = mesh.dof_order
+                order, ends = mesh.dof_layout
                 assert np.array_equal(np.sort(order), np.arange(mesh.n_dofs))
                 assert not np.any(order[0::2] % 2)  # each node's x DOF first
                 assert np.array_equal(order[1::2], order[0::2] + 1)  # x then y per node
-                chosen = mesh.node_band(order[0::2] // 2)
-                assert chosen == min(mesh.node_band(o) for o in mesh.band_orders())
+                blocks = np.split(order[0::2] // 2, np.array(ends[:-1]) // 2)
+                chosen = mesh.block_bands(blocks)
+                narrowest = min(mesh.block_bands([o])[0] for o in mesh.band_orders())
+                assert 2 * narrowest + 1 == single[scale][name.rsplit("-", 1)[0]]
+                # the blocks do less banded Cholesky work, sum n kd^2, than one band
+                work = sum(len(b) * (2 * w + 1) ** 2 for b, w in zip(blocks, chosen))
+                if len(blocks) == 1:
+                    assert chosen == [narrowest]
+                else:
+                    assert work < mesh.n_nodes * (2 * narrowest + 1) ** 2
                 active = active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
-                band = fem.assemble(active, problem.material)._build_band()
-                assert band.shape[0] - 1 == 2 * chosen + 1 == kd[scale][name.rsplit("-", 1)[0]]
+                bands = fem.assemble(active, problem.material)._build_blocks()[0]
+                assert ([band.shape[0] - 1 for band in bands] == [2 * w + 1 for w in chosen]
+                        == kd[scale][name.rsplit("-", 1)[0]])
 
     @pytest.mark.parametrize("name", ["l-bracket-single", "cantilever-single"])
     def test_free_dofs_permute_sorted_free_set(self, name):
@@ -267,26 +280,26 @@ class TestStiffnessPattern:
 
     def test_build_problem_leaves_pattern_unbuilt(self):
         problem = config.build_problem(builtin_config("l-bracket-single"), mesh_scale=2)
-        assert "dof_order" not in vars(problem.mesh)
+        assert "dof_layout" not in vars(problem.mesh)
 
     def test_built_once_and_read_only(self):
         problem = builtin_problem("cantilever-single")
         mesh = problem.mesh
         active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
-        order = vars(mesh)["dof_order"]  # built by the first active_submesh
+        layout = vars(mesh)["dof_layout"]  # built by the first active_submesh
         solid = np.ones(mesh.n_elements, dtype=bool)
         solid[-1] = False
         active_submesh(mesh, TopologyState(solid), problem.boundary)
-        assert mesh.dof_order is order
-        assert not order.flags.writeable
+        assert mesh.dof_layout is layout
+        assert not layout[0].flags.writeable and layout[1] == (mesh.n_dofs,)
 
     @pytest.mark.parametrize("name", ["l-bracket-single", "mitchell-multi"])
     def test_lower_triangle_of_each_element(self, name):
-        # with the element DOFs' positions in dof_order, the 36 tril_indices(8)
-        # pairs, entered as (max, min), give each unordered pair of the
-        # element's DOFs once with row position >= column position
+        # with the element DOFs' positions in the dof_layout order, the 36
+        # tril_indices(8) pairs, entered as (max, min), give each unordered
+        # pair of the element's DOFs once with row position >= column position
         mesh = builtin_problem(name).mesh
-        order = mesh.dof_order
+        order = mesh.dof_layout[0]
         position = np.argsort(order)[mesh.edofs]
         assert np.array_equal(order[position], mesh.edofs)
         a, b = np.tril_indices(8)
@@ -303,15 +316,17 @@ class TestStiffnessPattern:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_holds_only_order_and_ranks(self, name):
-        # the band order is one int64 per DOF; no per-element rank table, nor
-        # any other array, is kept beside the mesh's own after an analysis
+        # the band order is one int64 per DOF, with a few block ends; no
+        # per-element rank table, nor any other array, is kept beside the
+        # mesh's own after an analysis
         problem = builtin_problem(name, mesh_scale=2)
         mesh = problem.mesh
         active_submesh(mesh, TopologyState.full(mesh), problem.boundary)
-        assert mesh.dof_order.nbytes == 8 * mesh.n_dofs
+        order, ends = mesh.dof_layout
+        assert order.nbytes == 8 * mesh.n_dofs and ends[-1] == mesh.n_dofs
+        assert all(isinstance(end, int) for end in ends) and len(ends) in (1, 3)
         arrays = {k for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
-        assert arrays == {"nodes", "elements", "element_grid", "edofs", "neighbours",
-                          "dof_order"}
+        assert arrays == {"nodes", "elements", "element_grid", "edofs", "neighbours"}
 
 
 class TestConeFilter:

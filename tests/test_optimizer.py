@@ -622,7 +622,9 @@ class TestOneFactorization:
     @pytest.mark.parametrize("make", [
         lambda: small_problem(extra_q=True),
         lambda: builtin_with("cantilever-single", filter=True),
-    ], ids=["remote-q", "cantilever-filter"])
+        # two arms and a junction per system: one factorization each
+        lambda: builtin_with("l-bracket-multi"),
+    ], ids=["remote-q", "cantilever-filter", "l-bracket-blocks"])
     def test_one_factorization_alive(self, make, monkeypatch):
         problem = make()
         ledger = FactorLedger(monkeypatch)
@@ -638,7 +640,8 @@ class TestOneFactorization:
         # the full domain's band, the first, is the run's largest: every later
         # band is built in its storage, which the result does not keep
         starts = []
-        wrap_factorization(monkeypatch, lambda band, **kwargs: starts.append(band.ctypes.data))
+        wrap_factorization(monkeypatch,
+                           lambda bands, couplings: starts.append(bands[0].ctypes.data))
         result = optimizer.run(small_problem(extra_q=True))
         assert len(starts) > 1 and set(starts) == {starts[0]}
         assert result.analysis.system._holder == [] and result.analysis.system._storage is None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from topt import checks, fem, sensitivity
+from topt import auglag, checks, fem, optimizer, sensitivity
 from topt.checks import pnorm_fd_gradient
 from topt.config import parse_problem
 from topt.mesh import Point2, PointLoad, TopologyState
@@ -143,9 +143,20 @@ class TestTopoSensitivity:
 
 
 class TestVolumeAndNormalize:
-    def test_volume_field(self):
-        f = np.full(10, -1.0)
-        assert np.all(f == -1.0)
+    def test_volume_field(self, monkeypatch):
+        # the objective's term in every combination a run makes: removing a
+        # unit of area removes a unit of volume, on every element
+        volumes = []
+        combine = auglag.combine_level_sets
+        monkeypatch.setattr(auglag, "combine_level_sets",
+                            lambda t_obj, constraints: volumes.append(t_obj.copy())
+                            or combine(t_obj, constraints))
+        problem = parse_problem(COMPLIANCE_DOC)
+        optimizer.run(problem)
+        assert volumes
+        for t_obj in volumes:
+            assert t_obj.dtype == np.float64 and t_obj.shape == (problem.mesh.n_elements,)
+            assert np.all(t_obj == -1.0)
 
     def test_volume_normalization_fixed_point(self):
         protected = np.zeros(10, dtype=bool)
