@@ -11,10 +11,12 @@ junction go to a small dense block beside them. The bands are factored in
 place by LAPACK's banded Cholesky (``dpbtrf``), the junction's after the
 arms' Schur update, and solved by ``dtbtrs`` on the arms and ``dpbtrs`` on
 the junction, all called directly, on one BLAS thread, so the factor's
-bytes do not depend on the thread count. Products with K are made element
-by element. Stress and strain are recovered at element centroids, one
-value per element; the shear entries stored in tensor fields are the
-*tensor* components (eps_xy = gamma_xy / 2, sigma_xy).
+bytes do not depend on the thread count. A pivot at or below
+sqrt(n eps max_j K_jj) fails the factorization, so a rigid-body mode is
+named by the same minor on every BLAS kernel family. Products with K are
+made element by element. Stress and strain are recovered at element
+centroids, one value per element; the shear entries stored in tensor
+fields are the *tensor* components (eps_xy = gamma_xy / 2, sigma_xy).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
-import itertools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ RESIDUAL_TOL = 1e-8
 _CHUNK = 512  # elements scattered into the band at a time
 _PAIRS = np.tril_indices(8)  # (a, b) of each element DOF pair with a >= b
 _GAUSS = 1.0 / np.sqrt(3.0)
+_EPS = float(np.finfo(float).eps)
 
 
 class SingularSystemError(RuntimeError):
@@ -155,16 +157,21 @@ class BandCholesky:
     float64 wrappers, without ``cholesky_banded``'s per-call checks, on the
     BLAS threads of the caller (``BlockCholesky`` pins one). ``first`` is the
     band's first row in the system it belongs to, so a failed pivot is named
-    by its row there."""
+    by its row there. A pivot ``L[j, j]`` at or below ``floor`` fails as a
+    non-positive one does: on a singular system round-off leaves the zero
+    pivot either side of zero, and only the floor catches it on both."""
 
-    def __init__(self, band: np.ndarray, first: int = 0):
+    def __init__(self, band: np.ndarray, first: int = 0, floor: float = 0.0):
         self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        if info > 0:  # a pivot was not positive
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
+        low = np.flatnonzero(self.band[0, :info - 1 if info else None] <= floor)
+        if low.size:  # before any pivot pbtrf found non-positive
+            info = int(low[0]) + 1
+        if info > 0:
             raise SingularSystemError(
                 f"singular stiffness system: factorization failed ({first + info}-th leading "
                 "minor not positive definite); the supports likely leave a rigid-body mode")
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal pbtrf")
 
 
 def _checked(routine: str, result: tuple) -> np.ndarray:
@@ -186,31 +193,35 @@ class BlockCholesky:
     arm, it is the junction's ``BandCholesky`` alone, and a solve is one
     ``pbtrs``."""
 
-    def __init__(self, bands: list[np.ndarray], couplings: list[tuple]):
+    def __init__(self, bands: list[np.ndarray], couplings: list[tuple],
+                 firsts: tuple[int, ...], floor: float = 0.0):
         """``bands``: each block's lower band, arms first, built in place;
         ``couplings``: (arm, first row t, first junction column c, B), B the
-        arm's rows from t against the junction's columns from c."""
-        self.ends = list(itertools.accumulate(band.shape[1] for band in bands))
-        self.firsts = [0, *self.ends[:-1]]  # each block's first row
+        arm's rows from t against the junction's columns from c; ``firsts``:
+        each block's first row; ``floor``: the pivot floor of each band."""
+        self.firsts = firsts
         junction = bands[-1]
         self.couplings = []
         with one_blas_thread():
-            self.arms = [BandCholesky(band, first) for band, first in zip(bands[:-1], self.firsts)]
+            self.arms = [BandCholesky(band, first, floor)
+                         for band, first in zip(bands[:-1], firsts)]
             for k, t, c, coupling in couplings:
                 w = _checked("tbtrs", dtbtrs(self.arms[k].band[:, t:], coupling, uplo="L"))
                 update = w.T @ w
                 i, j = np.tril_indices(len(update))
                 junction[i - j, j + c] -= update[i, j]
                 self.couplings.append((k, t, c, w))
-            self.junction = BandCholesky(junction, self.firsts[-1])
+            self.junction = BandCholesky(junction, firsts[-1], floor)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Forward on each arm, the junction with the W corrections, then
         back on each arm."""
-        first = self.firsts[-1]
         with one_blas_thread():
+            if not self.arms:
+                return _checked("pbtrs", dpbtrs(self.junction.band, rhs, lower=1))
+            first = self.firsts[-1]
             ys = [_checked("tbtrs", dtbtrs(arm.band, rhs[s:e], uplo="L"))
-                  for arm, s, e in zip(self.arms, self.firsts, self.ends)]
+                  for arm, s, e in zip(self.arms, self.firsts, self.firsts[1:])]
             g = rhs[first:].copy() if self.couplings else rhs[first:]
             for k, t, c, w in self.couplings:
                 g[c:c + w.shape[1]] -= w.T @ ys[k][t:]
@@ -219,7 +230,7 @@ class BlockCholesky:
                 ys[k][t:] -= w @ junction[c:c + w.shape[1]]
             xs = [_checked("tbtrs", dtbtrs(arm.band, y, uplo="L", trans="T"))
                   for arm, y in zip(self.arms, ys)]
-        return np.concatenate([*xs, junction]) if xs else junction
+        return np.concatenate([*xs, junction])
 
 
 class SystemMatrix:
@@ -238,6 +249,11 @@ class SystemMatrix:
         self.active = active
         self.ke = ke
         self.n = len(active.free_dofs)
+        self.firsts = (0, *active.block_ends[:-1])  # each block's first row
+        # the pivot floor, sqrt(n eps max_j K_jj) as LAPACK's pstrf takes its
+        # rank tolerance, K_jj bounded by four elements' diagonal: since
+        # L_jj^2 >= lambda_min, a pivot meets it only if cond(K) >= 1 / (4 n eps)
+        self._floor = float(np.sqrt(4 * self.n * _EPS * ke.diagonal().max()))
         self._holder = holder  # [the system holding the buffer], or empty
         self._storage = None  # the buffer the bands were built in
         self._factor = None
@@ -251,8 +267,7 @@ class SystemMatrix:
         widened, where needed, to hold its Schur update. Each entry sums its
         element terms in element order, scattered ``_CHUNK`` elements at a
         time so that no index table spans every element."""
-        ends = list(self.active.block_ends)
-        firsts = [0, *ends[:-1]]
+        firsts, ends = self.firsts, self.active.block_ends
         red = np.full(self.active.mesh.n_dofs, -1)  # -1 if eliminated
         red[self.active.free_dofs] = np.arange(self.n)
         # one contiguous row per element DOF: each reduction and each pair
@@ -340,7 +355,7 @@ class SystemMatrix:
     @property
     def factor(self) -> BlockCholesky:
         if self._factor is None:
-            self._factor = BlockCholesky(*self._build_blocks())
+            self._factor = BlockCholesky(*self._build_blocks(), self.firsts, self._floor)
         return self._factor
 
     def release(self) -> None:

@@ -253,9 +253,6 @@ class Mesh:
         gi, gj = self.element_grid[:, 0], self.element_grid[:, 1]
         present = np.zeros((nx, ny), dtype=bool)
         present[gi, gj] = True
-        p, q = np.empty(self.n_nodes, dtype=np.int64), np.empty(self.n_nodes, dtype=np.int64)
-        p[self.elements] = gi[:, None] + [0, 1, 1, 0]  # node grid coordinates
-        q[self.elements] = gj[:, None] + [0, 0, 1, 1]
         for flip_x in (False, True):
             for flip_y in (False, True):
                 cells = present[::-1 if flip_x else 1, ::-1 if flip_y else 1]
@@ -263,6 +260,9 @@ class Mesh:
                 expected = np.ones((nx, ny), dtype=bool)
                 expected[a:, b:] = False
                 if 0 < a < nx and 0 < b < ny and np.array_equal(cells, expected):
+                    p, q = np.empty((2, self.n_nodes), dtype=np.int64)
+                    p[self.elements] = gi[:, None] + [0, 1, 1, 0]  # node grid coordinates
+                    q[self.elements] = gj[:, None] + [0, 0, 1, 1]
                     pm, qm = (nx - p if flip_x else p), (ny - q if flip_y else q)
                     front = np.minimum(a - pm, b - qm)
                     along = np.where(a - pm == front, qm, b + a - 2 * front - pm)

@@ -128,5 +128,5 @@ def wrap_factorization(monkeypatch, hook):
     that is each ``fem.BlockCholesky`` a system makes of its blocks, however
     many bands LAPACK's ``dpbtrf`` then factors; scipy itself is left alone."""
     factor = fem.BlockCholesky
-    monkeypatch.setattr(fem, "BlockCholesky",
-                        lambda *args, **kwargs: hook(*args, **kwargs) or factor(*args, **kwargs))
+    monkeypatch.setattr(fem, "BlockCholesky", lambda bands, couplings, *rest:
+                        hook(bands, couplings) or factor(bands, couplings, *rest))

@@ -551,7 +551,7 @@ class OracleSystem:
         K = sp.csr_matrix(matrix)
         K.sort_indices()
         self.n = K.shape[0]
-        self.factor = fem.BlockCholesky([lower_band(K)], [])
+        self.factor = fem.BlockCholesky([lower_band(K)], [], (0,))
         self.product = lambda x: K @ x
 
 
@@ -950,6 +950,16 @@ class TestFactorization:
         with pytest.raises(fem.SingularSystemError,
                            match="2-th leading minor not positive definite"):
             fem.BandCholesky(band)
+
+    def test_pivot_at_the_floor_names_the_minor(self):
+        # [[4, 2], [2, 1 + 2^-52]]: the second pivot, 2^-52 exactly, passes
+        # pbtrf but not the floor sqrt(n eps max_j K_jj)
+        band = np.asfortranarray([[4.0, 1.0 + 2.0**-52], [2.0, 0.0]])
+        floor = np.sqrt(2 * np.finfo(float).eps * 4.0)
+        assert fem.BandCholesky(band.copy(order="F")).band[0, 1] == 2.0**-26
+        with pytest.raises(fem.SingularSystemError,
+                           match="2-th leading minor not positive definite"):
+            fem.BandCholesky(band, floor=floor)
 
     def test_factor_bytes_independent_of_blas_threads(self, lbracket_scale2):
         # a threaded pbtrf, or a threaded product of the arms' W, sums in
